@@ -14,6 +14,7 @@
 //	BenchmarkFig18IsoPower          Fig. 18
 //	BenchmarkNoC*                   network-simulator validation
 //	BenchmarkKernel*                numeric kernel micro-benchmarks
+//	BenchmarkPredictSteady          steady-state activation prediction
 //	BenchmarkAblation*              DESIGN.md §5 design-choice ablations
 package mptwino
 
@@ -229,6 +230,82 @@ func BenchmarkKernelQuantize(b *testing.B) {
 	}
 }
 
+// predictDomain is a Winograd-domain output Domain from a real forward
+// pass of tr over Gaussian data, shifted −0.7σ negative like a trained
+// ReLU layer's pre-activations (the Fig. 12 operating point).
+func predictDomain(b *testing.B, tr *winograd.Transform, seed uint64) *winograd.Domain {
+	p := conv.Params{In: 4, Out: 8, K: 3, Pad: 1, H: 24, W: 24}
+	tl, err := winograd.NewTiling(tr, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := tensor.NewRNG(seed)
+	x := tensor.New(4, p.In, p.H, p.W)
+	w := tensor.New(p.Out, p.In, 3, 3)
+	rng.FillNormal(x, 0, 1)
+	rng.FillHe(w, p.In*9)
+	yd := winograd.MulForward(tl.TransformInput(x), winograd.TransformWeights(tr, w), nil)
+	yd.AddOutputBias(-0.7 * quant.DomainSigma(yd))
+	return yd
+}
+
+// BenchmarkPredictSteady is the steady-state activation-prediction path
+// FpropReLU runs per tile: 2-D prediction over every tile of an F(4×4)
+// output Domain plus 1-D prediction over an F(2×2) one, through one
+// reused tile and Prediction each. Its contract is 0 allocs/op; the skip
+// fractions it reports pin the skip decisions.
+func BenchmarkPredictSteady(b *testing.B) {
+	type path struct {
+		yd   *winograd.Domain
+		pr   *quant.Predictor
+		out  *quant.Prediction
+		tile *tensor.Mat
+		oneD bool
+		skip int
+	}
+	var paths []*path
+	for _, c := range []struct {
+		tr   *winograd.Transform
+		bits int
+		oneD bool
+	}{{winograd.F4x4_3x3, 6, false}, {winograd.F2x2_3x3, 5, true}} {
+		yd := predictDomain(b, c.tr, 13)
+		paths = append(paths, &path{yd: yd, oneD: c.oneD,
+			pr:   quant.NewPredictor(c.tr, quant.MustQuantizer(4, c.bits, quant.DomainSigma(yd))),
+			out:  quant.NewPrediction(c.tr),
+			tile: tensor.NewMat(c.tr.T, c.tr.T)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range paths {
+			p.skip = 0
+			for r := 0; r < p.yd.Rows(); r++ {
+				for c := 0; c < p.yd.C; c++ {
+					p.yd.TileInto(p.tile, r, c)
+					if p.oneD {
+						p.pr.Predict1DInto(p.out, p.tile)
+					} else {
+						p.pr.Predict2DInto(p.out, p.tile)
+					}
+					if p.out.NonActivated() {
+						p.skip++
+					}
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	for _, p := range paths {
+		frac := float64(p.skip) / float64(p.yd.Rows()*p.yd.C)
+		if p.oneD {
+			b.ReportMetric(frac, "skip1d_frac")
+		} else {
+			b.ReportMetric(frac, "skip2d_frac")
+		}
+	}
+}
+
 // --- DESIGN.md §5 ablations ---
 
 // BenchmarkAblationClusteringMenu compares per-layer time under each fixed
@@ -279,11 +356,7 @@ func BenchmarkAblationQuantizerRegions(b *testing.B) {
 	xd := tl.TransformInput(x)
 	wd := winograd.TransformWeights(tr, w)
 	yd := winograd.MulForward(xd, wd, nil)
-	var sample []float32
-	for _, el := range yd.El {
-		sample = append(sample, el.Data...)
-	}
-	sigma := quant.EstimateSigma(sample)
+	sigma := quant.DomainSigma(yd)
 	yd.AddOutputBias(-0.7 * sigma)
 
 	ratios := map[int]float64{}

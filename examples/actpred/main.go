@@ -40,11 +40,7 @@ func main() {
 
 	// Calibrate the quantizer to the observed Winograd-domain sigma (the
 	// paper: "values of Winograd domain tiles follow normal distribution").
-	var sample []float32
-	for _, el := range yd.El {
-		sample = append(sample, el.Data...)
-	}
-	sigma := quant.EstimateSigma(sample)
+	sigma := quant.DomainSigma(yd)
 	fmt.Printf("Winograd-domain sigma = %.3f\n", sigma)
 
 	// Trained ReLU networks keep most neurons non-activated; emulate that
@@ -58,9 +54,7 @@ func main() {
 
 	// One tile in detail.
 	tile := tensor.NewMat(tr.T, tr.T)
-	for e := range yd.El {
-		tile.Data[e] = yd.El[e].At(0, 0)
-	}
+	yd.TileInto(tile, 0, 0)
 	pred := quant.NewPredictor(tr, q)
 	pr := pred.Predict2D(tile)
 	fmt.Printf("example tile: estimate[0,0]=%.3f maxErr[0,0]=%.3f -> non-activated: %v (truth: %v)\n",
@@ -87,16 +81,13 @@ func main() {
 	nTiles := 64
 	m := ndp.NewActivationMap(nTiles)
 	data := make([]float32, nTiles*unit)
-	row := 0
 	for ti := 0; ti < nTiles; ti++ {
-		for e := range yd.El {
-			tile.Data[e] = yd.El[e].At(row, 0)
-			data[ti*unit+e] = tile.Data[e]
-		}
-		if pred.Predict2D(tile).NonActivated() {
+		yd.TileInto(tile, ti, 0)
+		copy(data[ti*unit:], tile.Data)
+		pred.Predict2DInto(pr, tile)
+		if pr.NonActivated() {
 			m.Kill(ti)
 		}
-		row++
 	}
 	dma := ndp.PackingDMA{UnitLen: unit}
 	packed := dma.Pack(data, m)

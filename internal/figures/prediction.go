@@ -48,12 +48,7 @@ func predictionWorkload(dataset string, seed uint64) *winograd.Domain {
 	// Shift pre-activations negative: trained CNNs see most neurons
 	// non-activated under ReLU; emulate with a −0.7σ output bias lifted
 	// exactly into the Winograd domain.
-	var sample []float32
-	for _, el := range yd.El {
-		sample = append(sample, el.Data...)
-	}
-	sigma := quant.EstimateSigma(sample)
-	yd.AddOutputBias(-0.7 * sigma)
+	yd.AddOutputBias(-0.7 * quant.DomainSigma(yd))
 	return yd
 }
 
@@ -68,11 +63,7 @@ func Fig12() Result {
 		"dataset", "regions", "bits", "tile(act)", "tile(pred)", "line(act)", "line(pred)", "falseN")
 	for _, dataset := range []string{"cifar", "imagenet"} {
 		yd := predictionWorkload(dataset, 1234)
-		var sample []float32
-		for _, el := range yd.El {
-			sample = append(sample, el.Data...)
-		}
-		sigma := quant.EstimateSigma(sample)
+		sigma := quant.DomainSigma(yd)
 		for _, regions := range []int{1, 2, 4} {
 			for _, bits := range []int{4, 5, 6} {
 				if (1<<(bits-1))%regions != 0 {

@@ -78,8 +78,13 @@ type Engine struct {
 	W        *winograd.Weights
 	groupEls [][]int
 
+	// Activation prediction state (nil unless Cfg.Predict), built once:
+	// FpropReLU recalibrates the quantizer in place and predicts every
+	// tile through the one Prediction and tile buffer, allocation-free.
 	quantizer *quant.Quantizer
 	predictor *quant.Predictor
+	pred      *quant.Prediction
+	tile      *tensor.Mat
 
 	Traffic Traffic
 
@@ -135,10 +140,14 @@ func NewEngine(tr *winograd.Transform, p conv.Params, cfg Config, rng *tensor.RN
 		if bits == 0 {
 			bits = 6
 		}
-		// Sigma is calibrated on first use (per-layer profiling in the
+		// Sigma is calibrated on every use (per-layer profiling in the
 		// paper); start with 1 and recalibrate in FpropReLU.
-		e.quantizer = quant.MustQuantizer(regions, bits, 1)
+		if e.quantizer, err = quant.NewQuantizer(regions, bits, 1); err != nil {
+			return nil, fmt.Errorf("mpt: %w", err)
+		}
 		e.predictor = quant.NewPredictor(tr, e.quantizer)
+		e.pred = quant.NewPrediction(tr)
+		e.tile = tensor.NewMat(tr.T, tr.T)
 	}
 	return e, nil
 }
@@ -222,30 +231,20 @@ func (e *Engine) countScatter(d *winograd.Domain) {
 }
 
 // countGather charges tile-gathering traffic for one cluster's output
-// Domain, honoring prediction skips (skipped tiles pay only the quantized
-// pre-send).
-func (e *Engine) countGather(d *winograd.Domain, skipped map[[2]int]bool) {
+// Domain, honoring prediction skips (the skipped tiles pay only the
+// quantized pre-send).
+func (e *Engine) countGather(d *winograd.Domain, skipped int64) {
 	if e.Cfg.Ng <= 1 {
 		return
 	}
 	t2 := int64(len(d.El))
-	rows := int64(d.Rows())
-	cols := int64(d.C)
+	tiles := int64(d.Rows()) * int64(d.C)
 	frac := int64(e.Cfg.Ng-1) * 4 / int64(e.Cfg.Ng) // bytes per value crossing
 	if e.Cfg.Predict {
 		bits := int64(e.quantizer.CodeBits())
-		e.Traffic.PredictBytes += rows * cols * t2 * bits / 8 * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
+		e.Traffic.PredictBytes += tiles * t2 * bits / 8 * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
 	}
-	var sent int64
-	for r := int64(0); r < rows; r++ {
-		for c := int64(0); c < cols; c++ {
-			if skipped != nil && skipped[[2]int{int(r), int(c)}] {
-				continue
-			}
-			sent += t2
-		}
-	}
-	e.Traffic.GatherBytes += sent * frac
+	e.Traffic.GatherBytes += (tiles - skipped) * t2 * frac
 }
 
 // fpropDomain runs the distributed forward dot products for one cluster
@@ -277,7 +276,7 @@ func (e *Engine) Fprop(x *tensor.Tensor) (*tensor.Tensor, error) {
 		e.countScatter(xd)
 		e.lastX = append(e.lastX, xd)
 		yd := e.fpropDomain(xd)
-		e.countGather(yd, nil)
+		e.countGather(yd, 0)
 		ys := e.tiling.InverseOutput(yd)
 		copyShardOut(out, ys, b[0])
 	}
@@ -302,9 +301,8 @@ func (e *Engine) FpropReLU(x *tensor.Tensor) (*tensor.Tensor, error) {
 		e.lastX = append(e.lastX, xd)
 		yd := e.fpropDomain(xd)
 
-		var skipped map[[2]int]bool
+		var skipped int64
 		if e.Cfg.Predict {
-			e.calibrate(yd)
 			skipped = e.predictSkips(yd)
 		}
 		e.countGather(yd, skipped)
@@ -324,51 +322,37 @@ func (e *Engine) FpropReLU(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// calibrate re-derives the quantizer step from the observed Winograd-
-// domain distribution (the paper profiles per layer and precomputes Δ).
-func (e *Engine) calibrate(yd *winograd.Domain) {
-	var sample []float32
-	for _, el := range yd.El {
-		sample = append(sample, el.Data...)
-	}
-	sigma := quant.EstimateSigma(sample)
-	e.quantizer = quant.MustQuantizer(e.quantizer.Regions, e.quantizer.Bits, sigma)
-	e.predictor = quant.NewPredictor(e.Tr, e.quantizer)
-}
-
-// predictSkips returns the (row, channel) tile positions whose gathering
-// is skipped, tallying prediction statistics. When each group holds whole
-// tile lines, the tighter 1-D predictor runs (source-side first inverse
-// stage); a tile is skipped when every line is provably non-activated.
-func (e *Engine) predictSkips(yd *winograd.Domain) map[[2]int]bool {
-	skipped := make(map[[2]int]bool)
-	tile := tensor.NewMat(e.Tr.T, e.Tr.T)
+// predictSkips counts the tiles of one cluster's output Domain whose
+// gathering is skipped, tallying prediction statistics. When each group
+// holds whole tile lines, the tighter 1-D predictor runs (source-side
+// first inverse stage); a tile is skipped when every line is provably
+// non-activated, which is exactly Prediction.NonActivated.
+func (e *Engine) predictSkips(yd *winograd.Domain) int64 {
 	rows := yd.Rows()
+	e.Traffic.TotalTiles += int64(rows) * int64(yd.C)
+	// Re-derive Δ in place from the shard's Winograd-domain distribution
+	// (the paper profiles per layer and precomputes Δ). A σ that is not
+	// finite (NaN or Inf in the input) bounds nothing, so the shard
+	// predicts nothing and every tile is gathered.
+	if e.quantizer.Calibrate(quant.DomainSigma(yd)) != nil {
+		return 0
+	}
 	oneD := winograd.HoldsWholeLines(e.Tr.T, e.Cfg.Ng)
+	var skipped int64
 	for r := 0; r < rows; r++ {
 		for c := 0; c < yd.C; c++ {
-			for el := range yd.El {
-				tile.Data[el] = yd.El[el].At(r, c)
-			}
-			e.Traffic.TotalTiles++
-			skip := false
+			yd.TileInto(e.tile, r, c)
 			if oneD {
-				skip = true
-				for _, live := range e.predictor.Predict1D(tile).NonActivatedRows() {
-					if !live {
-						skip = false
-						break
-					}
-				}
+				e.predictor.Predict1DInto(e.pred, e.tile)
 			} else {
-				skip = e.predictor.Predict2D(tile).NonActivated()
+				e.predictor.Predict2DInto(e.pred, e.tile)
 			}
-			if skip {
-				skipped[[2]int{r, c}] = true
-				e.Traffic.SkippedTiles++
+			if e.pred.NonActivated() {
+				skipped++
 			}
 		}
 	}
+	e.Traffic.SkippedTiles += skipped
 	return skipped
 }
 
@@ -389,7 +373,7 @@ func (e *Engine) Bprop(dy *tensor.Tensor) (*tensor.Tensor, error) {
 		for g := 0; g < e.Cfg.Ng; g++ {
 			winograd.MulBackwardInto(dxd, dyd, e.W, e.groupEls[g], e.scratch())
 		}
-		e.countGather(dxd, nil)
+		e.countGather(dxd, 0)
 		dxs := e.tiling.InverseInputGrad(dxd)
 		copyShardIn(dx, dxs, b[0])
 	}

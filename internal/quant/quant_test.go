@@ -322,11 +322,7 @@ func TestMeasureGatherOnRealLayer(t *testing.T) {
 	wd := winograd.TransformWeights(tr, w)
 	yd := winograd.MulForward(xd, wd, nil)
 
-	var sample []float32
-	for _, el := range yd.El {
-		sample = append(sample, el.Data...)
-	}
-	sigma := EstimateSigma(sample)
+	sigma := DomainSigma(yd)
 	p2 := NewPredictor(tr, MustQuantizer(4, 6, sigma))
 	p1 := NewPredictor(tr, MustQuantizer(4, 5, sigma))
 

@@ -30,16 +30,14 @@ type Quantizer struct {
 
 // NewQuantizer builds a quantizer for bits-wide codes with the given number
 // of regions, calibrated to standard deviation sigma. levels-per-sign is
-// 2^(bits-1); it must be divisible by regions.
+// 2^(bits-1); it must be divisible by regions. sigma must be positive and
+// finite: an infinite σ would make Δ infinite and every estimate NaN.
 func NewQuantizer(regions, bits int, sigma float32) (*Quantizer, error) {
 	if regions < 1 {
 		return nil, fmt.Errorf("quant: regions must be >= 1, got %d", regions)
 	}
 	if bits < 2 || bits > 16 {
 		return nil, fmt.Errorf("quant: bits must be in [2,16], got %d", bits)
-	}
-	if sigma <= 0 {
-		return nil, fmt.Errorf("quant: sigma must be positive, got %v", sigma)
 	}
 	perSign := 1 << (bits - 1)
 	if perSign%regions != 0 {
@@ -48,13 +46,27 @@ func NewQuantizer(regions, bits int, sigma float32) (*Quantizer, error) {
 	q := &Quantizer{
 		Regions:        regions,
 		Bits:           bits,
-		Sigma:          sigma,
 		RangeSigmas:    4,
 		StepsPerRegion: perSign / regions,
 	}
-	// Half-range in base steps is S·(2^R − 1); solve Δ from the σ coverage.
-	q.Delta = float32(q.RangeSigmas * float64(sigma) / float64(q.StepsPerRegion*((1<<regions)-1)))
+	if err := q.Calibrate(sigma); err != nil {
+		return nil, err
+	}
 	return q, nil
+}
+
+// Calibrate re-derives Sigma and the base step Δ in place for a new
+// standard deviation — the per-layer recalibration the engine runs on
+// every predicted pass, without rebuilding the quantizer. A σ that is not
+// positive and finite is rejected and leaves q unchanged.
+func (q *Quantizer) Calibrate(sigma float32) error {
+	if !(sigma > 0) || math.IsInf(float64(sigma), 1) {
+		return fmt.Errorf("quant: sigma must be positive and finite, got %v", sigma)
+	}
+	q.Sigma = sigma
+	// Half-range in base steps is S·(2^R − 1); solve Δ from the σ coverage.
+	q.Delta = float32(q.RangeSigmas * float64(sigma) / float64(q.StepsPerRegion*((1<<q.Regions)-1)))
+	return nil
 }
 
 // MustQuantizer is NewQuantizer that panics on error.
@@ -87,7 +99,10 @@ func (q *Quantizer) quantAbsUnits(mag float32) (gridU, stepU int, overflow bool)
 	s := q.StepsPerRegion
 	u := int(mag / q.Delta) // floor in base-step units
 	region := q.regionOfUnits(u)
-	if region >= q.Regions {
+	// A NaN magnitude has no grid point below it; its int conversion is
+	// platform-defined, so it is flagged explicitly rather than trusted to
+	// land in an out-of-range region.
+	if region >= q.Regions || mag != mag {
 		// Clamp to the top grid point and flag overflow; the predictor must
 		// treat overflowed elements conservatively.
 		return s * ((1 << q.Regions) - 1), 1 << (q.Regions - 1), true
@@ -118,7 +133,7 @@ func (q *Quantizer) Quantize(v float32) (qv, res float32, overflow bool) {
 		g, step, ov := q.quantAbsUnits(v)
 		return q.Delta * float32(g), q.Delta * float32(step), ov
 	}
-	g, step, ov := q.quantAbsUnits(float32(math.Abs(float64(v))))
+	g, step, ov := q.quantAbsUnits(-v) // exact: v < 0, or NaN
 	// Floor toward −∞ for negatives: −g ≥ v would violate q ≤ v whenever
 	// g < |v|, so step up one grid point in magnitude. That may cross into
 	// the next region; report that region's (wider) resolution, which
@@ -218,17 +233,36 @@ func (q *Quantizer) Decode(code uint32) (qv, res float32) {
 // calibrate the quantizer to a layer's Winograd-domain distribution (the
 // paper precomputes log(1/Δ) per layer from profiling).
 func EstimateSigma(values []float32) float32 {
-	if len(values) == 0 {
-		return 1
-	}
-	var sum, sumsq float64
+	var m moments
+	m.add(values)
+	return m.sigma()
+}
+
+// moments accumulates, in input order, the float64 sums EstimateSigma
+// reduces, so a σ can be streamed over several slices with the same bits
+// as over their concatenation.
+type moments struct {
+	sum, sumsq float64
+	n          int
+}
+
+func (m *moments) add(values []float32) {
+	sum, sumsq := m.sum, m.sumsq
 	for _, v := range values {
 		sum += float64(v)
 		sumsq += float64(v) * float64(v)
 	}
-	n := float64(len(values))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
+	m.sum, m.sumsq = sum, sumsq
+	m.n += len(values)
+}
+
+func (m *moments) sigma() float32 {
+	if m.n == 0 {
+		return 1
+	}
+	n := float64(m.n)
+	mean := m.sum / n
+	variance := m.sumsq/n - mean*mean
 	if variance <= 0 {
 		return 1e-12
 	}

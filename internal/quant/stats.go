@@ -52,27 +52,44 @@ func (s GatherStats) TrueLineRatio() float64 {
 	return float64(s.TrueNonActLines) / float64(s.Lines)
 }
 
+// DomainSigma is EstimateSigma over every element matrix of d in element
+// order — the concatenation El[0].Data ‖ El[1].Data ‖ … — streamed without
+// building the concatenation, bit-equal to EstimateSigma of it.
+//
+//mptlint:noalloc
+func DomainSigma(d *winograd.Domain) float32 {
+	var m moments
+	for _, el := range d.El {
+		m.add(el.Data)
+	}
+	return m.sigma()
+}
+
 // MeasureGather runs both predictors over every (tile, output channel) of a
 // Winograd-domain output Domain and tallies prediction quality. pred2D and
 // pred1D may use different quantizers (the paper uses 6-bit for 2-D and
-// 5-bit for 1-D).
+// 5-bit for 1-D). The per-tile work reuses one tile, one oracle output and
+// one Prediction per predictor, so its allocations do not grow with the
+// tile count.
 func MeasureGather(yd *winograd.Domain, pred2D, pred1D *Predictor) GatherStats {
 	tr := yd.Tiling.Tr
 	var s GatherStats
 	tile := tensor.NewMat(tr.T, tr.T)
+	out := tensor.NewMat(tr.M, tr.M)
+	tmp := make([]float32, tr.TmpLen())
+	p2, p1 := NewPrediction(tr), NewPrediction(tr)
 	rows := yd.Rows()
 	for row := 0; row < rows; row++ {
 		for c := 0; c < yd.C; c++ {
-			for e := range yd.El {
-				tile.Data[e] = yd.El[e].At(row, c)
-			}
+			yd.TileInto(tile, row, c)
 			s.Tiles++
 
-			trueTile := TrueNonActivated(tr, tile)
+			tr.OutputFromWinogradInto(out, tile, tmp) // the exact oracle
+			trueTile := allNegative(out.Data)
 			if trueTile {
 				s.TrueNonActTiles++
 			}
-			p2 := pred2D.Predict2D(tile)
+			pred2D.Predict2DInto(p2, tile)
 			if p2.NonActivated() {
 				s.PredNonActTiles++
 				if !trueTile {
@@ -83,17 +100,16 @@ func MeasureGather(yd *winograd.Domain, pred2D, pred1D *Predictor) GatherStats {
 			// 1-D prediction skips whole source lines (rows of the
 			// Winograd-domain tile map to columns of Z; we count the m×m
 			// output's rows, whose true status the per-row oracle gives).
-			trueRows := TrueNonActivatedRows(tr, tile)
-			p1 := pred1D.Predict1D(tile)
-			predRows := p1.NonActivatedRows()
-			s.Lines += len(predRows)
-			for r := range predRows {
-				if trueRows[r] {
+			pred1D.Predict1DInto(p1, tile)
+			s.Lines += tr.M
+			for r := 0; r < tr.M; r++ {
+				trueRow := allNegative(out.Data[r*tr.M : (r+1)*tr.M])
+				if trueRow {
 					s.TrueNonActLines++
 				}
-				if predRows[r] {
+				if p1.RowNonActivated(r) {
 					s.PredNonActLines++
-					if !trueRows[r] {
+					if !trueRow {
 						s.FalseNegatives++
 					}
 				}

@@ -23,6 +23,20 @@ type Domain struct {
 // Rows returns B·tiles, the row count of each element matrix.
 func (d *Domain) Rows() int { return d.B * d.Tiling.Tiles() }
 
+// TileInto gathers the T×T Winograd-domain tile at (row, channel c) —
+// element e of the tile is El[e].At(row, c) — into dst.
+//
+//mptlint:noalloc
+func (d *Domain) TileInto(dst *tensor.Mat, row, c int) {
+	if len(dst.Data) != len(d.El) {
+		panic(fmt.Sprintf("winograd: %d-element tile for a %d-element domain", len(dst.Data), len(d.El)))
+	}
+	off := row*d.C + c
+	for e, el := range d.El {
+		dst.Data[e] = el.Data[off]
+	}
+}
+
 // NewDomain allocates an all-zero Domain for the given tiling — the
 // reusable destination of the Into transform/multiply entry points below.
 func NewDomain(tl *Tiling, b, c int) *Domain {

@@ -40,15 +40,17 @@ type term struct {
 	c float32
 }
 
-// sched is the compiled sparse structure of a transform matrix: rows[i]
-// lists the nonzero (k, c) of row i.
-type sched struct {
+// Sched is the compiled sparse structure of a transform matrix S: row i
+// lists the nonzero (k, c) of S's row i in ascending k. Besides driving the
+// fused sandwiches here, the schedules of Aᵀ and its sign split are what
+// activation prediction (internal/quant) runs its six products on.
+type Sched struct {
 	rows [][]term
 	cols int
 }
 
-func compileSched(m *tensor.Mat) *sched {
-	s := &sched{rows: make([][]term, m.Rows), cols: m.Cols}
+func compileSched(m *tensor.Mat) *Sched {
+	s := &Sched{rows: make([][]term, m.Rows), cols: m.Cols}
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			if c := m.At(i, k); c != 0 {
@@ -59,15 +61,35 @@ func compileSched(m *tensor.Mat) *sched {
 	return s
 }
 
+// signSplit returns the schedules of S⁺ = max(S, 0) and S⁻ = min(S, 0):
+// each row's positive and negative terms, in the same ascending-k order —
+// exactly the nonzero structure of PNSplit's two matrices.
+func (s *Sched) signSplit() (pos, neg *Sched) {
+	pos = &Sched{rows: make([][]term, len(s.rows)), cols: s.cols}
+	neg = &Sched{rows: make([][]term, len(s.rows)), cols: s.cols}
+	for i, terms := range s.rows {
+		for _, t := range terms {
+			if t.c > 0 {
+				pos.rows[i] = append(pos.rows[i], t)
+			} else {
+				neg.rows[i] = append(neg.rows[i], t)
+			}
+		}
+	}
+	return pos, neg
+}
+
 // fusedOps holds the compiled schedules of the six transform matrices. The
 // stage-2 (right-multiply) schedule of a matrix R is the row schedule of
-// Rᵀ, which is always one of these six.
+// Rᵀ, which is always one of these six. atPos/atNeg are the sign split of
+// Aᵀ, used only by activation prediction.
 type fusedOps struct {
-	g, gt, b, bt, a, at *sched
+	g, gt, b, bt, a, at *Sched
+	atPos, atNeg        *Sched
 }
 
 func compileFused(tr *Transform) *fusedOps {
-	return &fusedOps{
+	f := &fusedOps{
 		g:  compileSched(tr.G),
 		gt: compileSched(tr.GT),
 		b:  compileSched(tr.B),
@@ -75,6 +97,21 @@ func compileFused(tr *Transform) *fusedOps {
 		a:  compileSched(tr.A),
 		at: compileSched(tr.AT),
 	}
+	f.atPos, f.atNeg = f.at.signSplit()
+	return f
+}
+
+// OutputScheds returns the compiled schedules of the output transform Aᵀ
+// and of its sign split Aᵀ⁺/Aᵀ⁻. Transforms without compiled schedules
+// (T past fusedMaxT, or built outside MakeTransform) compile them on each
+// call, so callers fetch them once, at construction.
+func (tr *Transform) OutputScheds() (at, atPos, atNeg *Sched) {
+	if tr.fused != nil {
+		return tr.fused.at, tr.fused.atPos, tr.fused.atNeg
+	}
+	at = compileSched(tr.AT)
+	atPos, atNeg = at.signSplit()
+	return at, atPos, atNeg
 }
 
 // applyRow accumulates the classified terms of one schedule row into drow:
@@ -100,26 +137,38 @@ func applyRow(drow []float32, terms []term, x []float32, xc int) {
 	}
 }
 
-// fusedSandwichInto computes dst = L·x·R where ls is the schedule of L and
-// rts the schedule of Rᵀ. tmp must hold at least len(ls.rows)·x.Cols
-// floats; it carries the stage-1 product L·x.
-func fusedSandwichInto(dst *tensor.Mat, ls, rts *sched, x *tensor.Mat, tmp []float32) {
-	lr, xc := len(ls.rows), x.Cols
-	if x.Rows != ls.cols || dst.Rows != lr || dst.Cols != len(rts.rows) || rts.cols != xc {
-		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, L %dx%d, x %dx%d, Rᵀ %dx%d",
-			dst.Rows, dst.Cols, lr, ls.cols, x.Rows, x.Cols, len(rts.rows), rts.cols))
+// MulInto computes dst = S·x, where x is row-major with S's column count
+// of rows and xc columns; it writes the first rows(S)·xc values of dst.
+// This is the stage-1 (left-multiply) loop of the fused sandwich: per
+// output, the chain of S's nonzero terms in ascending k, starting from +0 —
+// the addends, order and rounding of the naive reference's coefficient-
+// skipping loop.
+//
+//mptlint:noalloc
+func (s *Sched) MulInto(dst, x []float32, xc int) {
+	n := len(s.rows) * xc
+	d := dst[:n:n]
+	for i := range d {
+		d[i] = 0
 	}
-	t1 := tmp[: lr*xc : lr*xc]
-	for i := range t1 {
-		t1[i] = 0
+	for i, terms := range s.rows {
+		applyRow(d[i*xc:i*xc+xc], terms, x, xc)
 	}
-	for i, terms := range ls.rows {
-		applyRow(t1[i*xc:i*xc+xc], terms, x.Data, xc)
-	}
-	for i := 0; i < lr; i++ {
-		row := t1[i*xc : i*xc+xc]
-		drow := dst.Data[i*dst.Cols : i*dst.Cols+dst.Cols]
-		for j, terms := range rts.rows {
+}
+
+// MulTInto computes dst = x·Sᵀ, where x is row-major with xr rows and S's
+// column count of columns; it writes the first xr·rows(S) values of dst.
+// This is the stage-2 (right-multiply by R, with S the schedule of Rᵀ)
+// loop of the fused sandwich: one ascending-k multiply-add chain per
+// output, which the naive reference matches up to ±0 addends (see above).
+//
+//mptlint:noalloc
+func (s *Sched) MulTInto(dst, x []float32, xr int) {
+	xc, dc := s.cols, len(s.rows)
+	for i := 0; i < xr; i++ {
+		row := x[i*xc : i*xc+xc]
+		drow := dst[i*dc : i*dc+dc]
+		for j, terms := range s.rows {
 			var acc float32
 			for _, t := range terms {
 				// c·v is exact for c = ±1, so the single multiply-add path
@@ -130,6 +179,20 @@ func fusedSandwichInto(dst *tensor.Mat, ls, rts *sched, x *tensor.Mat, tmp []flo
 			drow[j] = acc
 		}
 	}
+}
+
+// fusedSandwichInto computes dst = L·x·R where ls is the schedule of L and
+// rts the schedule of Rᵀ. tmp must hold at least len(ls.rows)·x.Cols
+// floats; it carries the stage-1 product L·x.
+func fusedSandwichInto(dst *tensor.Mat, ls, rts *Sched, x *tensor.Mat, tmp []float32) {
+	lr, xc := len(ls.rows), x.Cols
+	if x.Rows != ls.cols || dst.Rows != lr || dst.Cols != len(rts.rows) || rts.cols != xc {
+		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, L %dx%d, x %dx%d, Rᵀ %dx%d",
+			dst.Rows, dst.Cols, lr, ls.cols, x.Rows, x.Cols, len(rts.rows), rts.cols))
+	}
+	t1 := tmp[: lr*xc : lr*xc]
+	ls.MulInto(t1, x.Data, xc)
+	rts.MulTInto(dst.Data, t1, lr)
 }
 
 // sandwichInto is the generic allocation-free fallback: dst = l·x·r with
@@ -182,7 +245,7 @@ func (tr *Transform) TmpLen() int { return tr.T * tr.T }
 // sandwich dispatches one transform step. Every transform here has the
 // form S·x·Sᵀ, so a single schedule s (of S) drives both stages of the
 // fused path; l/x/r feed the generic fallback when s is nil.
-func (tr *Transform) sandwich(dst *tensor.Mat, s *sched, l, x, r *tensor.Mat, tmp []float32) {
+func (tr *Transform) sandwich(dst *tensor.Mat, s *Sched, l, x, r *tensor.Mat, tmp []float32) {
 	if s != nil {
 		fusedSandwichInto(dst, s, s, x, tmp)
 		return
@@ -193,7 +256,7 @@ func (tr *Transform) sandwich(dst *tensor.Mat, s *sched, l, x, r *tensor.Mat, tm
 // FilterToWinogradInto computes dst = G·w·Gᵀ (shape T×T) without
 // allocating; tmp needs TmpLen() floats.
 func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.g
 	}
@@ -202,7 +265,7 @@ func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
 
 // InputToWinogradInto computes dst = Bᵀ·x·B (shape T×T) without allocating.
 func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.bt
 	}
@@ -212,7 +275,7 @@ func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
 // OutputFromWinogradInto computes dst = Aᵀ·y·A (shape M×M) without
 // allocating.
 func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.at
 	}
@@ -222,7 +285,7 @@ func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
 // OutputToWinogradInto computes dst = A·dy·Aᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.a
 	}
@@ -232,7 +295,7 @@ func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
 // InputFromWinogradInto computes dst = B·dX·Bᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.b
 	}
@@ -242,7 +305,7 @@ func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
 // FilterFromWinogradInto computes dst = Gᵀ·dW·G (shape R×R) without
 // allocating.
 func (tr *Transform) FilterFromWinogradInto(dst, dw *tensor.Mat, tmp []float32) {
-	var s *sched
+	var s *Sched
 	if tr.fused != nil {
 		s = tr.fused.gt
 	}
