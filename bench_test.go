@@ -19,6 +19,8 @@
 package mptwino
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mptwino/internal/comm"
@@ -168,6 +170,46 @@ func BenchmarkNoCAllToAll(b *testing.B) {
 	bound := float64(15*pair) * 1.6 / 60.0
 	b.ReportMetric(float64(cycles), "cycles")
 	b.ReportMetric(float64(cycles)/bound, "vs_hop_bound_x")
+}
+
+// BenchmarkNoCStepSteady times one warm cycle of the flit simulator: the
+// 40 B FBFLY all-to-all, repeated on one network after a first pass has
+// sized its queues and link pipelines. Its 0 allocs/op baseline pins the
+// cycle loop's zero-allocation contract (benchdiff -gate-allocs).
+// Re-injecting the traffic whenever it drains runs off the clock.
+func BenchmarkNoCStepSteady(b *testing.B) {
+	// With the collector off, the set-up's allocations cannot start a GC
+	// cycle whose background work is still runnable when ResetTimer stops
+	// the world; restarting it could then start an OS thread and count
+	// that thread's runtime allocations against the measured step.
+	// Refills collect explicitly.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	members := make([]int, 16)
+	for i := range members {
+		members[i] = i
+	}
+	n := noc.New(topology.FBFly2D(4), noc.DefaultConfig())
+	var d noc.Driver
+	inject := func() {
+		d = &noc.AllToAll{Members: members, Bytes: 40}
+		d.Start(n)
+	}
+	inject()
+	for !n.Idle() {
+		n.Step(d)
+	}
+	inject()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n.Idle() {
+			b.StopTimer()
+			runtime.GC()
+			inject()
+			b.StartTimer()
+		}
+		n.Step(d)
+	}
 }
 
 // --- numeric kernel micro-benchmarks (the actual Go implementations) ---

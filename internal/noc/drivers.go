@@ -142,44 +142,51 @@ func (h *Hotspot) Done() bool { return h.remaining <= 0 }
 
 // MultiDriver runs several drivers concurrently over one fabric — e.g. a
 // ring collective per group plus all-to-all per cluster, the paper's
-// "concurrent collective operation of multiple messages".
+// "concurrent collective operation of multiple messages". Each delivery
+// goes only to the sub-driver that injected the message.
 type MultiDriver struct {
 	Drivers []Driver
-	// owner[msgID] would be ambiguous across drivers, so deliveries are
-	// broadcast; drivers must tolerate OnDeliver calls for foreign
-	// messages. RingCollective and AllToAll track their own message sets.
-	byMsg map[*Message]Driver
+	// owner[id] is 1 + the index in Drivers of the sub-driver that
+	// injected message id (0 for messages injected from elsewhere); Inject
+	// numbers messages densely.
+	owner []int32
 }
 
 // NewMultiDriver wraps drivers for a combined run.
 func NewMultiDriver(ds ...Driver) *MultiDriver {
-	return &MultiDriver{Drivers: ds, byMsg: make(map[*Message]Driver)}
+	return &MultiDriver{Drivers: ds}
 }
 
-// Start starts every sub-driver, tracking message ownership via inject
-// interposition.
+// adopt records Drivers[k] as the owner of msgs.
+func (md *MultiDriver) adopt(msgs []*Message, k int) {
+	for _, m := range msgs {
+		for m.ID >= len(md.owner) {
+			md.owner = appendDoubling(md.owner, 0)
+		}
+		md.owner[m.ID] = int32(k + 1)
+	}
+}
+
+// Start starts every sub-driver, recording which one injected each
+// message.
 func (md *MultiDriver) Start(n *Network) {
 	mustValidConfig(n)
-	for _, d := range md.Drivers {
+	for k, d := range md.Drivers {
 		before := len(n.messages)
 		d.Start(n)
-		for _, m := range n.messages[before:] {
-			md.byMsg[m] = d
-		}
+		md.adopt(n.messages[before:], k)
 	}
 }
 
 // OnDeliver dispatches to the owning driver and tracks its follow-ups.
 func (md *MultiDriver) OnDeliver(n *Network, m *Message) {
-	d := md.byMsg[m]
-	if d == nil {
+	if m.ID >= len(md.owner) || md.owner[m.ID] == 0 {
 		return
 	}
+	k := int(md.owner[m.ID]) - 1
 	before := len(n.messages)
-	d.OnDeliver(n, m)
-	for _, nm := range n.messages[before:] {
-		md.byMsg[nm] = d
-	}
+	md.Drivers[k].OnDeliver(n, m)
+	md.adopt(n.messages[before:], k)
 }
 
 // Done reports whether every sub-driver is done.

@@ -206,6 +206,42 @@ func TestNodeFailureReroutes(t *testing.T) {
 	}
 }
 
+// TestFailNodeDropsStrandedTransitFlits: flits a module had already
+// delivered into a surviving neighbour's input port leave arbitration with
+// the module's links, so FailNode must drop them for retransmission rather
+// than strand them (which spun Run to maxCycles). Node 2 dies under 0->4
+// while 3->4 keeps node 3's output busy, so 0->4 flits wait in node 3's
+// port from node 2. The recovery must be identical at every worker count.
+func TestFailNodeDropsStrandedTransitFlits(t *testing.T) {
+	for _, at := range []int64{20, 100, 190} {
+		var ref Stats
+		for _, workers := range []int{1, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.ShardWorkers = workers
+			n := New(topology.Ring(8), cfg)
+			if err := n.AttachFaults(fault.NewPlan(5).FailNode(2, at)); err != nil {
+				t.Fatal(err)
+			}
+			st, err := n.Run(NewMultiDriver(
+				&singleMessage{src: 0, dst: 4, bytes: 3000},
+				&singleMessage{src: 3, dst: 4, bytes: 6000},
+			), 200_000)
+			if err != nil {
+				t.Fatalf("failure at cycle %d, workers=%d: %v", at, workers, err)
+			}
+			if st.DroppedFlits == 0 || st.Retransmits == 0 {
+				t.Fatalf("failure at cycle %d: %d drops, %d retransmits; want the transit flits retransmitted",
+					at, st.DroppedFlits, st.Retransmits)
+			}
+			if workers == 1 {
+				ref = st
+			} else if !reflect.DeepEqual(ref, st) {
+				t.Errorf("failure at cycle %d, workers=%d: stats differ\nseq: %+v\npar: %+v", at, workers, ref, st)
+			}
+		}
+	}
+}
+
 // TestPartitionErrorsNotDeadlock: a failure that cuts the only path must
 // produce a descriptive error promptly, not a deadlock at maxCycles.
 func TestPartitionErrorsNotDeadlock(t *testing.T) {

@@ -10,6 +10,9 @@
 // cut-through) rather than reserving channels per packet; at the message
 // sizes and loads evaluated this matches wormhole throughput while keeping
 // the model deadlock-free in combination with always-draining ejection.
+// Links have no credit flow control: a link transmits whenever it has
+// bandwidth and a flit routed to it, and its SerDes pipeline holds what
+// the downstream input buffer cannot accept yet, without bound.
 package noc
 
 import (
@@ -114,14 +117,17 @@ type Message struct {
 	InjectedAt    int64
 	DeliveredAt   int64
 	receivedBytes int
-	delivered     bool
 
 	// retransmit-protocol state
 	droppedBytes int   // bytes lost to flit drops, awaiting retransmission
 	retryAt      int64 // cycle at which the retransmit timer fires
-	queuedRetry  bool  // already on the retry queue
-	lost         bool
 	lossWhy      string
+
+	// The flags share one word, which keeps a Message in the 112-byte
+	// size class; a run allocates one per transfer.
+	delivered   bool
+	queuedRetry bool // already on the retry queue
+	lost        bool
 }
 
 type flit struct {
@@ -135,9 +141,14 @@ type inFlight struct {
 	arriveAt int64
 }
 
-// port is one input queue of a router.
+// port is one input queue of a router. Arrivals stop at BufferFlits, and
+// transmission pops flits by shifting the rest to the front, so the queue
+// lives in the BufferFlits-sized array New gives it.
 type port struct {
 	queue []flit
+	// arrived counts the flits this cycle's arrival stage appended, the
+	// only ones the ejection scan has to examine.
+	arrived int
 }
 
 // link is a directed physical channel.
@@ -147,7 +158,13 @@ type link struct {
 	flitsPerCyc int
 	latency     int64
 	dst         *port // the link's input queue at `to` (one feeder per port)
-	pipeline    []inFlight
+	// pipeline[head:] are the flits crossing the SerDes, oldest first.
+	// Arrivals leave from the front, so they advance head instead of
+	// shifting a backlog that reaches a thousand flits under all-to-all
+	// load; transmit slides the live flits back to the front when the
+	// array fills (push).
+	pipeline []inFlight
+	head     int
 	// stats
 	busyFlits int64
 
@@ -171,13 +188,18 @@ type Network struct {
 	Routes *topology.RouteTable
 
 	links    []*link
-	outLinks [][]int         // node -> indices into links
-	linkIdx  map[[2]int]int  // (from,to) -> link index
-	inPorts  []map[int]*port // node -> from-node -> queue
+	outLinks [][]int // node -> indices into links
 	// inOrder lists each node's input ports in link-construction order —
 	// the deterministic iteration the cycle loop uses instead of map
 	// ranging, so ejection and fault-drain orders are reproducible.
 	inOrder [][]*port
+	// arbPorts lists each node's input ports in G.Adj order, the order its
+	// output links arbitrate over them (each link's injection queue comes
+	// last). Built by buildArb from the current topology.
+	arbPorts [][]*port
+	// waiting[v] counts the transit flits in node v's input ports: set by
+	// the ejection scan, decremented as transmission pops them.
+	waiting []int
 	// injectQ is per outgoing link, not per node: locally injected flits
 	// queue at the output port their route departs through, so messages
 	// bound for different links never head-of-line block each other.
@@ -204,6 +226,7 @@ type Network struct {
 	nodeShard [][2]int
 	linkShard [][2]int
 	scratch   []stepScratch
+	stages    stageFuncs
 
 	// Stats
 	BytesByClass map[topology.LinkClass]int64
@@ -227,13 +250,9 @@ func New(g *topology.Graph, cfg Config) *Network {
 		G:            g,
 		Routes:       topology.BuildRoutes(g),
 		outLinks:     make([][]int, g.N),
-		linkIdx:      make(map[[2]int]int),
-		inPorts:      make([]map[int]*port, g.N),
 		inOrder:      make([][]*port, g.N),
+		arbPorts:     make([][]*port, g.N),
 		BytesByClass: make(map[topology.LinkClass]int64),
-	}
-	for v := 0; v < g.N; v++ {
-		n.inPorts[v] = make(map[int]*port)
 	}
 	for from := 0; from < g.N; from++ {
 		for _, e := range g.Adj[from] {
@@ -251,21 +270,54 @@ func New(g *topology.Graph, cfg Config) *Network {
 			if e.Class == topology.Host {
 				l.latency += int64(cfg.HostExtra)
 			}
-			n.linkIdx[[2]int{from, e.To}] = len(n.links)
 			n.outLinks[from] = append(n.outLinks[from], len(n.links))
 			n.links = append(n.links, l)
 			p := &port{}
 			l.dst = p
-			n.inPorts[e.To][from] = p
 			n.inOrder[e.To] = append(n.inOrder[e.To], p)
 		}
+	}
+	// A port never holds more than BufferFlits flits: carve every queue's
+	// full array out of one allocation, so arrivals never regrow it.
+	slab := make([]flit, len(n.links)*cfg.BufferFlits)
+	for i, l := range n.links {
+		l.dst.queue = slab[i*cfg.BufferFlits : i*cfg.BufferFlits : (i+1)*cfg.BufferFlits]
 	}
 	n.rr = make([]int, len(n.links))
 	n.injectQ = make([][]flit, len(n.links))
 	n.rngState = cfg.Seed ^ 0x632be59bd9b4e019
 	n.failed = make([]bool, g.N)
+	n.waiting = make([]int, g.N)
+	n.buildArb()
 	n.buildShards()
 	return n
+}
+
+// linkTo returns the index of the link from -> to, or -1 if there is none.
+func (n *Network) linkTo(from, to int) int {
+	for _, li := range n.outLinks[from] {
+		if n.links[li].to == to {
+			return li
+		}
+	}
+	return -1
+}
+
+// buildArb lists every node's input ports in the order of its G.Adj
+// entries: the port fed by neighbour e.To for each edge v -> e.To. A
+// module failure removes the failed node from its neighbours' adjacency,
+// so FailNode rebuilds the lists and the ports it fed drop out of
+// arbitration.
+func (n *Network) buildArb() {
+	for v, adj := range n.G.Adj {
+		ports := n.arbPorts[v][:0]
+		for _, e := range adj {
+			if li := n.linkTo(e.To, v); li >= 0 {
+				ports = append(ports, n.links[li].dst)
+			}
+		}
+		n.arbPorts[v] = ports
+	}
 }
 
 // AttachFaults installs a deterministic fault plan: links cache their own
@@ -316,14 +368,25 @@ func (n *Network) FailNode(v int) {
 			continue
 		}
 		l.dead = true
-		for _, inf := range l.pipeline {
+		for _, inf := range l.pipeline[l.head:] {
 			n.dropForFailure(inf.f, v)
 		}
-		l.pipeline = nil
+		l.pipeline, l.head = nil, 0
 		for _, f := range n.injectQ[li] {
 			n.dropForFailure(f, v)
 		}
 		n.injectQ[li] = nil
+		if l.from != v {
+			continue
+		}
+		// Flits v already delivered into a surviving neighbour's port
+		// leave arbitration with v's adjacency, so drop them too. All of
+		// them are in transit: the ejection scan removes a flit destined
+		// to the port's router the cycle it arrives.
+		for _, f := range l.dst.queue {
+			n.dropForFailure(f, v)
+		}
+		l.dst.queue = l.dst.queue[:0]
 	}
 	for _, p := range n.inOrder[v] {
 		for _, f := range p.queue {
@@ -333,6 +396,7 @@ func (n *Network) FailNode(v int) {
 	}
 	n.G.RemoveNode(v)
 	n.Routes = topology.BuildRoutes(n.G)
+	n.buildArb()
 	n.sweepUnroutable()
 }
 
@@ -377,14 +441,14 @@ func (n *Network) sweepUnroutable() {
 			continue
 		}
 		kept := l.pipeline[:0]
-		for _, inf := range l.pipeline {
+		for _, inf := range l.pipeline[l.head:] {
 			if !inf.f.msg.delivered && !inf.f.msg.lost && n.Routes.NextHop(l.to, inf.f.msg.Dst) < 0 && inf.f.msg.Dst != l.to {
 				n.markLost(inf.f.msg, fmt.Sprintf("no route %d->%d after failure", l.to, inf.f.msg.Dst))
 				continue
 			}
 			kept = append(kept, inf)
 		}
-		l.pipeline = kept
+		l.pipeline, l.head = kept, 0
 		// Injection queues are committed to l.to; check the route onward.
 		n.injectQ[li] = drain(n.injectQ[li], l.to)
 	}
@@ -467,7 +531,7 @@ func (n *Network) processRetries() {
 // enqueueFlits splits bytes of message m into flits on the injection queue
 // of the link toward hop.
 func (n *Network) enqueueFlits(m *Message, bytes, hop int) {
-	li := n.linkIdx[[2]int{m.Src, hop}]
+	li := n.linkTo(m.Src, hop)
 	for bytes > 0 {
 		b := n.Cfg.FlitBytes
 		if bytes < b {
@@ -522,7 +586,7 @@ func (n *Network) Inject(m *Message) *Message {
 	m.ID = n.pendingID
 	n.pendingID++
 	m.InjectedAt = n.now
-	n.messages = append(n.messages, m)
+	n.messages = appendDoubling(n.messages, m)
 	if m.Src == m.Dst {
 		m.delivered = true
 		m.DeliveredAt = n.now
@@ -542,6 +606,19 @@ func (n *Network) Inject(m *Message) *Message {
 	}
 	n.enqueueFlits(m, m.Bytes, firstHop)
 	return m
+}
+
+// appendDoubling appends v to s, doubling the capacity when s is full. The
+// per-message slices grow one entry at a time to tens of thousands of
+// entries, and append's 1.25× steps for large slices would allocate about
+// five times their final size in copies; doubling allocates about twice.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), 2*len(s)+64)
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, v)
 }
 
 // Driver generates traffic: Start injects initial messages; OnDeliver is
@@ -637,7 +714,7 @@ func (n *Network) idle() bool {
 		}
 	}
 	for _, l := range n.links {
-		if len(l.pipeline) > 0 {
+		if len(l.pipeline) > l.head {
 			return false
 		}
 	}
@@ -673,25 +750,13 @@ func (n *Network) step(d Driver) {
 	// 1. Deliver pipeline arrivals into downstream input queues (if
 	// space). Each link touches only its own pipeline and its unique
 	// destination port, so links shard freely.
-	n.runStage(func(s int) {
-		r := n.linkShard[s]
-		for li := r[0]; li < r[1]; li++ {
-			n.arriveLink(li)
-		}
-	})
+	n.runStage(n.stages.arrive)
 
 	// 2. Eject flits destined to their local node: parallel scans pop
 	// destined flits per node, then deliveries — which may inject
 	// follow-up traffic and consume the shared RNG — run after the
 	// barrier in ascending node order.
-	n.runStage(func(s int) {
-		sc := &n.scratch[s]
-		sc.eject = sc.eject[:0]
-		r := n.nodeShard[s]
-		for v := r[0]; v < r[1]; v++ {
-			n.scanNode(v, sc)
-		}
-	})
+	n.runStage(n.stages.scan)
 	for i := range n.scratch {
 		for _, f := range n.scratch[i].eject {
 			n.deliverFlit(d, f)
@@ -706,38 +771,10 @@ func (n *Network) step(d Driver) {
 	// and drop faults destroy flits in transit (scheduling retransmission).
 	// Shards own whole routers, so every queue a link arbitrates over is
 	// shard-local; statistics and drop events fold after the barrier.
-	n.runStage(func(s int) {
-		sc := &n.scratch[s]
-		sc.resetTransmit()
-		r := n.linkShard[s]
-		for li := r[0]; li < r[1]; li++ {
-			n.transmitLink(li, sc)
-		}
-	})
+	n.runStage(n.stages.transmit)
 	for i := range n.scratch {
 		n.applyTransmit(&n.scratch[i])
 	}
-}
-
-// arbSource is one candidate feeder queue for an output link.
-type arbSource struct {
-	q      *[]flit
-	inject bool // the link's own injection queue (pre-routed)
-}
-
-// arbSources returns every queue at node v that can feed output link li:
-// the input ports plus that link's injection queue.
-func (n *Network) arbSources(v, li int) []arbSource {
-	out := make([]arbSource, 0, len(n.inPorts[v])+1)
-	// Deterministic order: iterate adjacency (stable) rather than map order.
-	for _, e := range n.G.Adj[v] {
-		// e.To's reverse port at v — i.e. flits arriving from e.To.
-		if p, ok := n.inPorts[v][e.To]; ok {
-			out = append(out, arbSource{q: &p.queue})
-		}
-	}
-	out = append(out, arbSource{q: &n.injectQ[li], inject: true})
-	return out
 }
 
 func (n *Network) deliverFlit(d Driver, f flit) {

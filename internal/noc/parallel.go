@@ -21,7 +21,9 @@ import (
 //   - Ejection scans pop destined flits into per-shard lists; the actual
 //     deliveries (which can inject follow-up traffic and consume the
 //     shared RNG) happen after the barrier, in ascending node order —
-//     exactly the sequential order.
+//     exactly the sequential order. Each scan also counts the transit
+//     flits left in its router's ports, a count only that router's links
+//     read and decrement during transmission.
 //   - Transmission accumulates statistics and flit-drop events per shard;
 //     they fold into the global counters and the retransmit queue after
 //     the barrier, in ascending link order — again the sequential order.
@@ -36,6 +38,12 @@ import (
 type dropEvent struct {
 	msg   *Message
 	bytes int
+}
+
+// stageFuncs are the three sharded per-cycle stages, bound to the network
+// once so that running them allocates no closure per cycle.
+type stageFuncs struct {
+	arrive, scan, transmit func(shard int)
 }
 
 // stepScratch is one shard's per-cycle workspace.
@@ -82,6 +90,34 @@ func (n *Network) buildShards() {
 		n.linkShard[i] = [2]int{linkStart[r[0]], linkStart[r[1]]}
 	}
 	n.scratch = make([]stepScratch, len(n.nodeShard))
+	n.stages = stageFuncs{arrive: n.arriveShard, scan: n.scanShard, transmit: n.transmitShard}
+}
+
+// arriveShard, scanShard and transmitShard are the stage bodies: each runs
+// its stage over shard s's links or routers.
+func (n *Network) arriveShard(s int) {
+	r := n.linkShard[s]
+	for li := r[0]; li < r[1]; li++ {
+		n.arriveLink(li)
+	}
+}
+
+func (n *Network) scanShard(s int) {
+	sc := &n.scratch[s]
+	sc.eject = sc.eject[:0]
+	r := n.nodeShard[s]
+	for v := r[0]; v < r[1]; v++ {
+		n.scanNode(v, sc)
+	}
+}
+
+func (n *Network) transmitShard(s int) {
+	sc := &n.scratch[s]
+	sc.resetTransmit()
+	r := n.linkShard[s]
+	for li := r[0]; li < r[1]; li++ {
+		n.transmitLink(li, sc)
+	}
 }
 
 // ensurePool lazily starts the worker pool behind sharded stepping. Run
@@ -116,40 +152,91 @@ func (n *Network) runStage(fn func(shard int)) {
 }
 
 // arriveLink delivers link li's due pipeline flits into its destination
-// input port, as buffer space allows (stage 1 for one link).
+// input port, in pipeline order, as buffer space allows (stage 1 for one
+// link), and records how many entered for the ejection scan. Once the port
+// is full no later flit can enter this cycle, so the walk stops there and
+// the rest of the pipeline is left as it is.
 func (n *Network) arriveLink(li int) {
 	l := n.links[li]
-	if l.dead {
+	if l.dead || l.head == len(l.pipeline) {
 		return
 	}
-	kept := l.pipeline[:0]
 	p := l.dst
-	for _, inf := range l.pipeline {
-		if inf.arriveAt <= n.now && len(p.queue) < n.Cfg.BufferFlits {
-			p.queue = append(p.queue, inf.f)
-		} else {
-			kept = append(kept, inf)
+	free := n.Cfg.BufferFlits - len(p.queue)
+	live := l.pipeline[l.head:]
+	moved := 0
+	for moved < len(live) && moved < free && live[moved].arriveAt <= n.now {
+		p.queue = append(p.queue, live[moved].f)
+		moved++
+	}
+	l.head += moved
+	if moved < len(live) && moved < free {
+		// live[moved] is not due yet, but a later flit may be: one sent
+		// after a SerDes fault window closed has the shorter latency.
+		// Move the due ones that fit and close the gaps they leave.
+		rest := live[moved:]
+		w, j := 0, 0
+		for ; j < len(rest) && moved < free; j++ {
+			if rest[j].arriveAt <= n.now {
+				p.queue = append(p.queue, rest[j].f)
+				moved++
+				continue
+			}
+			rest[w] = rest[j]
+			w++
+		}
+		if w < j {
+			w += copy(rest[w:], rest[j:])
+			l.pipeline = l.pipeline[:l.head+w]
 		}
 	}
-	l.pipeline = kept
+	if l.head == len(l.pipeline) {
+		l.pipeline, l.head = l.pipeline[:0], 0
+	}
+	p.arrived = moved
+}
+
+// push appends a flit to the pipeline. When the array is full and
+// arrivals have consumed at least half of it, the live flits slide to the
+// front instead of the array growing, so a link whose backlog stays
+// bounded stops allocating; a slide moves at most as many flits as it
+// frees slots.
+func (l *link) push(inf inFlight) {
+	if len(l.pipeline) == cap(l.pipeline) && 2*l.head >= len(l.pipeline) && l.head > 0 {
+		l.pipeline = l.pipeline[:copy(l.pipeline, l.pipeline[l.head:])]
+		l.head = 0
+	}
+	l.pipeline = append(l.pipeline, inf)
 }
 
 // scanNode pops the flits destined to node v from its input ports into the
-// shard's ejection list (stage 2 scan for one node). Ports are visited in
-// their fixed construction order, so concatenating the shards' lists in
-// shard order reproduces the sequential ejection order exactly.
+// shard's ejection list (stage 2 scan for one node), and counts the transit
+// flits left. Ports are visited in their fixed construction order, so
+// concatenating the shards' lists in shard order reproduces the sequential
+// ejection order exactly. Only the flits that arrived this cycle are
+// examined: every earlier one destined to v was ejected the cycle it
+// arrived, so the rest of each queue holds transit flits alone.
 func (n *Network) scanNode(v int, sc *stepScratch) {
+	waiting := 0
 	for _, p := range n.inOrder[v] {
-		kept := p.queue[:0]
-		for _, f := range p.queue {
-			if f.msg.Dst == v {
-				sc.eject = append(sc.eject, f)
-			} else {
-				kept = append(kept, f)
+		if p.arrived > 0 {
+			q := p.queue
+			old := len(q) - p.arrived
+			w := old
+			for _, f := range q[old:] {
+				if f.msg.Dst == v {
+					sc.eject = append(sc.eject, f)
+				} else {
+					q[w] = f
+					w++
+				}
 			}
+			p.queue = q[:w]
+			p.arrived = 0
 		}
-		p.queue = kept
+		waiting += len(p.queue)
 	}
+	n.waiting[v] = waiting
 }
 
 // transmitLink arbitrates and transmits up to one cycle's flit budget on
@@ -179,24 +266,45 @@ func (n *Network) transmitLink(li int, sc *stepScratch) {
 		}
 		l.credit -= float64(budget)
 	}
-	sources := n.arbSources(l.from, li)
-	ns := len(sources)
-	if ns == 0 {
-		return
+	// The sources are the node's input ports in arbitration order, then
+	// this link's injection queue (index len(ports)); the round-robin
+	// cursor picks the first, and advances one source per cycle.
+	ports := n.arbPorts[l.from]
+	ns := len(ports) + 1
+	start := n.rr[li]
+	if start >= ns {
+		start %= ns // a module failure shrank the port list
 	}
+	waiting := &n.waiting[l.from]
 	sent := 0
-	start := n.rr[li] % ns
+	src := start
+	injected := false
 	for s := 0; s < ns && budget > 0; s++ {
-		src := sources[(start+s)%ns]
-		for budget > 0 && len(*src.q) > 0 {
-			f := (*src.q)[0]
+		if *waiting == 0 {
+			// The ports are empty, so the injection queue is the only
+			// source left that can send; visit it now or stop.
+			if injected {
+				break
+			}
+			src = len(ports)
+		}
+		inject := src == len(ports)
+		injected = injected || inject
+		var q []flit
+		if inject {
+			q = n.injectQ[li]
+		} else {
+			q = ports[src].queue
+		}
+		k := 0
+		for ; k < len(q) && budget > 0; k++ {
+			f := q[k]
 			// Flits in this link's injection queue already committed to
 			// this first hop (possibly a randomized minimal choice);
 			// transit flits follow the deterministic route table.
-			if !src.inject && n.Routes.NextHop(l.from, f.msg.Dst) != l.to {
+			if !inject && n.Routes.NextHop(l.from, f.msg.Dst) != l.to {
 				break // head flit routes elsewhere; try next source
 			}
-			*src.q = (*src.q)[1:]
 			l.busyFlits++
 			budget--
 			if len(l.faults) > 0 && n.plan != nil &&
@@ -208,13 +316,34 @@ func (n *Network) transmitLink(li int, sc *stepScratch) {
 				sent++
 				continue
 			}
-			l.pipeline = append(l.pipeline, inFlight{f: f, arriveAt: n.now + latency})
+			l.push(inFlight{f: f, arriveAt: n.now + latency})
 			sc.flitHops++
 			sc.bytesByClass[l.class] += int64(f.bytes)
 			sent++
 		}
+		if k > 0 {
+			if inject {
+				// Injection backlogs hold whole messages: advance past
+				// the sent flits rather than shifting the rest, and
+				// restart a drained queue at the front of its array.
+				if k == len(q) {
+					n.injectQ[li] = q[:0]
+				} else {
+					n.injectQ[li] = q[k:]
+				}
+			} else {
+				ports[src].queue = q[:copy(q, q[k:])]
+				*waiting -= k
+			}
+		}
+		if src++; src == ns {
+			src = 0
+		}
 	}
-	n.rr[li] = (start + 1) % ns
+	if start++; start == ns {
+		start = 0
+	}
+	n.rr[li] = start
 }
 
 // applyTransmit folds one shard's transmission results into the global

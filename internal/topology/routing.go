@@ -20,24 +20,24 @@ func BuildRoutes(g *Graph) *RouteTable {
 		Next: make([][]int32, g.N),
 		Dist: make([][]int32, g.N),
 	}
+	// The BFS scratch is shared by every source: each BFS visits a node
+	// at most once, so the queue never holds more than g.N entries.
+	pred := make([]int32, g.N)
+	queue := make([]int, 0, g.N)
 	for src := 0; src < g.N; src++ {
 		next := make([]int32, g.N)
 		dist := make([]int32, g.N)
 		for i := range next {
 			next[i] = -1
 			dist[i] = -1
+			pred[i] = -1
 		}
 		dist[src] = 0
 		// BFS from src; record each node's predecessor, then walk back to
 		// find the first hop.
-		pred := make([]int32, g.N)
-		for i := range pred {
-			pred[i] = -1
-		}
-		queue := []int{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], src)
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
 			for _, e := range g.Adj[v] {
 				if dist[e.To] == -1 {
 					dist[e.To] = dist[v] + 1

@@ -190,6 +190,17 @@ func TestRoutesAreMinimalPaths(t *testing.T) {
 	}
 }
 
+// TestBuildRoutesAllocations pins BuildRoutes to its output: the table,
+// one next-hop and one distance row per source, and one BFS predecessor
+// array and queue shared by every source.
+func TestBuildRoutesAllocations(t *testing.T) {
+	g := Hybrid(16, 16, false)
+	want := float64(2*g.N + 5)
+	if a := testing.AllocsPerRun(3, func() { BuildRoutes(g) }); a > want {
+		t.Fatalf("BuildRoutes on %d nodes: %v allocations, want at most %v", g.N, a, want)
+	}
+}
+
 func TestFbflySide(t *testing.T) {
 	if fbflySide(16) != 4 {
 		t.Fatalf("fbflySide(16) = %d", fbflySide(16))
