@@ -15,6 +15,7 @@
 //	BenchmarkNoC*                   network-simulator validation
 //	BenchmarkKernel*                numeric kernel micro-benchmarks
 //	BenchmarkPredictSteady          steady-state activation prediction
+//	BenchmarkTrainStep              whole mpt.Net training step
 //	BenchmarkAblation*              DESIGN.md §5 design-choice ablations
 package mptwino
 
@@ -28,9 +29,11 @@ import (
 	"mptwino/internal/cosim"
 	"mptwino/internal/figures"
 	"mptwino/internal/model"
+	"mptwino/internal/mpt"
 	"mptwino/internal/ndp"
 	"mptwino/internal/noc"
 	"mptwino/internal/parallel"
+	"mptwino/internal/planner"
 	"mptwino/internal/quant"
 	"mptwino/internal/sim"
 	"mptwino/internal/telemetry"
@@ -664,6 +667,56 @@ func BenchmarkLayerUpdateGradSteady(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.UpdateGradWInto(dw, dy)
 	}
+}
+
+// BenchmarkTrainStep/alexnet times one warm mpt.Net training step
+// (TrainStepMSE) of AlexNet's conv2–conv5 body — channels ÷8, every layer
+// at 13×13, batch 8 — on the per-layer grids the planner picks for
+// AlexNet (Plan.EngineConfigs: Ng=2 on conv2, Ng=32 at F(4×4) on
+// conv3–conv5, Nc=8). Workers are pinned to 1, the sequential path whose
+// 0 allocs/op contract benchdiff gates; the traffic the step moves is a
+// deterministic model metric.
+func BenchmarkTrainStep(b *testing.B) {
+	b.Run("alexnet", func(b *testing.B) {
+		prev := parallel.SetDefaultWorkers(1)
+		defer parallel.SetDefaultWorkers(prev)
+		const batch = 8
+		var params []conv.Params
+		for _, l := range model.AlexNet().Layers {
+			p := l.P
+			p.In, p.Out, p.H, p.W = p.In/8, p.Out/8, 13, 13
+			params = append(params, p)
+		}
+		plan := planner.Build(model.AlexNet(), planner.Options{System: sim.DefaultSystem()})
+		net, err := mpt.NewNetConfigs(params, plan.EngineConfigs(mpt.Config{}, batch), tensor.NewRNG(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		first, last := params[0], params[len(params)-1]
+		x := tensor.New(batch, first.In, first.H, first.W)
+		target := tensor.New(batch, last.Out, last.OutH(), last.OutW())
+		rng := tensor.NewRNG(2)
+		rng.FillNormal(x, 0, 1)
+		rng.FillNormal(target, 0, 1)
+		step := func() {
+			if _, err := net.TrainStepMSE(x, target, 1e-6); err != nil {
+				b.Fatal(err)
+			}
+		}
+		step() // size the step state and workspace
+		step()
+		before := net.TotalTraffic()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		b.StopTimer()
+		after := net.TotalTraffic()
+		moved := after.ScatterBytes + after.GatherBytes + after.CollectiveBytes -
+			before.ScatterBytes - before.GatherBytes - before.CollectiveBytes
+		b.ReportMetric(float64(moved)/float64(b.N)/1e6, "traffic_MB")
+	})
 }
 
 // The *SteadyTelemetry twins run the same hot loops with a live metrics

@@ -15,6 +15,7 @@ import (
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
 	"mptwino/internal/ndp"
+	"mptwino/internal/parallel"
 	"mptwino/internal/quant"
 	"mptwino/internal/tensor"
 	"mptwino/internal/winograd"
@@ -65,7 +66,21 @@ type Traffic struct {
 	TotalTiles      int64 // tiles considered for gathering
 }
 
-// Engine is one MPT-organized layer instance.
+// add accumulates o into t.
+func (t *Traffic) add(o Traffic) {
+	t.ScatterBytes += o.ScatterBytes
+	t.ScatterRawBytes += o.ScatterRawBytes
+	t.GatherBytes += o.GatherBytes
+	t.PredictBytes += o.PredictBytes
+	t.CollectiveBytes += o.CollectiveBytes
+	t.SkippedTiles += o.SkippedTiles
+	t.TotalTiles += o.TotalTiles
+}
+
+// Engine is one MPT-organized layer instance. Every pass fans its Nc
+// cluster shards out over the host's pool workers (DESIGN.md §7); an
+// Engine is not safe for concurrent use, and neither are the engines of
+// one Net, which share a workspace.
 type Engine struct {
 	Tr  *winograd.Transform
 	P   conv.Params
@@ -78,30 +93,38 @@ type Engine struct {
 	W        *winograd.Weights
 	groupEls [][]int
 
-	// Activation prediction state (nil unless Cfg.Predict), built once:
-	// FpropReLU recalibrates the quantizer in place and predicts every
-	// tile through the one Prediction and tile buffer, allocation-free.
+	// Activation prediction (nil unless Cfg.Predict): the configured
+	// quantizer, and one predictor per cluster worker, each calibrating
+	// its own quantizer per shard. oneD selects the 1-D predictor.
 	quantizer *quant.Quantizer
-	predictor *quant.Predictor
-	pred      *quant.Prediction
-	tile      *tensor.Mat
+	preds     []predictor
+	oneD      bool
 
 	Traffic Traffic
 
-	// per-cluster forward caches for updateGrad
-	lastX []*winograd.Domain
+	ws *workspace // shared with the Net's other engines
 
-	// sc holds the per-worker tile/packing scratch the Into kernels use;
-	// built lazily so engines constructed under one worker setting size
-	// their slots for it.
-	sc *winograd.Scratch
+	// Pass state, sized by size for sizedBatch images under the grid and
+	// speeds recorded beside it: the clusters' shard bounds, their cached
+	// forward inputs (for UpdateGrad), tensor views of their shards, and
+	// their traffic tallies (folded into Traffic in cluster order).
+	sizedBatch  int
+	sizedSpeeds []float64
+	bounds      [][2]int
+	xd          []domainView
+	inView      []tensor.Tensor
+	outView     []tensor.Tensor
+	tally       []Traffic
+	// fwdBatch is the batch of the cached forward inputs (0: none).
+	fwdBatch int
 }
 
-func (e *Engine) scratch() *winograd.Scratch {
-	if e.sc == nil {
-		e.sc = winograd.NewScratch()
-	}
-	return e.sc
+// predictor is one cluster worker's activation-prediction state.
+type predictor struct {
+	q    *quant.Quantizer
+	p    *quant.Predictor
+	pred *quant.Prediction
+	tile *tensor.Mat
 }
 
 // NewEngine builds an MPT engine. Ng must not exceed T².
@@ -128,10 +151,9 @@ func NewEngine(tr *winograd.Transform, p conv.Params, cfg Config, rng *tensor.RN
 		Cfg:    cfg,
 		tiling: tl,
 		W:      winograd.TransformWeights(tr, ws),
+		ws:     &workspace{},
 	}
-	for g := 0; g < cfg.Ng; g++ {
-		e.groupEls = append(e.groupEls, winograd.GroupElements(tr.T, cfg.Ng, g))
-	}
+	e.setGroups(cfg.Ng)
 	if cfg.Predict {
 		regions, bits := cfg.PredictRegions, cfg.PredictBits
 		if regions == 0 {
@@ -145,11 +167,17 @@ func NewEngine(tr *winograd.Transform, p conv.Params, cfg Config, rng *tensor.RN
 		if e.quantizer, err = quant.NewQuantizer(regions, bits, 1); err != nil {
 			return nil, fmt.Errorf("mpt: %w", err)
 		}
-		e.predictor = quant.NewPredictor(tr, e.quantizer)
-		e.pred = quant.NewPrediction(tr)
-		e.tile = tensor.NewMat(tr.T, tr.T)
 	}
 	return e, nil
+}
+
+// setGroups assigns each of ng groups its tile elements.
+func (e *Engine) setGroups(ng int) {
+	e.groupEls = e.groupEls[:0]
+	for g := 0; g < ng; g++ {
+		e.groupEls = append(e.groupEls, winograd.GroupElements(e.Tr.T, ng, g))
+	}
+	e.oneD = winograd.HoldsWholeLines(e.Tr.T, ng)
 }
 
 // SetWeights replaces the engine's Winograd-domain weights (e.g. to mirror
@@ -194,12 +222,79 @@ func shardBoundsFor(batch, nc int, speeds []float64) ([][2]int, error) {
 	return out, nil
 }
 
-// shard copies images [lo,hi) into a fresh tensor.
-func shard(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	out := tensor.New(hi-lo, x.C, x.H, x.W)
-	stride := x.C * x.H * x.W
-	copy(out.Data, x.Data[lo*stride:hi*stride])
-	return out
+// sized reports whether the pass state fits batch under the current grid
+// and speed profile.
+func (e *Engine) sized(batch int) bool {
+	if batch != e.sizedBatch || len(e.bounds) != e.Cfg.Nc || len(e.sizedSpeeds) != len(e.Cfg.Speeds) {
+		return false
+	}
+	for i, s := range e.Cfg.Speeds {
+		if e.sizedSpeeds[i] != s {
+			return false
+		}
+	}
+	return true
+}
+
+// size readies the pass state for batch images: the shard bounds, the
+// per-cluster views and forward caches, one predictor per cluster worker
+// and the workspace's reservations. It allocates only when the batch, grid
+// or speed profile differs from the last sizing, and drops the cached
+// forward inputs then.
+func (e *Engine) size(batch int) error {
+	if e.sized(batch) {
+		return nil
+	}
+	bounds, err := e.shardBounds(batch)
+	if err != nil {
+		return err
+	}
+	nc := len(bounds)
+	e.bounds = bounds
+	e.sizedBatch = batch
+	e.sizedSpeeds = append(e.sizedSpeeds[:0], e.Cfg.Speeds...)
+	e.fwdBatch = 0
+	e.inView = make([]tensor.Tensor, nc)
+	e.outView = make([]tensor.Tensor, nc)
+	e.tally = make([]Traffic, nc)
+	e.xd = make([]domainView, nc)
+	t2, maxShard := e.Tr.T*e.Tr.T, 0
+	for c, b := range bounds {
+		e.xd[c].reserve(t2, (b[1]-b[0])*e.tiling.Tiles()*e.P.In)
+		maxShard = max(maxShard, b[1]-b[0])
+	}
+	e.ws.reserve(e, maxShard)
+	if e.quantizer != nil {
+		for len(e.preds) < e.ws.clusterWorkers(nc) {
+			q := *e.quantizer
+			e.preds = append(e.preds, predictor{q: &q, p: quant.NewPredictor(e.Tr, &q),
+				pred: quant.NewPrediction(e.Tr), tile: tensor.NewMat(e.Tr.T, e.Tr.T)})
+		}
+	}
+	return nil
+}
+
+// fitsInput reports whether x's images match the layer's input.
+func (e *Engine) fitsInput(x *tensor.Tensor) bool {
+	return x.C == e.P.In && x.H == e.P.H && x.W == e.P.W
+}
+
+// checkInput rejects a forward input that does not match the layer.
+func (e *Engine) checkInput(x *tensor.Tensor) error {
+	if !e.fitsInput(x) {
+		return fmt.Errorf("mpt: input %s does not match layer input %dx%dx%d",
+			x.ShapeString(), e.P.In, e.P.H, e.P.W)
+	}
+	return nil
+}
+
+// checkGrad rejects an output gradient that does not match the layer.
+func (e *Engine) checkGrad(dy *tensor.Tensor) error {
+	if dy.C != e.P.Out || dy.H != e.P.OutH() || dy.W != e.P.OutW() {
+		return fmt.Errorf("mpt: output gradient %s does not match layer output %dx%dx%d",
+			dy.ShapeString(), e.P.Out, e.P.OutH(), e.P.OutW())
+	}
+	return nil
 }
 
 // countScatter charges tile-scattering traffic for one cluster's Domain:
@@ -207,7 +302,7 @@ func shard(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 // sends the rest, so (Ng−1)/Ng of the domain crosses the cluster fabric.
 // With zero-skipping only non-zero values pay; ScatterRawBytes keeps the
 // uncompressed volume so the compression ratio stays observable.
-func (e *Engine) countScatter(d *winograd.Domain) {
+func (e *Engine) countScatter(t *Traffic, d *winograd.Domain) {
 	if e.Cfg.Ng <= 1 {
 		return
 	}
@@ -226,14 +321,14 @@ func (e *Engine) countScatter(d *winograd.Domain) {
 			}
 		}
 	}
-	e.Traffic.ScatterBytes += 4 * values * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
-	e.Traffic.ScatterRawBytes += 4 * raw * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
+	t.ScatterBytes += 4 * values * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
+	t.ScatterRawBytes += 4 * raw * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
 }
 
 // countGather charges tile-gathering traffic for one cluster's output
 // Domain, honoring prediction skips (the skipped tiles pay only the
 // quantized pre-send).
-func (e *Engine) countGather(d *winograd.Domain, skipped int64) {
+func (e *Engine) countGather(t *Traffic, d *winograd.Domain, skipped int64) {
 	if e.Cfg.Ng <= 1 {
 		return
 	}
@@ -242,45 +337,24 @@ func (e *Engine) countGather(d *winograd.Domain, skipped int64) {
 	frac := int64(e.Cfg.Ng-1) * 4 / int64(e.Cfg.Ng) // bytes per value crossing
 	if e.Cfg.Predict {
 		bits := int64(e.quantizer.CodeBits())
-		e.Traffic.PredictBytes += tiles * t2 * bits / 8 * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
+		t.PredictBytes += tiles * t2 * bits / 8 * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
 	}
-	e.Traffic.GatherBytes += (tiles - skipped) * t2 * frac
+	t.GatherBytes += (tiles - skipped) * t2 * frac
 }
 
-// fpropDomain runs the distributed forward dot products for one cluster
-// shard: every group computes its own elements directly into the cluster's
-// union output Domain (the element selection of MulForwardInto keeps each
-// group on its own disjoint element set, exactly as Ng separate workers
-// writing their own partitions would — no per-group staging copies).
-func (e *Engine) fpropDomain(xd *winograd.Domain) *winograd.Domain {
-	sc := e.scratch()
-	yd := winograd.NewDomain(e.tiling, xd.B, e.W.Out)
-	for g := 0; g < e.Cfg.Ng; g++ {
-		winograd.MulForwardInto(yd, xd, e.W, e.groupEls[g], sc)
+// fold adds the clusters' traffic tallies to Traffic in cluster order and
+// clears them for the next pass.
+func (e *Engine) fold() {
+	for c := range e.tally {
+		e.Traffic.add(e.tally[c])
+		e.tally[c] = Traffic{}
 	}
-	return yd
 }
 
 // Fprop runs the exact distributed forward pass and returns the spatial
 // output (no activation), concatenated over cluster shards in batch order.
 func (e *Engine) Fprop(x *tensor.Tensor) (*tensor.Tensor, error) {
-	bounds, err := e.shardBounds(x.N)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(x.N, e.P.Out, e.P.OutH(), e.P.OutW())
-	e.lastX = e.lastX[:0]
-	for _, b := range bounds {
-		xs := shard(x, b[0], b[1])
-		xd := e.tiling.TransformInput(xs)
-		e.countScatter(xd)
-		e.lastX = append(e.lastX, xd)
-		yd := e.fpropDomain(xd)
-		e.countGather(yd, 0)
-		ys := e.tiling.InverseOutput(yd)
-		copyShardOut(out, ys, b[0])
-	}
-	return out, nil
+	return e.forward(x, false)
 }
 
 // FpropReLU runs the forward pass with ReLU applied, using activation
@@ -288,38 +362,72 @@ func (e *Engine) Fprop(x *tensor.Tensor) (*tensor.Tensor, error) {
 // all-non-activated. The output is bit-exact with ReLU(Fprop(x)) because
 // the predictor never produces false negatives.
 func (e *Engine) FpropReLU(x *tensor.Tensor) (*tensor.Tensor, error) {
-	bounds, err := e.shardBounds(x.N)
-	if err != nil {
+	return e.forward(x, true)
+}
+
+func (e *Engine) forward(x *tensor.Tensor, relu bool) (*tensor.Tensor, error) {
+	if err := e.checkInput(x); err != nil {
 		return nil, err
 	}
-	out := tensor.New(x.N, e.P.Out, e.P.OutH(), e.P.OutW())
-	e.lastX = e.lastX[:0]
-	for _, b := range bounds {
-		xs := shard(x, b[0], b[1])
-		xd := e.tiling.TransformInput(xs)
-		e.countScatter(xd)
-		e.lastX = append(e.lastX, xd)
-		yd := e.fpropDomain(xd)
+	if err := e.size(x.N); err != nil {
+		return nil, err
+	}
+	y := tensor.New(x.N, e.P.Out, e.P.OutH(), e.P.OutW())
+	e.fpropInto(y, x, relu)
+	return y, nil
+}
 
-		var skipped int64
-		if e.Cfg.Predict {
-			skipped = e.predictSkips(yd)
+// fpropInto runs the forward pass into y (ReLU'd and predicted when relu
+// is set) and caches every cluster's Winograd-domain input for
+// updateGradInto. The pass state must be sized for x.N.
+func (e *Engine) fpropInto(y, x *tensor.Tensor, relu bool) {
+	if parts := e.ws.split(len(e.bounds)); len(parts) == 1 {
+		for c := range e.bounds {
+			e.fpropCluster(parts[0], 0, c, y, x, relu)
 		}
-		e.countGather(yd, skipped)
+	} else {
+		parallel.ForEachWorker(len(parts), len(e.bounds), func(w, c int) {
+			e.fpropCluster(parts[w], w, c, y, x, relu)
+		})
+	}
+	e.fold()
+	e.fwdBatch = x.N
+}
 
-		ys := e.tiling.InverseOutput(yd)
-		// ReLU; skipped tiles are provably non-activated so their zeros
-		// are already correct (InverseOutput computed them, but a real
-		// system would not have gathered them — the traffic counter above
-		// reflects that).
+// fpropCluster runs cluster c's shard on pool worker w: the input
+// transform into the cluster's cached Domain, every group's element GEMMs
+// into the worker's staging Domain (each group on its own disjoint
+// elements, exactly as Ng separate workers writing their own partitions
+// would), prediction, and the inverse transform straight into the shard's
+// rows of y.
+func (e *Engine) fpropCluster(sc *winograd.Scratch, w, c int, y, x *tensor.Tensor, relu bool) {
+	lo, hi := e.bounds[c][0], e.bounds[c][1]
+	t := &e.tally[c]
+	xd := e.xd[c].fit(e.tiling, hi-lo, e.P.In)
+	e.tiling.TransformInputInto(xd, shardView(&e.inView[c], x, lo, hi), sc)
+	e.countScatter(t, xd)
+	yd := e.ws.stage[w].a.fit(e.tiling, hi-lo, e.P.Out)
+	for _, els := range e.groupEls {
+		winograd.MulForwardInto(yd, xd, e.W, els, sc)
+	}
+	var skipped int64
+	if relu && e.Cfg.Predict {
+		skipped = e.predictSkips(t, &e.preds[w], yd)
+	}
+	e.countGather(t, yd, skipped)
+	ys := shardView(&e.outView[c], y, lo, hi)
+	e.tiling.InverseOutputInto(ys, yd, sc)
+	if relu {
+		// Skipped tiles are provably non-activated, so their zeros are
+		// already correct (the inverse transform computed them, but a real
+		// system would not have gathered them — the traffic counters above
+		// reflect that).
 		for i, v := range ys.Data {
 			if v < 0 {
 				ys.Data[i] = 0
 			}
 		}
-		copyShardOut(out, ys, b[0])
 	}
-	return out, nil
 }
 
 // predictSkips counts the tiles of one cluster's output Domain whose
@@ -327,32 +435,31 @@ func (e *Engine) FpropReLU(x *tensor.Tensor) (*tensor.Tensor, error) {
 // holds whole tile lines, the tighter 1-D predictor runs (source-side
 // first inverse stage); a tile is skipped when every line is provably
 // non-activated, which is exactly Prediction.NonActivated.
-func (e *Engine) predictSkips(yd *winograd.Domain) int64 {
+func (e *Engine) predictSkips(t *Traffic, ps *predictor, yd *winograd.Domain) int64 {
 	rows := yd.Rows()
-	e.Traffic.TotalTiles += int64(rows) * int64(yd.C)
+	t.TotalTiles += int64(rows) * int64(yd.C)
 	// Re-derive Δ in place from the shard's Winograd-domain distribution
 	// (the paper profiles per layer and precomputes Δ). A σ that is not
 	// finite (NaN or Inf in the input) bounds nothing, so the shard
 	// predicts nothing and every tile is gathered.
-	if e.quantizer.Calibrate(quant.DomainSigma(yd)) != nil {
+	if ps.q.Calibrate(quant.DomainSigma(yd)) != nil {
 		return 0
 	}
-	oneD := winograd.HoldsWholeLines(e.Tr.T, e.Cfg.Ng)
 	var skipped int64
 	for r := 0; r < rows; r++ {
 		for c := 0; c < yd.C; c++ {
-			yd.TileInto(e.tile, r, c)
-			if oneD {
-				e.predictor.Predict1DInto(e.pred, e.tile)
+			yd.TileInto(ps.tile, r, c)
+			if e.oneD {
+				ps.p.Predict1DInto(ps.pred, ps.tile)
 			} else {
-				e.predictor.Predict2DInto(e.pred, e.tile)
+				ps.p.Predict2DInto(ps.pred, ps.tile)
 			}
-			if e.pred.NonActivated() {
+			if ps.pred.NonActivated() {
 				skipped++
 			}
 		}
 	}
-	e.Traffic.SkippedTiles += skipped
+	t.SkippedTiles += skipped
 	return skipped
 }
 
@@ -360,34 +467,45 @@ func (e *Engine) predictSkips(yd *winograd.Domain) int64 {
 // gradient is scattered (dY elements to groups), each group multiplies by
 // its own Wᵀ, and dX is gathered for the inverse transform.
 func (e *Engine) Bprop(dy *tensor.Tensor) (*tensor.Tensor, error) {
-	bounds, err := e.shardBounds(dy.N)
-	if err != nil {
+	if err := e.checkGrad(dy); err != nil {
+		return nil, err
+	}
+	if err := e.size(dy.N); err != nil {
 		return nil, err
 	}
 	dx := tensor.New(dy.N, e.P.In, e.P.H, e.P.W)
-	for _, b := range bounds {
-		dys := shard(dy, b[0], b[1])
-		dyd := e.tiling.TransformOutputGrad(dys)
-		e.countScatter(dyd)
-		dxd := winograd.NewDomain(e.tiling, dyd.B, e.W.In)
-		for g := 0; g < e.Cfg.Ng; g++ {
-			winograd.MulBackwardInto(dxd, dyd, e.W, e.groupEls[g], e.scratch())
-		}
-		e.countGather(dxd, 0)
-		dxs := e.tiling.InverseInputGrad(dxd)
-		copyShardIn(dx, dxs, b[0])
-	}
+	e.bpropInto(dx, dy)
 	return dx, nil
 }
 
-func copyShardOut(dst, src *tensor.Tensor, atImage int) {
-	stride := dst.C * dst.H * dst.W
-	copy(dst.Data[atImage*stride:], src.Data)
+// bpropInto runs the backward pass into dx; the pass state must be sized
+// for dy.N.
+func (e *Engine) bpropInto(dx, dy *tensor.Tensor) {
+	if parts := e.ws.split(len(e.bounds)); len(parts) == 1 {
+		for c := range e.bounds {
+			e.bpropCluster(parts[0], 0, c, dx, dy)
+		}
+	} else {
+		parallel.ForEachWorker(len(parts), len(e.bounds), func(w, c int) {
+			e.bpropCluster(parts[w], w, c, dx, dy)
+		})
+	}
+	e.fold()
 }
 
-func copyShardIn(dst, src *tensor.Tensor, atImage int) {
-	stride := dst.C * dst.H * dst.W
-	copy(dst.Data[atImage*stride:], src.Data)
+func (e *Engine) bpropCluster(sc *winograd.Scratch, w, c int, dx, dy *tensor.Tensor) {
+	lo, hi := e.bounds[c][0], e.bounds[c][1]
+	t := &e.tally[c]
+	st := &e.ws.stage[w]
+	dyd := st.a.fit(e.tiling, hi-lo, e.P.Out)
+	e.tiling.TransformOutputGradInto(dyd, shardView(&e.outView[c], dy, lo, hi), sc)
+	e.countScatter(t, dyd)
+	dxd := st.b.fit(e.tiling, hi-lo, e.P.In)
+	for _, els := range e.groupEls {
+		winograd.MulBackwardInto(dxd, dyd, e.W, els, sc)
+	}
+	e.countGather(t, dxd, 0)
+	e.tiling.InverseInputGradInto(shardView(&e.inView[c], dx, lo, hi), dxd, sc)
 }
 
 // UpdateGrad computes the Winograd-domain weight gradient distributed
@@ -395,102 +513,112 @@ func copyShardIn(dst, src *tensor.Tensor, atImage int) {
 // group's elements from its own batch shard; each group then ring-reduces
 // its shard across the Nc clusters using chunked, pipelined transfers
 // through ndp.ReduceBlock (Fig. 13(c)), and the reduced result is
-// broadcast back. Fprop (or FpropReLU) must run first.
+// broadcast back. Fprop (or FpropReLU) must run first, on the same batch
+// and grid.
 func (e *Engine) UpdateGrad(dy *tensor.Tensor) (*winograd.Weights, error) {
-	if len(e.lastX) != e.Cfg.Nc {
-		return nil, fmt.Errorf("mpt: UpdateGrad before Fprop (have %d cached shards, want %d)",
-			len(e.lastX), e.Cfg.Nc)
-	}
-	bounds, err := e.shardBounds(dy.N)
-	if err != nil {
+	if err := e.checkGrad(dy); err != nil {
 		return nil, err
 	}
-	// Per-cluster partial gradients.
-	partials := make([]*winograd.Weights, e.Cfg.Nc)
-	for c, b := range bounds {
-		dys := shard(dy, b[0], b[1])
-		dyd := e.tiling.TransformOutputGrad(dys)
-		dw := winograd.NewWeights(e.Tr, e.P.In, e.P.Out)
-		for g := 0; g < e.Cfg.Ng; g++ {
-			winograd.MulGradInto(dw, e.lastX[c], dyd, e.groupEls[g], e.scratch())
-		}
-		partials[c] = dw
+	if e.fwdBatch == 0 || !e.sized(e.fwdBatch) {
+		return nil, fmt.Errorf("mpt: UpdateGrad before Fprop (no forward input cached for Nc=%d)", e.Cfg.Nc)
 	}
-	// Ring all-reduce per group over its element shard.
-	out := winograd.NewWeights(e.Tr, e.P.In, e.P.Out)
-	for g := 0; g < e.Cfg.Ng; g++ {
-		if err := e.ringAllReduce(partials, e.groupEls[g], out); err != nil {
-			return nil, err
-		}
+	if dy.N != e.fwdBatch {
+		return nil, fmt.Errorf("mpt: UpdateGrad batch %d does not match the cached forward batch %d", dy.N, e.fwdBatch)
 	}
-	return out, nil
+	e.ws.reserveUpdate(e)
+	dw := winograd.NewWeights(e.Tr, e.P.In, e.P.Out)
+	e.updateGradInto(dw, dy)
+	return dw, nil
 }
 
-// ringAllReduce reduces the named elements of the per-cluster partials
-// into out using a chunked ring schedule: chunk k starts at cluster k,
-// accumulates through Nc−1 hops (each hop an ndp.ReduceBlock accept), and
-// is then broadcast Nc−1 hops. Traffic is charged per hop.
-func (e *Engine) ringAllReduce(partials []*winograd.Weights, els []int, out *winograd.Weights) error {
-	nc := e.Cfg.Nc
-	// Flatten the group's shard per cluster.
-	flat := make([][]float32, nc)
-	var shardLen int
-	for c := 0; c < nc; c++ {
-		for _, el := range els {
-			flat[c] = append(flat[c], partials[c].El[el].Data...)
+// updateGradInto writes the reduced weight gradient into dw. Each
+// cluster's partials land straight in its region of the workspace's ring
+// buffers (reserveUpdate must have sized them), which the per-group
+// all-reduce then combines in ring order.
+func (e *Engine) updateGradInto(dw *winograd.Weights, dy *tensor.Tensor) {
+	if parts := e.ws.split(len(e.bounds)); len(parts) == 1 {
+		for c := range e.bounds {
+			e.updateCluster(parts[0], 0, c, dy)
 		}
-		shardLen = len(flat[c])
+	} else {
+		parallel.ForEachWorker(len(parts), len(e.bounds), func(w, c int) {
+			e.updateCluster(parts[w], w, c, dy)
+		})
 	}
-	if nc == 1 {
-		e.unflatten(out, els, flat[0])
-		return nil
+	for _, els := range e.groupEls {
+		e.ringAllReduce(els, dw)
 	}
-	// Chunk boundaries (Nc near-equal chunks).
-	chunkLo := func(k int) int { return k * shardLen / nc }
-	chunkHi := func(k int) int { return (k + 1) * shardLen / nc }
+}
 
-	// Reduce-scatter: after step s, cluster (k+s+1) mod nc holds the
-	// running sum of chunk k over s+2 contributors.
-	reduced := make([][]float32, nc) // chunk k's running value
-	for k := 0; k < nc; k++ {
-		reduced[k] = append([]float32(nil), flat[k][chunkLo(k):chunkHi(k)]...)
+// partialLen is the length of one cluster's partial dW in the ring
+// buffers: the full T²·In·Out weight set, element-major, so a group's
+// contiguous element run is one contiguous region.
+func (e *Engine) partialLen() int { return len(e.W.El) * e.P.In * e.P.Out }
+
+func (e *Engine) updateCluster(sc *winograd.Scratch, w, c int, dy *tensor.Tensor) {
+	lo, hi := e.bounds[c][0], e.bounds[c][1]
+	dyd := e.ws.stage[w].a.fit(e.tiling, hi-lo, e.P.Out)
+	e.tiling.TransformOutputGradInto(dyd, shardView(&e.outView[c], dy, lo, hi), sc)
+	n := e.partialLen()
+	pw := e.ws.partials[c].fit(e.Tr, e.P.In, e.P.Out, e.ws.ring[c*n:(c+1)*n])
+	for _, els := range e.groupEls {
+		winograd.MulGradInto(pw, &e.xd[c].d, dyd, els, sc)
 	}
+}
+
+// ringAllReduce reduces the clusters' partials of one group's elements
+// into dw using a chunked ring schedule: chunk k starts at cluster k and
+// accumulates through Nc−1 hops (each hop an ndp.ReduceBlock accept),
+// then is broadcast Nc−1 hops. Traffic is charged per hop. The running
+// sum of chunk k stays in cluster k's ring region: each hop hands it back
+// to the reduce block, which adds the next cluster's contribution in
+// place — the same additions, in the same order, as a fresh buffer per
+// hop.
+func (e *Engine) ringAllReduce(els []int, dw *winograd.Weights) {
+	nc, n := len(e.bounds), e.partialLen()
+	elLen := e.P.In * e.P.Out
+	off := els[0] * elLen        // the group's region in every partial
+	shardLen := len(els) * elLen // its length
+	region := e.ws.ring[:nc*n]
+	if nc == 1 {
+		putFlat(dw, off, region[off:off+shardLen])
+		return
+	}
+	rb := e.ws.rb
 	for s := 0; s < nc-1; s++ {
 		for k := 0; k < nc; k++ {
+			// After step s, cluster (k+s+1) mod nc holds the running sum
+			// of chunk k over s+2 contributors.
 			dst := (k + s + 1) % nc
-			rb := ndp.NewReduceBlock(k, 2)
-			if _, err := rb.Accept(ndp.Chunk{MsgID: k, Index: s, Data: reduced[k]}); err != nil {
-				return err
+			lo, hi := off+k*shardLen/nc, off+(k+1)*shardLen/nc
+			run := region[k*n+lo : k*n+hi]
+			rb.Reset(k)
+			rb.Recycle(run)
+			if _, err := rb.Accept(ndp.Chunk{MsgID: k, Index: s, Data: run}); err != nil {
+				panic(err)
 			}
-			local := flat[dst][chunkLo(k):chunkHi(k)]
-			sum, err := rb.Accept(ndp.Chunk{MsgID: k, Index: s, Data: local})
-			if err != nil {
-				return err
+			sum, err := rb.Accept(ndp.Chunk{MsgID: k, Index: s, Data: region[dst*n+lo : dst*n+hi]})
+			if err != nil || sum == nil {
+				panic(fmt.Sprintf("mpt: reduce block did not release chunk %d at step %d: %v", k, s, err))
 			}
-			if sum == nil {
-				return fmt.Errorf("mpt: reduce block did not release chunk %d at step %d", k, s)
-			}
-			reduced[k] = sum
 			e.Traffic.CollectiveBytes += int64(4 * len(sum))
 		}
 	}
 	// All-gather (broadcast) costs the same traffic again.
 	e.Traffic.CollectiveBytes += int64(4*shardLen) * int64(nc-1) / int64(nc) * int64(nc)
-
-	full := make([]float32, shardLen)
 	for k := 0; k < nc; k++ {
-		copy(full[chunkLo(k):chunkHi(k)], reduced[k])
+		lo, hi := off+k*shardLen/nc, off+(k+1)*shardLen/nc
+		putFlat(dw, lo, region[k*n+lo:k*n+hi])
 	}
-	e.unflatten(out, els, full)
-	return nil
 }
 
-func (e *Engine) unflatten(w *winograd.Weights, els []int, flat []float32) {
-	pos := 0
-	for _, el := range els {
-		n := len(w.El[el].Data)
-		copy(w.El[el].Data, flat[pos:pos+n])
-		pos += n
+// putFlat copies src into w's element matrices read as one element-major
+// flat buffer, starting at flat offset off.
+func putFlat(w *winograd.Weights, off int, src []float32) {
+	n := w.In * w.Out
+	for len(src) > 0 {
+		k := copy(w.El[off/n].Data[off%n:], src)
+		src, off = src[k:], off+k
 	}
 }
 

@@ -16,7 +16,17 @@ import (
 type Net struct {
 	Cfg     Config
 	Engines []*Engine
-	masks   [][]bool // ReLU masks per hidden layer, from the last forward
+
+	// Step state, sized by size for sizedBatch images and reused by every
+	// step at that batch: each layer's output (ReLU'd for hidden layers),
+	// the ReLU masks of the hidden layers, the loss gradient at each
+	// layer's output, and each layer's weight gradient.
+	sizedBatch int
+	acts       []*tensor.Tensor
+	masks      [][]bool
+	grads      []*tensor.Tensor
+	dws        []*winograd.Weights
+	forwarded  bool // masks and engine caches hold the last Forward
 
 	// telemetry handles + logical step clock (zero value = disabled; see
 	// Instrument in telemetry.go)
@@ -59,6 +69,8 @@ func NewNetConfigs(params []conv.Params, cfgs []Config, rng *tensor.RNG) (*Net, 
 
 func buildNet(trFor func(int) (*winograd.Transform, error), params []conv.Params, cfgs []Config, rng *tensor.RNG) (*Net, error) {
 	n := &Net{Cfg: cfgs[0]}
+	// The engines run one at a time, so they share one workspace.
+	ws := &workspace{}
 	for i, p := range params {
 		if i > 0 {
 			prev := params[i-1]
@@ -75,89 +87,176 @@ func buildNet(trFor func(int) (*winograd.Transform, error), params []conv.Params
 		if err != nil {
 			return nil, err
 		}
+		e.ws = ws
 		n.Engines = append(n.Engines, e)
 	}
 	return n, nil
 }
 
+// size readies every layer and the step buffers for batch images; like
+// Engine.size it allocates only when the batch, a grid or a speed
+// profile changes.
+func (n *Net) size(batch int) error {
+	for _, e := range n.Engines {
+		if err := e.size(batch); err != nil {
+			return err
+		}
+	}
+	if batch == n.sizedBatch {
+		return nil
+	}
+	n.acts, n.grads, n.masks = n.acts[:0], n.grads[:0], n.masks[:0]
+	for i, e := range n.Engines {
+		p := e.P
+		n.acts = append(n.acts, tensor.New(batch, p.Out, p.OutH(), p.OutW()))
+		n.grads = append(n.grads, tensor.New(batch, p.Out, p.OutH(), p.OutW()))
+		if i < len(n.Engines)-1 {
+			n.masks = append(n.masks, make([]bool, len(n.acts[i].Data)))
+		}
+	}
+	n.sizedBatch = batch
+	n.forwarded = false
+	return nil
+}
+
+// reserveUpdate readies the weight-gradient passes: the layers' gradient
+// buffers and every engine's ring buffers. Forward-only use skips it.
+func (n *Net) reserveUpdate() {
+	for i, e := range n.Engines {
+		e.ws.reserveUpdate(e)
+		if i == len(n.dws) {
+			n.dws = append(n.dws, winograd.NewWeights(e.Tr, e.P.In, e.P.Out))
+		}
+	}
+}
+
+// warm reports whether a training step on x and target can run on the
+// step state as it stands: x matches the network's input and target its
+// output, and every layer's pass state and update buffers are sized for
+// x's batch under the layer's current grid and speed profile.
+func (n *Net) warm(x, target *tensor.Tensor) bool {
+	if x.N != n.sizedBatch || len(n.dws) != len(n.Engines) || !n.Engines[0].fitsInput(x) ||
+		!target.SameShape(n.acts[len(n.acts)-1]) {
+		return false
+	}
+	for _, e := range n.Engines {
+		if !e.sized(x.N) || !e.ws.updateFits(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// prepare validates a step's input (and target, for a training step)
+// against the network and sizes the step state for the input's batch.
+func (n *Net) prepare(x, target *tensor.Tensor) error {
+	if err := n.Engines[0].checkInput(x); err != nil {
+		return err
+	}
+	if err := n.size(x.N); err != nil {
+		return err
+	}
+	if target == nil {
+		return nil
+	}
+	if y := n.acts[len(n.acts)-1]; !y.SameShape(target) {
+		return fmt.Errorf("mpt: target shape %s does not match output %s",
+			target.ShapeString(), y.ShapeString())
+	}
+	n.reserveUpdate()
+	return nil
+}
+
 // Forward runs the distributed forward pass: ReLU after every layer except
 // the last.
 func (n *Net) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	n.masks = n.masks[:0]
+	if err := n.prepare(x, nil); err != nil {
+		return nil, err
+	}
+	return n.forward(x).Clone(), nil
+}
+
+// forward runs the forward pass through the Net-owned activations and
+// records the ReLU masks; it returns the last layer's output.
+func (n *Net) forward(x *tensor.Tensor) *tensor.Tensor {
 	for i, e := range n.Engines {
-		y, err := e.Fprop(x)
-		if err != nil {
-			return nil, err
-		}
-		if i < len(n.Engines)-1 {
-			mask := make([]bool, len(y.Data))
+		y := n.acts[i]
+		e.fpropInto(y, x, false)
+		if i < len(n.masks) {
+			mask := n.masks[i]
 			for j, v := range y.Data {
-				if v > 0 {
-					mask[j] = true
-				} else {
+				live := v > 0
+				mask[j] = live
+				if !live {
 					y.Data[j] = 0
 				}
 			}
-			n.masks = append(n.masks, mask)
 		}
 		x = y
 	}
-	return x, nil
+	n.forwarded = true
+	return x
 }
 
 // Backward runs the distributed backward pass from the loss gradient at
 // the network output, applying each layer's collective-reduced update with
 // learning rate lr. Forward must run first.
 func (n *Net) Backward(dy *tensor.Tensor, lr float32) error {
-	if len(n.masks) != len(n.Engines)-1 {
+	if !n.forwarded {
 		return fmt.Errorf("mpt: Backward before Forward")
 	}
+	if y := n.acts[len(n.acts)-1]; !dy.SameShape(y) {
+		return fmt.Errorf("mpt: output gradient %s does not match output %s", dy.ShapeString(), y.ShapeString())
+	}
+	n.reserveUpdate()
+	n.backward(dy, lr)
+	return nil
+}
+
+// backward runs the backward pass through the Net-owned gradients.
+func (n *Net) backward(dy *tensor.Tensor, lr float32) {
 	for i := len(n.Engines) - 1; i >= 0; i-- {
 		e := n.Engines[i]
-		dw, err := e.UpdateGrad(dy)
-		if err != nil {
-			return err
-		}
+		e.updateGradInto(n.dws[i], dy)
 		if i > 0 {
-			dx, err := e.Bprop(dy)
-			if err != nil {
-				return err
-			}
-			mask := n.masks[i-1]
-			for j, live := range mask {
+			dx := n.grads[i-1]
+			e.bpropInto(dx, dy)
+			for j, live := range n.masks[i-1] {
 				if !live {
 					dx.Data[j] = 0
 				}
 			}
 			dy = dx
 		}
-		e.Step(lr, dw)
+		e.Step(lr, n.dws[i])
 	}
-	n.masks = n.masks[:0]
-	return nil
+	n.forwarded = false
 }
 
 // TrainStepMSE runs one SGD step against L = 0.5‖y − target‖², returning
-// the pre-update loss.
+// the pre-update loss. A warm step — same batch, grids and speed profile
+// as the previous one — allocates nothing: activations, masks, gradients
+// and every engine's pass state are reused (TestTrainStepAllocationFree).
+//
+//mptlint:noalloc
 func (n *Net) TrainStepMSE(x, target *tensor.Tensor, lr float32) (float64, error) {
-	y, err := n.Forward(x)
-	if err != nil {
-		return 0, err
+	if !n.warm(x, target) {
+		if err := n.prepare(x, target); err != nil { //nolint:allocflow -- runs only off the warm path: sizes the step state for a new batch, grid or speed profile, or builds the error for a malformed input
+			return 0, err
+		}
 	}
-	if !y.SameShape(target) {
-		return 0, fmt.Errorf("mpt: target shape %s does not match output %s",
-			target.ShapeString(), y.ShapeString())
-	}
-	dy := y.Clone()
+	y := n.forward(x)
+	dy := n.grads[len(n.grads)-1]
+	copy(dy.Data, y.Data)
 	dy.AXPY(-1, target)
 	var loss float64
 	for _, v := range dy.Data {
 		loss += 0.5 * float64(v) * float64(v)
 	}
-	if err := n.Backward(dy, lr); err != nil {
-		return 0, err
+	n.backward(dy, lr)
+	if d, trace := n.recordStep(); trace {
+		n.traceStep(d) //nolint:allocflow -- trace events carry map args; they are emitted only while a tracer is attached
 	}
-	n.recordStep()
 	return loss, nil
 }
 
@@ -165,13 +264,7 @@ func (n *Net) TrainStepMSE(x, target *tensor.Tensor, lr float32) (float64, error
 func (n *Net) TotalTraffic() Traffic {
 	var t Traffic
 	for _, e := range n.Engines {
-		t.ScatterBytes += e.Traffic.ScatterBytes
-		t.ScatterRawBytes += e.Traffic.ScatterRawBytes
-		t.GatherBytes += e.Traffic.GatherBytes
-		t.PredictBytes += e.Traffic.PredictBytes
-		t.CollectiveBytes += e.Traffic.CollectiveBytes
-		t.SkippedTiles += e.Traffic.SkippedTiles
-		t.TotalTiles += e.Traffic.TotalTiles
+		t.add(e.Traffic)
 	}
 	return t
 }

@@ -19,7 +19,7 @@ func (e *Engine) Checkpoint() *winograd.Weights { return e.W.Clone() }
 // of silently mixing pre- and post-restore state).
 func (e *Engine) Restore(w *winograd.Weights) {
 	e.W = w.Clone()
-	e.lastX = nil
+	e.fwdBatch = 0
 }
 
 // Reconfigure re-wires the engine to a new (Ng, Nc) grid — the recovery
@@ -41,11 +41,8 @@ func (e *Engine) Reconfigure(ng, nc int) error {
 		// clusters; drop it (Rebalance installs the survivor speeds).
 		e.Cfg.Speeds = nil
 	}
-	e.groupEls = e.groupEls[:0]
-	for g := 0; g < ng; g++ {
-		e.groupEls = append(e.groupEls, winograd.GroupElements(e.Tr.T, ng, g))
-	}
-	e.lastX = nil
+	e.setGroups(ng)
+	e.fwdBatch = 0
 	return nil
 }
 
@@ -75,7 +72,7 @@ func (n *Net) Restore(cp *NetCheckpoint) error {
 	for i, e := range n.Engines {
 		e.Restore(cp.weights[i])
 	}
-	n.masks = n.masks[:0]
+	n.forwarded = false
 	n.tel.restores.Inc()
 	n.event("restore", map[string]any{"layers": len(n.Engines)})
 	return nil
@@ -98,7 +95,7 @@ func (n *Net) Reconfigure(ng, nc int) error {
 	if len(n.Cfg.Speeds) != nc {
 		n.Cfg.Speeds = nil
 	}
-	n.masks = n.masks[:0]
+	n.forwarded = false
 	n.tel.reconfigs.Inc()
 	n.event("reconfigure", map[string]any{"ng": ng, "nc": nc})
 	return nil
@@ -155,14 +152,14 @@ func (n *Net) Rebalance(batch int, speeds []float64) (int64, error) {
 		} else {
 			e.Cfg.Speeds = append([]float64(nil), speeds...)
 		}
-		e.lastX = nil
+		e.fwdBatch = 0
 	}
 	if speeds == nil {
 		n.Cfg.Speeds = nil
 	} else {
 		n.Cfg.Speeds = append([]float64(nil), speeds...)
 	}
-	n.masks = n.masks[:0]
+	n.forwarded = false
 
 	shares := make([]int, nc)
 	for c, b := range newBounds {

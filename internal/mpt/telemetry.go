@@ -8,8 +8,9 @@ import (
 // it is the executable specification the timing simulator prices — so its
 // trace timeline uses the deterministic logical clock every replay shares:
 // the training-step index. Everything here runs on the engine's sequential
-// driver path (the parallel fan-outs live below, inside the winograd
-// kernels), so emission order is schedule-independent by construction.
+// driver path (the parallel fan-outs live below it: the cluster fan-out
+// folds its traffic tallies in cluster order before returning), so
+// emission order is schedule-independent by construction.
 
 // netTel holds a Net's resolved telemetry handles (zero value = disabled).
 type netTel struct {
@@ -76,14 +77,16 @@ func (n *Net) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 }
 
 // recordStep closes one training step: it mirrors the step's traffic delta
-// into the counters and emits the per-step volume sample.
-func (n *Net) recordStep() {
+// into the counters and returns it, with whether a tracer wants the step
+// emitted (traceStep).
+func (n *Net) recordStep() (d Traffic, trace bool) {
 	t := &n.tel
-	if t.steps == nil && !t.tracer.Enabled() {
-		return
+	trace = t.tracer.Enabled()
+	if t.steps == nil && !trace {
+		return d, false
 	}
 	cur := n.TotalTraffic()
-	d := Traffic{
+	d = Traffic{
 		ScatterBytes:    cur.ScatterBytes - t.last.ScatterBytes,
 		ScatterRawBytes: cur.ScatterRawBytes - t.last.ScatterRawBytes,
 		GatherBytes:     cur.GatherBytes - t.last.GatherBytes,
@@ -102,23 +105,27 @@ func (n *Net) recordStep() {
 	t.collective.Add(d.CollectiveBytes)
 	t.skipped.Add(d.SkippedTiles)
 	t.total.Add(d.TotalTiles)
-	if t.tracer.Enabled() {
-		// One span per training step on the logical clock, so the MPT lane
-		// has a chainable timeline for traceview's critical path (the
-		// functional engine has no cycle model — a step is one unit).
-		t.tracer.Span(telemetry.PIDMPT, 0, "step", "mpt.step", t.step-1, 1, map[string]any{
-			"tv": "phase", "step": t.step,
+	return d, trace
+}
+
+// traceStep emits the step recordStep closed, with its traffic delta d.
+func (n *Net) traceStep(d Traffic) {
+	t := &n.tel
+	// One span per training step on the logical clock, so the MPT lane
+	// has a chainable timeline for traceview's critical path (the
+	// functional engine has no cycle model — a step is one unit).
+	t.tracer.Span(telemetry.PIDMPT, 0, "step", "mpt.step", t.step-1, 1, map[string]any{
+		"tv": "phase", "step": t.step,
+	})
+	t.tracer.CounterSample(telemetry.PIDMPT, 0, "traffic", t.step, map[string]any{
+		"scatter_bytes": d.ScatterBytes, "scatter_raw_bytes": d.ScatterRawBytes,
+		"gather_bytes":  d.GatherBytes,
+		"predict_bytes": d.PredictBytes, "collective_bytes": d.CollectiveBytes,
+	})
+	if d.TotalTiles > 0 {
+		t.tracer.CounterSample(telemetry.PIDMPT, 0, "gather_skip", t.step, map[string]any{
+			"skipped": d.SkippedTiles, "gathered": d.TotalTiles - d.SkippedTiles,
 		})
-		t.tracer.CounterSample(telemetry.PIDMPT, 0, "traffic", t.step, map[string]any{
-			"scatter_bytes": d.ScatterBytes, "scatter_raw_bytes": d.ScatterRawBytes,
-			"gather_bytes":  d.GatherBytes,
-			"predict_bytes": d.PredictBytes, "collective_bytes": d.CollectiveBytes,
-		})
-		if d.TotalTiles > 0 {
-			t.tracer.CounterSample(telemetry.PIDMPT, 0, "gather_skip", t.step, map[string]any{
-				"skipped": d.SkippedTiles, "gathered": d.TotalTiles - d.SkippedTiles,
-			})
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ndp
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -316,6 +317,60 @@ func TestReduceBlockErrors(t *testing.T) {
 		}
 	}()
 	NewReduceBlock(0, 0)
+}
+
+// TestReduceBlockResetAndRecycle: a reset block serves a new message with
+// nothing pending, a handed-back buffer stores the next first-arriving
+// chunk (in place when it is the chunk's own data) but only when its
+// length holds the chunk, and rejected chunks report a ChunkError.
+func TestReduceBlockResetAndRecycle(t *testing.T) {
+	rb := NewReduceBlock(1, 2)
+	rb.Accept(Chunk{MsgID: 1, Index: 0, Data: []float32{1}})
+	rb.Reset(5)
+	if rb.MsgID != 5 || rb.Pending() != 0 || rb.Adds() != 0 {
+		t.Fatalf("after Reset: msg %d, %d pending, %d adds", rb.MsgID, rb.Pending(), rb.Adds())
+	}
+	var ce ChunkError
+	if _, err := rb.Accept(Chunk{MsgID: 1, Index: 0, Data: []float32{1}}); !errors.As(err, &ce) || ce.BlockMsg != 5 {
+		t.Fatalf("foreign chunk after Reset: %v", err)
+	}
+
+	run := []float32{1, 2, 3}
+	rb.Recycle(run)
+	if out, err := rb.Accept(Chunk{MsgID: 5, Index: 0, Data: run}); out != nil || err != nil {
+		t.Fatalf("first arrival released %v, %v", out, err)
+	}
+	out, err := rb.Accept(Chunk{MsgID: 5, Index: 0, Data: []float32{10, 20, 30}})
+	if err != nil || &out[0] != &run[0] {
+		t.Fatalf("reduced chunk not stored in the handed-back buffer: %v", err)
+	}
+	if run[0] != 11 || run[1] != 22 || run[2] != 33 {
+		t.Fatalf("in-place reduce = %v", run)
+	}
+
+	// A buffer too small for the chunk is not used.
+	small := make([]float32, 1)
+	rb.Recycle(small)
+	rb.Accept(Chunk{MsgID: 5, Index: 1, Data: []float32{4, 5}})
+	out, _ = rb.Accept(Chunk{MsgID: 5, Index: 1, Data: []float32{1, 1}})
+	if len(out) != 2 || out[0] != 5 || out[1] != 6 || small[0] != 0 {
+		t.Fatalf("reduce past a too-small hand-back = %v (hand-back %v)", out, small)
+	}
+	// Nor is one whose capacity, but not length, holds the chunk: the
+	// memory past its length still belongs to the caller.
+	big := []float32{0, -1}
+	rb.Recycle(big[:1])
+	rb.Accept(Chunk{MsgID: 5, Index: 3, Data: []float32{4, 5}})
+	out, _ = rb.Accept(Chunk{MsgID: 5, Index: 3, Data: []float32{1, 1}})
+	if len(out) != 2 || out[0] != 5 || out[1] != 6 || big[0] != 0 || big[1] != -1 {
+		t.Fatalf("reduce past a short hand-back = %v (hand-back %v)", out, big)
+	}
+	if _, err := rb.Accept(Chunk{MsgID: 5, Index: 2, Data: []float32{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rb.Accept(Chunk{MsgID: 5, Index: 2, Data: []float32{1, 2}}); !errors.As(err, &ce) || ce.Stored != 1 {
+		t.Fatalf("size mismatch: %v", err)
+	}
 }
 
 func layerSpec() LayerGraphSpec {

@@ -61,12 +61,22 @@ func NewQuantizer(regions, bits int, sigma float32) (*Quantizer, error) {
 // positive and finite is rejected and leaves q unchanged.
 func (q *Quantizer) Calibrate(sigma float32) error {
 	if !(sigma > 0) || math.IsInf(float64(sigma), 1) {
-		return fmt.Errorf("quant: sigma must be positive and finite, got %v", sigma)
+		return SigmaError{sigma}
 	}
 	q.Sigma = sigma
 	// Half-range in base steps is S·(2^R − 1); solve Δ from the σ coverage.
 	q.Delta = float32(q.RangeSigmas * float64(sigma) / float64(q.StepsPerRegion*((1<<q.Regions)-1)))
 	return nil
+}
+
+// SigmaError rejects a calibration σ that is not positive and finite.
+// Calibrate runs on every predicted pass, so its error is a plain value
+// rather than a formatted one; it is built, and allocates when boxed as an
+// error, only when Calibrate fails.
+type SigmaError struct{ Sigma float32 }
+
+func (e SigmaError) Error() string {
+	return fmt.Sprintf("quant: sigma must be positive and finite, got %v", e.Sigma)
 }
 
 // MustQuantizer is NewQuantizer that panics on error.

@@ -58,24 +58,35 @@ const (
 // must not be shared between concurrent GEMMs — parallel callers keep one
 // per worker (see winograd.Scratch).
 type GemmScratch struct {
-	ap []float32 // packed A panel: mc × kc of the requesting tier, MR-row strips
-	bp []float32 // packed B panel: kc × nc of the requesting tier, NR-col strips
+	ap []float32 // packed A panel: up to mc × kc of the requesting tier, MR-row strips
+	bp []float32 // packed B panel: up to kc × nc of the requesting tier, NR-col strips
 }
 
-// panels returns the packing buffers sized for tier g's panel geometry —
-// sizing from the active tier rather than compile-time constants is what
-// lets the 8×8 kernels use wider panels without overrunning (and the 4×8
-// tier without over-allocating). Buffers only ever grow, so a scratch that
-// has served a wide tier keeps satisfying narrower ones without reallocating.
-func (s *GemmScratch) panels(g *gemmKernel) (ap, bp []float32) {
-	if cap(s.ap) < g.mc*g.kc {
-		s.ap = make([]float32, g.mc*g.kc)
+// panels returns the packing buffers for an m×n×k problem under tier g's
+// panel geometry: each buffer is sized to the panel the problem actually
+// fills — the tier's full mc×kc / kc×nc panel at most, rounded up to whole
+// register-tile strips — so a small element GEMM does not pin the tier's
+// full panels. Sizing from the active tier rather than compile-time
+// constants is what lets the 8×8 kernels use wider panels without
+// overrunning. Buffers only ever grow, so a scratch that has served a
+// larger problem or a wider tier keeps satisfying the rest without
+// reallocating. The blocking itself is unchanged, so results do not depend
+// on the buffer sizes.
+func (s *GemmScratch) panels(g *gemmKernel, m, n, k int) (ap, bp []float32) {
+	mc := roundUp(min(g.mc, m), g.mr)
+	nc := roundUp(min(g.nc, n), g.nr)
+	kc := min(g.kc, k)
+	if cap(s.ap) < mc*kc {
+		s.ap = make([]float32, mc*kc)
 	}
-	if cap(s.bp) < g.kc*g.nc {
-		s.bp = make([]float32, g.kc*g.nc)
+	if cap(s.bp) < kc*nc {
+		s.bp = make([]float32, kc*nc)
 	}
-	return s.ap[:g.mc*g.kc], s.bp[:g.kc*g.nc]
+	return s.ap[:mc*kc], s.bp[:kc*nc]
 }
+
+// roundUp rounds v up to a multiple of q.
+func roundUp(v, q int) int { return (v + q - 1) / q * q }
 
 // gemmPool backs the convenience entry points that do not thread their own
 // scratch; hot parallel paths pass an explicit per-worker GemmScratch.
@@ -273,7 +284,7 @@ func smallGemm(g *gemmKernel, m, n, k int) bool {
 // assembly kernel and edge tiles the portable microKernel, which follows
 // g's accumulation semantics (plain or fused).
 func gemmBlocked(dst *Mat, a []float32, lda int, b []float32, ldb int, m, n, k int, aT, bT bool, s *GemmScratch, g *gemmKernel) {
-	ap, bp := s.panels(g)
+	ap, bp := s.panels(g, m, n, k)
 	MR, NR := g.mr, g.nr
 	ldd := dst.Cols
 	for i := range dst.Data {

@@ -195,9 +195,11 @@ func TestFMA32MatchesExact(t *testing.T) {
 	}
 }
 
-// TestGemmScratchPanelsPerTier pins the satellite fix: packing buffers are
-// sized from the requesting tier's geometry, not compile-time constants, so
-// wide tiers never overrun and narrow tiers reuse wide allocations.
+// TestGemmScratchPanelsPerTier pins the packing-buffer sizing: a problem
+// at least one panel in every dimension gets the requesting tier's full
+// panels (so wide tiers never overrun), a small one only the register-tile
+// strips it fills, and buffers grow monotonically, so narrow tiers and
+// small problems reuse wide allocations.
 func TestGemmScratchPanelsPerTier(t *testing.T) {
 	defer restoreGemmKernel(t)
 	var s GemmScratch
@@ -207,7 +209,21 @@ func TestGemmScratchPanelsPerTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := activeGemm.Load()
-		ap, bp := s.panels(g)
+		// A 16×48×48 element GEMM fills whole strips of the tile only.
+		small := GemmScratch{}
+		ap, bp := small.panels(g, 16, 48, 48)
+		if wantA, wantB := roundUp(16, g.mr)*48, 48*roundUp(48, g.nr); len(ap) != wantA || len(bp) != wantB {
+			t.Fatalf("%s: 16x48x48 panels %d/%d, want %d/%d", name, len(ap), len(bp), wantA, wantB)
+		}
+		if cap(small.ap) != len(ap) || cap(small.bp) != len(bp) {
+			t.Fatalf("%s: 16x48x48 panels allocate %d/%d, want %d/%d", name, cap(small.ap), cap(small.bp), len(ap), len(bp))
+		}
+		// Ragged edges round up to the register tile.
+		ap, bp = small.panels(g, g.mr+1, g.nr+1, 3)
+		if len(ap) != 2*g.mr*3 || len(bp) != 3*2*g.nr {
+			t.Fatalf("%s: ragged panels %d/%d, want %d/%d", name, len(ap), len(bp), 2*g.mr*3, 3*2*g.nr)
+		}
+		ap, bp = s.panels(g, 4*g.mc, 4*g.nc, 4*g.kc)
 		if len(ap) != g.mc*g.kc || len(bp) != g.kc*g.nc {
 			t.Fatalf("%s: panels %d/%d, want %d/%d", name, len(ap), len(bp), g.mc*g.kc, g.kc*g.nc)
 		}
@@ -216,6 +232,12 @@ func TestGemmScratchPanelsPerTier(t *testing.T) {
 		}
 		if g.kc*g.nc > maxBP {
 			maxBP = g.kc * g.nc
+		}
+		// A small problem after a large one reuses the large buffers.
+		before := cap(s.ap)
+		s.panels(g, 16, 48, 48)
+		if cap(s.ap) != before {
+			t.Fatalf("%s: small problem reallocated the grown A panel", name)
 		}
 	}
 	// Buffers grow monotonically: after serving every tier the capacity is

@@ -56,6 +56,39 @@ func (d *Domain) row(b, th, tw int) int {
 	return (b*d.Tiling.TilesH+th)*d.Tiling.TilesW + tw
 }
 
+// The four tile transforms below run with channels as the inner lane.
+// Every tile transform has the form S·x·Sᵀ: stage 1 combines the rows of
+// a tile (S·x), stage 2 its columns (·Sᵀ). The per-tile formulation — the
+// test oracle in oracle_test.go — extracts one T×T tile per (image,
+// channel, tile) and runs both stages on it, the second as a
+// latency-bound scalar chain per value. Here a whole image is handled at
+// once, in an H×W×C layout where the C values of one spatial position are
+// contiguous:
+//
+//   - Forward (TransformInput, TransformOutputGrad): the image is packed
+//     once into a zero-padded buffer covering every tile. Stage 1 runs per
+//     tile row across the whole padded row (Sched.MulInto), so the
+//     overlapping input tiles share it; stage 2 then runs per tile with
+//     applyRow over C-long vectors, written straight into each element
+//     matrix's contiguous (row, 0..C) slot.
+//   - Inverse (InverseOutput, InverseInputGrad): a tile's T² element rows
+//     are gathered into a T×T×C block, both stages run over the C lanes,
+//     and the result is stored — overlapping dx tiles accumulated in tile
+//     order into a padded buffer.
+//
+// Bit identity with the oracle: every output value is computed from the
+// same addends (the schedule's nonzero terms, ascending k), in the same
+// order, from the same +0 start — only the loop nest around the chains
+// changes. Stage 2's applyRow classifies c = ±1 into add/sub where the
+// oracle's MulTInto multiplies by c, which rounds identically (1·v and
+// −1·v are exact, and x − v is x + (−v)). Zero taps are +0 in both
+// (padding, partial edge tiles), and dx slots receive their tile
+// contributions in the oracle's (th, tw) order starting from +0. For
+// transforms without compiled schedules the oracle runs the generic
+// fallback, whose stage 2 skips zero data instead of zero coefficients;
+// the term sets then differ only in ±0 addends, which cannot change a
+// +0-started chain of finite values.
+
 // TransformInput lifts a spatial input tensor x (B,C,H,W matching the
 // tiling's layer geometry) into the Winograd domain: X = Bᵀ·x·B per tile.
 func (tl *Tiling) TransformInput(x *tensor.Tensor) *Domain {
@@ -71,39 +104,91 @@ func (tl *Tiling) TransformInputInto(d *Domain, x *tensor.Tensor, sc *Scratch) {
 		panic(fmt.Sprintf("winograd: input shape %s does not match layer I=%d %dx%d",
 			x.ShapeString(), tl.P.In, tl.P.H, tl.P.W))
 	}
-	// Images are independent tile batches: fan them out. Each (b, c, tile)
-	// writes a distinct (row, c) slot of every element matrix, so the
-	// parallel result is bit-identical to the sequential loop.
+	tl.checkDomain(d, x.N, x.C)
+	// Images are independent tile batches: fan them out. Each image writes
+	// its own rows of every element matrix, so the parallel result is
+	// bit-identical to the sequential loop.
 	if sc.Workers() == 1 {
 		for b := 0; b < x.N; b++ {
-			tl.transformInputItem(d, x, sc.slot(0), b)
+			tl.transformInputImage(d, x, sc.slot(0), b)
 		}
 		return
 	}
 	parallel.ForEachWorker(sc.Workers(), x.N, func(w, b int) {
-		tl.transformInputItem(d, x, sc.slot(w), b)
+		tl.transformInputImage(d, x, sc.slot(w), b)
 	})
 }
 
-func (tl *Tiling) transformInputItem(d *Domain, x *tensor.Tensor, sl *scratchSlot, b int) {
-	t := tl.Tr.T
-	a := &sl.arena
-	a.Reset()
-	patch := a.Mat(t, t)
-	w := a.Mat(t, t)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < x.C; c++ {
-		for th := 0; th < tl.TilesH; th++ {
-			for tw := 0; tw < tl.TilesW; tw++ {
-				tl.ExtractInputTile(patch, x, b, c, th, tw)
-				tl.Tr.InputToWinogradInto(w, patch, tmp)
-				row := d.row(b, th, tw)
-				for e, v := range w.Data {
-					d.El[e].Set(row, c, v)
+// checkDomain panics unless d is a Domain of this tiling's element count
+// for b images of c channels.
+func (tl *Tiling) checkDomain(d *Domain, b, c int) {
+	if d.B != b || d.C != c || len(d.El) != tl.Tr.T*tl.Tr.T || d.Tiling.Tiles() != tl.Tiles() {
+		panic(fmt.Sprintf("winograd: domain B=%d C=%d with %d elements for %d images of %d channels under %s",
+			d.B, d.C, len(d.El), b, c, tl.Tr))
+	}
+}
+
+// padIn returns the padded input extent (rows, columns) the input tiles
+// cover: tile (th, tw) reads rows th·m … th·m+T−1 of it.
+func (tl *Tiling) padIn() (int, int) {
+	m, t := tl.Tr.M, tl.Tr.T
+	return (tl.TilesH-1)*m + t, (tl.TilesW-1)*m + t
+}
+
+// packImage writes image b of x into dst as a zero-filled H×W×C buffer of
+// row width wp, with the image's top-left value at (off, off).
+func packImage(dst []float32, x *tensor.Tensor, b, off, wp int) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	c, plane := x.C, x.H*x.W
+	img := x.Data[b*c*plane : (b+1)*c*plane]
+	for ch := 0; ch < c; ch++ {
+		src := img[ch*plane : (ch+1)*plane]
+		for ih := 0; ih < x.H; ih++ {
+			o := ((ih+off)*wp+off)*c + ch
+			for _, v := range src[ih*x.W : (ih+1)*x.W] {
+				dst[o] = v
+				o += c
+			}
+		}
+	}
+}
+
+// forwardImage runs a forward tile transform with schedule s (of S, T×k)
+// over one packed image: for each tile row, stage 1 over the k padded rows
+// it reads, then stage 2 per tile into the element matrices. rs is the
+// padded row stride in floats (row width · C).
+func (tl *Tiling) forwardImage(d *Domain, s *Sched, pad, stage []float32, rs, b int) {
+	t, m, c := tl.Tr.T, tl.Tr.M, d.C
+	base := b * tl.Tiles()
+	for th := 0; th < tl.TilesH; th++ {
+		s.MulInto(stage, pad[th*m*rs:], rs)
+		for tw := 0; tw < tl.TilesW; tw++ {
+			off := (base + th*tl.TilesW + tw) * c
+			for i := 0; i < t; i++ {
+				src := stage[i*rs+tw*m*c:]
+				for j, terms := range s.rows {
+					drow := d.El[i*t+j].Data[off : off+c]
+					for k := range drow {
+						drow[k] = 0
+					}
+					applyRow(drow, terms, src, c)
 				}
 			}
 		}
 	}
+}
+
+func (tl *Tiling) transformInputImage(d *Domain, x *tensor.Tensor, sl *scratchSlot, b int) {
+	hp, wp := tl.padIn()
+	rs := wp * x.C
+	a := &sl.arena
+	a.Reset()
+	pad := a.Floats(hp * rs)
+	stage := a.Floats(tl.Tr.T * rs)
+	packImage(pad, x, b, tl.P.Pad, wp)
+	tl.forwardImage(d, tl.bt, pad, stage, rs, b)
 }
 
 // TransformOutputGrad lifts a spatial output-gradient tensor dy into the
@@ -122,34 +207,51 @@ func (tl *Tiling) TransformOutputGradInto(d *Domain, dy *tensor.Tensor, sc *Scra
 		panic(fmt.Sprintf("winograd: dy shape %s does not match output %dx%d",
 			dy.ShapeString(), tl.P.OutH(), tl.P.OutW()))
 	}
+	tl.checkDomain(d, dy.N, dy.C)
 	if sc.Workers() == 1 {
 		for b := 0; b < dy.N; b++ {
-			tl.transformOutputGradItem(d, dy, sc.slot(0), b)
+			tl.transformOutputGradImage(d, dy, sc.slot(0), b)
 		}
 		return
 	}
 	parallel.ForEachWorker(sc.Workers(), dy.N, func(w, b int) {
-		tl.transformOutputGradItem(d, dy, sc.slot(w), b)
+		tl.transformOutputGradImage(d, dy, sc.slot(w), b)
 	})
 }
 
-func (tl *Tiling) transformOutputGradItem(d *Domain, dy *tensor.Tensor, sl *scratchSlot, b int) {
+func (tl *Tiling) transformOutputGradImage(d *Domain, dy *tensor.Tensor, sl *scratchSlot, b int) {
+	// Output tiles do not overlap; the padding only completes the partial
+	// tiles at the bottom and right edges with zeros.
 	m := tl.Tr.M
+	hq, wq := tl.TilesH*m, tl.TilesW*m
+	rs := wq * dy.C
 	a := &sl.arena
 	a.Reset()
-	patch := a.Mat(m, m)
-	w := a.Mat(tl.Tr.T, tl.Tr.T)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < dy.C; c++ {
-		for th := 0; th < tl.TilesH; th++ {
-			for tw := 0; tw < tl.TilesW; tw++ {
-				tl.ExtractOutputTile(patch, dy, b, c, th, tw)
-				tl.Tr.OutputToWinogradInto(w, patch, tmp)
-				row := d.row(b, th, tw)
-				for e, v := range w.Data {
-					d.El[e].Set(row, c, v)
-				}
+	pad := a.Floats(hq * rs)
+	stage := a.Floats(tl.Tr.T * rs)
+	packImage(pad, dy, b, 0, wq)
+	tl.forwardImage(d, tl.a, pad, stage, rs, b)
+}
+
+// inverseTile runs an inverse tile transform with schedule s (of S, r×T)
+// on tile row `row` of d: it gathers the T² element rows into tile
+// (T×T×C), runs stage 1 into stage (r×T×C) and stage 2 into out (r×r×C).
+func inverseTile(d *Domain, s *Sched, row int, tile, stage, out []float32) {
+	t, c := d.Tiling.Tr.T, d.C
+	off := row * c
+	for e, el := range d.El {
+		copy(tile[e*c:(e+1)*c], el.Data[off:off+c])
+	}
+	s.MulInto(stage, tile, t*c)
+	r := len(s.rows)
+	for i := 0; i < r; i++ {
+		src := stage[i*t*c:]
+		for j, terms := range s.rows {
+			o := out[(i*r+j)*c : (i*r+j+1)*c]
+			for k := range o {
+				o[k] = 0
 			}
+			applyRow(o, terms, src, c)
 		}
 	}
 }
@@ -166,35 +268,43 @@ func (tl *Tiling) InverseOutput(d *Domain) *tensor.Tensor {
 // InverseOutputInto is InverseOutput into a caller-owned output tensor
 // with caller-owned scratch.
 func (tl *Tiling) InverseOutputInto(y *tensor.Tensor, d *Domain, sc *Scratch) {
+	if y.N != d.B || y.C != d.C || y.H != tl.P.OutH() || y.W != tl.P.OutW() {
+		panic(fmt.Sprintf("winograd: output %s for a %d-image %d-channel domain of output %dx%d",
+			y.ShapeString(), d.B, d.C, tl.P.OutH(), tl.P.OutW()))
+	}
 	// Output tiles never overlap and images own disjoint y regions, so the
 	// batch dimension shards freely with bit-identical results.
 	if sc.Workers() == 1 {
 		for b := 0; b < d.B; b++ {
-			tl.inverseOutputItem(y, d, sc.slot(0), b)
+			tl.inverseOutputImage(y, d, sc.slot(0), b)
 		}
 		return
 	}
 	parallel.ForEachWorker(sc.Workers(), d.B, func(w, b int) {
-		tl.inverseOutputItem(y, d, sc.slot(w), b)
+		tl.inverseOutputImage(y, d, sc.slot(w), b)
 	})
 }
 
-func (tl *Tiling) inverseOutputItem(y *tensor.Tensor, d *Domain, sl *scratchSlot, b int) {
-	t := tl.Tr.T
+func (tl *Tiling) inverseOutputImage(y *tensor.Tensor, d *Domain, sl *scratchSlot, b int) {
+	t, m, c := tl.Tr.T, tl.Tr.M, d.C
 	a := &sl.arena
 	a.Reset()
-	tile := a.Mat(t, t)
-	out := a.Mat(tl.Tr.M, tl.Tr.M)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < d.C; c++ {
-		for th := 0; th < tl.TilesH; th++ {
-			for tw := 0; tw < tl.TilesW; tw++ {
-				row := d.row(b, th, tw)
-				for e := range d.El {
-					tile.Data[e] = d.El[e].At(row, c)
+	tile := a.Floats(t * t * c)
+	stage := a.Floats(m * t * c)
+	out := a.Floats(m * m * c)
+	oh, ow := y.H, y.W
+	plane := oh * ow
+	img := y.Data[b*c*plane : (b+1)*c*plane]
+	for th := 0; th < tl.TilesH; th++ {
+		for tw := 0; tw < tl.TilesW; tw++ {
+			inverseTile(d, tl.at, d.row(b, th, tw), tile, stage, out)
+			for i := 0; i < m && th*m+i < oh; i++ {
+				for j := 0; j < m && tw*m+j < ow; j++ {
+					p := (th*m+i)*ow + tw*m + j
+					for ch, v := range out[(i*m+j)*c : (i*m+j+1)*c] {
+						img[ch*plane+p] = v
+					}
 				}
-				tl.Tr.OutputFromWinogradInto(out, tile, tmp)
-				tl.ScatterOutputTile(y, out, b, c, th, tw)
 			}
 		}
 	}
@@ -209,42 +319,64 @@ func (tl *Tiling) InverseInputGrad(d *Domain) *tensor.Tensor {
 	return dx
 }
 
-// InverseInputGradInto is InverseInputGrad into a caller-owned (zeroed)
-// gradient tensor with caller-owned scratch. dx is cleared first, so the
-// Into form has the same semantics as the allocating wrapper.
+// InverseInputGradInto is InverseInputGrad into a caller-owned gradient
+// tensor with caller-owned scratch. dx is overwritten, so the Into form
+// has the same semantics as the allocating wrapper.
 func (tl *Tiling) InverseInputGradInto(dx *tensor.Tensor, d *Domain, sc *Scratch) {
-	dx.Zero()
-	// Overlapping tiles only accumulate within one (b, c) feature map;
-	// across images the dx regions are disjoint, and the per-image tile
-	// order is unchanged, so the accumulation order per dx slot — and with
-	// it the floating-point result — is identical to the sequential loop.
+	if dx.N != d.B || dx.C != d.C || dx.H != tl.P.H || dx.W != tl.P.W {
+		panic(fmt.Sprintf("winograd: input gradient %s for a %d-image %d-channel domain of input %dx%d",
+			dx.ShapeString(), d.B, d.C, tl.P.H, tl.P.W))
+	}
+	// Overlapping tiles only accumulate within one image; across images
+	// the dx regions are disjoint, and the per-image tile order is fixed,
+	// so the accumulation order per dx slot — and with it the
+	// floating-point result — is identical to the sequential loop.
 	if sc.Workers() == 1 {
 		for b := 0; b < d.B; b++ {
-			tl.inverseInputGradItem(dx, d, sc.slot(0), b)
+			tl.inverseInputGradImage(dx, d, sc.slot(0), b)
 		}
 		return
 	}
 	parallel.ForEachWorker(sc.Workers(), d.B, func(w, b int) {
-		tl.inverseInputGradItem(dx, d, sc.slot(w), b)
+		tl.inverseInputGradImage(dx, d, sc.slot(w), b)
 	})
 }
 
-func (tl *Tiling) inverseInputGradItem(dx *tensor.Tensor, d *Domain, sl *scratchSlot, b int) {
-	t := tl.Tr.T
+func (tl *Tiling) inverseInputGradImage(dx *tensor.Tensor, d *Domain, sl *scratchSlot, b int) {
+	t, m, c := tl.Tr.T, tl.Tr.M, d.C
+	hp, wp := tl.padIn()
+	rs := wp * c
 	a := &sl.arena
 	a.Reset()
-	tile := a.Mat(t, t)
-	out := a.Mat(t, t)
-	tmp := a.Floats(tl.Tr.TmpLen())
-	for c := 0; c < d.C; c++ {
-		for th := 0; th < tl.TilesH; th++ {
-			for tw := 0; tw < tl.TilesW; tw++ {
-				row := d.row(b, th, tw)
-				for e := range d.El {
-					tile.Data[e] = d.El[e].At(row, c)
+	acc := a.Floats(hp * rs)
+	tile := a.Floats(t * t * c)
+	stage := a.Floats(t * t * c)
+	out := a.Floats(t * t * c)
+	for i := range acc {
+		acc[i] = 0
+	}
+	for th := 0; th < tl.TilesH; th++ {
+		for tw := 0; tw < tl.TilesW; tw++ {
+			inverseTile(d, tl.b, d.row(b, th, tw), tile, stage, out)
+			for i := 0; i < t; i++ {
+				dst := acc[(th*m+i)*rs+tw*m*c : (th*m+i)*rs+(tw*m+t)*c]
+				for k, v := range out[i*t*c : (i+1)*t*c] {
+					dst[k] += v
 				}
-				tl.Tr.InputFromWinogradInto(out, tile, tmp)
-				tl.ScatterAddInputTile(dx, out, b, c, th, tw)
+			}
+		}
+	}
+	// Unpack the interior; the padding ring only absorbed the taps the
+	// tiles read from outside the image.
+	plane, pad := dx.H*dx.W, tl.P.Pad
+	img := dx.Data[b*c*plane : (b+1)*c*plane]
+	for ch := 0; ch < c; ch++ {
+		dst := img[ch*plane : (ch+1)*plane]
+		for ih := 0; ih < dx.H; ih++ {
+			o := ((ih+pad)*wp+pad)*c + ch
+			for iw := range dst[ih*dx.W : (ih+1)*dx.W] {
+				dst[ih*dx.W+iw] = acc[o]
+				o += c
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package winograd
 
 import (
+	"fmt"
+
 	"mptwino/internal/parallel"
 	"mptwino/internal/tensor"
 )
@@ -33,6 +35,23 @@ func NewScratch() *Scratch {
 func (s *Scratch) Workers() int { return len(s.slots) }
 
 func (s *Scratch) slot(w int) *scratchSlot { return &s.slots[w] }
+
+// Split divides the slots into n disjoint sub-Scratches of near-equal size
+// (n ≤ Workers()) that share this Scratch's buffers. A caller that fans n
+// independent streams out over the pool hands each stream its own part,
+// so the kernels inside a stream fan out over the workers the streams
+// leave spare: with one stream, its part holds every slot.
+func (s *Scratch) Split(n int) []*Scratch {
+	w := len(s.slots)
+	if n < 1 || n > w {
+		panic(fmt.Sprintf("winograd: cannot split %d scratch slots %d ways", w, n))
+	}
+	out := make([]*Scratch, n)
+	for i := range out {
+		out[i] = &Scratch{slots: s.slots[i*w/n : (i+1)*w/n]}
+	}
+	return out
+}
 
 // Every Into entry point in this package follows the same two-branch
 // shape: with one slot it loops over the per-item method directly; with

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mptwino/internal/conv"
-	"mptwino/internal/tensor"
 )
 
 // Tiling decomposes a convolution layer's feature maps into the overlapping
@@ -16,6 +15,10 @@ type Tiling struct {
 	P  conv.Params
 
 	TilesH, TilesW int // tile grid dimensions
+
+	// Row schedules of Bᵀ, A, Aᵀ and B. Every tile transform has the form
+	// S·x·Sᵀ, so one schedule drives both of its stages (see domain.go).
+	bt, a, at, b *Sched
 }
 
 // NewTiling validates the layer geometry against the transform and returns
@@ -28,100 +31,23 @@ func NewTiling(tr *Transform, p conv.Params) (*Tiling, error) {
 		return nil, fmt.Errorf("winograd: kernel %dx%d does not match transform %s", p.K, p.K, tr)
 	}
 	m := tr.M
+	// Transforms built outside MakeTransform (or past fusedMaxT) carry no
+	// schedules; compile them here, once per layer.
+	f := tr.fused
+	if f == nil {
+		f = compileFused(tr)
+	}
 	return &Tiling{
 		Tr:     tr,
 		P:      p,
 		TilesH: (p.OutH() + m - 1) / m,
 		TilesW: (p.OutW() + m - 1) / m,
+		bt:     f.bt,
+		a:      f.a,
+		at:     f.at,
+		b:      f.b,
 	}, nil
 }
 
 // Tiles returns the number of tiles per feature map (the paper's t).
 func (tl *Tiling) Tiles() int { return tl.TilesH * tl.TilesW }
-
-// tileOrigin returns the top-left input coordinate (possibly negative, in
-// the padding) covered by tile (th, tw).
-func (tl *Tiling) tileOrigin(th, tw int) (ih, iw int) {
-	return th*tl.Tr.M - tl.P.Pad, tw*tl.Tr.M - tl.P.Pad
-}
-
-// ExtractInputTile copies the T×T input patch for tile (th,tw) of image b,
-// channel c, into dst (a T×T matrix), zero-filling taps that fall in the
-// padding.
-func (tl *Tiling) ExtractInputTile(dst *tensor.Mat, x *tensor.Tensor, b, c, th, tw int) {
-	t := tl.Tr.T
-	oh, ow := tl.tileOrigin(th, tw)
-	for r := 0; r < t; r++ {
-		ih := oh + r
-		for cc := 0; cc < t; cc++ {
-			iw := ow + cc
-			var v float32
-			if ih >= 0 && ih < tl.P.H && iw >= 0 && iw < tl.P.W {
-				v = x.At(b, c, ih, iw)
-			}
-			dst.Set(r, cc, v)
-		}
-	}
-}
-
-// ScatterAddInputTile accumulates a T×T spatial-domain tile (e.g. a dx
-// contribution from bprop) back into x at tile (th,tw), skipping padding
-// positions. Overlapping tiles therefore sum, which is exactly the adjoint
-// of ExtractInputTile.
-func (tl *Tiling) ScatterAddInputTile(x *tensor.Tensor, src *tensor.Mat, b, c, th, tw int) {
-	t := tl.Tr.T
-	oh, ow := tl.tileOrigin(th, tw)
-	for r := 0; r < t; r++ {
-		ih := oh + r
-		if ih < 0 || ih >= tl.P.H {
-			continue
-		}
-		for cc := 0; cc < t; cc++ {
-			iw := ow + cc
-			if iw < 0 || iw >= tl.P.W {
-				continue
-			}
-			x.Add(b, c, ih, iw, src.At(r, cc))
-		}
-	}
-}
-
-// ExtractOutputTile copies the m×m output patch for tile (th,tw) into dst,
-// zero-filling positions past the output boundary (tiles at the right and
-// bottom edge may be partial).
-func (tl *Tiling) ExtractOutputTile(dst *tensor.Mat, y *tensor.Tensor, b, c, th, tw int) {
-	m := tl.Tr.M
-	oh, ow := tl.P.OutH(), tl.P.OutW()
-	for r := 0; r < m; r++ {
-		yy := th*m + r
-		for cc := 0; cc < m; cc++ {
-			xx := tw*m + cc
-			var v float32
-			if yy < oh && xx < ow {
-				v = y.At(b, c, yy, xx)
-			}
-			dst.Set(r, cc, v)
-		}
-	}
-}
-
-// ScatterOutputTile writes an m×m output tile into y at tile (th,tw),
-// dropping positions past the output boundary. Output tiles do not
-// overlap, so this is a plain store.
-func (tl *Tiling) ScatterOutputTile(y *tensor.Tensor, src *tensor.Mat, b, c, th, tw int) {
-	m := tl.Tr.M
-	oh, ow := tl.P.OutH(), tl.P.OutW()
-	for r := 0; r < m; r++ {
-		yy := th*m + r
-		if yy >= oh {
-			break
-		}
-		for cc := 0; cc < m; cc++ {
-			xx := tw*m + cc
-			if xx >= ow {
-				break
-			}
-			y.Set(b, c, yy, xx, src.At(r, cc))
-		}
-	}
-}
