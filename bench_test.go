@@ -295,18 +295,17 @@ func predictDomain(b *testing.B, tr *winograd.Transform, seed uint64) *winograd.
 }
 
 // BenchmarkPredictSteady is the steady-state activation-prediction path
-// FpropReLU runs per tile: 2-D prediction over every tile of an F(4×4)
-// output Domain plus 1-D prediction over an F(2×2) one, through one
-// reused tile and Prediction each. Its contract is 0 allocs/op; the skip
-// fractions it reports pin the skip decisions.
+// FpropReLU runs: 2-D prediction over every row of an F(4×4) output
+// Domain plus 1-D prediction over an F(2×2) one, each row's channels as
+// lanes, through one reused Lanes each. Its contract is 0 allocs/op; the
+// skip fractions it reports pin the skip decisions.
 func BenchmarkPredictSteady(b *testing.B) {
 	type path struct {
-		yd   *winograd.Domain
-		pr   *quant.Predictor
-		out  *quant.Prediction
-		tile *tensor.Mat
-		oneD bool
-		skip int
+		yd    *winograd.Domain
+		pr    *quant.Predictor
+		lanes *quant.Lanes
+		oneD  bool
+		skip  int
 	}
 	var paths []*path
 	for _, c := range []struct {
@@ -316,9 +315,8 @@ func BenchmarkPredictSteady(b *testing.B) {
 	}{{winograd.F4x4_3x3, 6, false}, {winograd.F2x2_3x3, 5, true}} {
 		yd := predictDomain(b, c.tr, 13)
 		paths = append(paths, &path{yd: yd, oneD: c.oneD,
-			pr:   quant.NewPredictor(c.tr, quant.MustQuantizer(4, c.bits, quant.DomainSigma(yd))),
-			out:  quant.NewPrediction(c.tr),
-			tile: tensor.NewMat(c.tr.T, c.tr.T)})
+			pr:    quant.NewPredictor(c.tr, quant.MustQuantizer(4, c.bits, quant.DomainSigma(yd))),
+			lanes: quant.NewLanes(c.tr, yd.C)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -326,17 +324,12 @@ func BenchmarkPredictSteady(b *testing.B) {
 		for _, p := range paths {
 			p.skip = 0
 			for r := 0; r < p.yd.Rows(); r++ {
-				for c := 0; c < p.yd.C; c++ {
-					p.yd.TileInto(p.tile, r, c)
-					if p.oneD {
-						p.pr.Predict1DInto(p.out, p.tile)
-					} else {
-						p.pr.Predict2DInto(p.out, p.tile)
-					}
-					if p.out.NonActivated() {
-						p.skip++
-					}
+				if p.oneD {
+					p.pr.Predict1DRowInto(p.lanes, p.yd, r)
+				} else {
+					p.pr.Predict2DRowInto(p.lanes, p.yd, r)
 				}
+				p.skip += p.lanes.CountNonActivated()
 			}
 		}
 	}

@@ -119,12 +119,12 @@ type Engine struct {
 	fwdBatch int
 }
 
-// predictor is one cluster worker's activation-prediction state.
+// predictor is one cluster worker's activation-prediction state: its own
+// quantizer, and the lane buffers for one output-Domain row of the layer.
 type predictor struct {
-	q    *quant.Quantizer
-	p    *quant.Predictor
-	pred *quant.Prediction
-	tile *tensor.Mat
+	q     *quant.Quantizer
+	p     *quant.Predictor
+	lanes *quant.Lanes
 }
 
 // NewEngine builds an MPT engine. Ng must not exceed T².
@@ -268,7 +268,7 @@ func (e *Engine) size(batch int) error {
 		for len(e.preds) < e.ws.clusterWorkers(nc) {
 			q := *e.quantizer
 			e.preds = append(e.preds, predictor{q: &q, p: quant.NewPredictor(e.Tr, &q),
-				pred: quant.NewPrediction(e.Tr), tile: tensor.NewMat(e.Tr.T, e.Tr.T)})
+				lanes: quant.NewLanes(e.Tr, e.P.Out)})
 		}
 	}
 	return nil
@@ -431,10 +431,11 @@ func (e *Engine) fpropCluster(sc *winograd.Scratch, w, c int, y, x *tensor.Tenso
 }
 
 // predictSkips counts the tiles of one cluster's output Domain whose
-// gathering is skipped, tallying prediction statistics. When each group
+// gathering is skipped, tallying prediction statistics. It predicts a
+// Domain row at a time, its channels' tiles as lanes. When each group
 // holds whole tile lines, the tighter 1-D predictor runs (source-side
 // first inverse stage); a tile is skipped when every line is provably
-// non-activated, which is exactly Prediction.NonActivated.
+// non-activated, which is exactly what Lanes.CountNonActivated counts.
 func (e *Engine) predictSkips(t *Traffic, ps *predictor, yd *winograd.Domain) int64 {
 	rows := yd.Rows()
 	t.TotalTiles += int64(rows) * int64(yd.C)
@@ -447,17 +448,12 @@ func (e *Engine) predictSkips(t *Traffic, ps *predictor, yd *winograd.Domain) in
 	}
 	var skipped int64
 	for r := 0; r < rows; r++ {
-		for c := 0; c < yd.C; c++ {
-			yd.TileInto(ps.tile, r, c)
-			if e.oneD {
-				ps.p.Predict1DInto(ps.pred, ps.tile)
-			} else {
-				ps.p.Predict2DInto(ps.pred, ps.tile)
-			}
-			if ps.pred.NonActivated() {
-				skipped++
-			}
+		if e.oneD {
+			ps.p.Predict1DRowInto(ps.lanes, yd, r)
+		} else {
+			ps.p.Predict2DRowInto(ps.lanes, yd, r)
 		}
+		skipped += int64(ps.lanes.CountNonActivated())
 	}
 	t.SkippedTiles += skipped
 	return skipped

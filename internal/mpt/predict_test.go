@@ -35,12 +35,14 @@ func predictEngine(t testing.TB, tr *winograd.Transform, p conv.Params, cfg Conf
 // TestFpropReLUPredictionCountersPinned pins the prediction traffic of
 // two FpropReLU calls at a fixed seed — the second one on a recalibrated,
 // reused predictor — for the 1-D path (F(2×2), Ng = 2: each group holds
-// whole tile lines) and the 2-D path (F(4×4), Ng = 32, where, as on the
-// planned AlexNet conv3–5, every tile holds an element past the
-// quantizer's 4σ range and nothing is skipped; and F(2×2), Ng = 16, which
-// does skip). The constants were recorded before prediction moved from
-// the MatMul chain onto the transform's term schedules: skip decisions
-// are bit-identical, so every counter is too.
+// whole tile lines) and the 2-D path (F(4×4), Ng = 32, where this input
+// skips nothing; and F(2×2), Ng = 16, which does skip). On perfbench's
+// planned AlexNet conv3–5 the F(4×4) predictor skips nothing either,
+// but not for overflow alone: 37–40% of those tiles hold an element past
+// the quantizer's 4σ range, and the rest are predicted in full without a
+// skip. The constants were recorded before prediction moved from the
+// MatMul chain onto the transform's term schedules and then onto channel
+// lanes: skip decisions are bit-identical, so every counter is too.
 func TestFpropReLUPredictionCountersPinned(t *testing.T) {
 	p2 := conv.Params{In: 4, Out: 8, K: 3, Pad: 1, H: 12, W: 12}
 	p4 := conv.Params{In: 4, Out: 8, K: 3, Pad: 1, H: 16, W: 16}
@@ -133,8 +135,17 @@ func TestFpropReLUNonFiniteInput(t *testing.T) {
 }
 
 func TestNewEngineRejectsBadQuantizer(t *testing.T) {
-	cfg := Config{Ng: 2, Nc: 1, Predict: true, PredictRegions: 3, PredictBits: 6}
-	if _, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(1)); err == nil {
-		t.Fatal("32 levels per sign over 3 regions accepted")
+	for _, c := range []struct {
+		regions, bits int
+		why           string
+	}{
+		{3, 6, "32 levels per sign over 3 regions"},
+		{64, 8, "a 64-region grid (its top point wrapped, giving Δ = −2)"},
+		{1024, 16, "a 1024-region grid (its top point wrapped, giving Δ = −0.125)"},
+	} {
+		cfg := Config{Ng: 2, Nc: 1, Predict: true, PredictRegions: c.regions, PredictBits: c.bits}
+		if _, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(1)); err == nil {
+			t.Fatalf("%s accepted", c.why)
+		}
 	}
 }

@@ -17,12 +17,11 @@ import (
 // never produce a false negative: a neuron predicted non-activated is
 // guaranteed non-activated.
 //
-// The six products of a prediction run on the sparse term schedules the
-// transform already compiles for Aᵀ and its sign split Aᵀ⁺/Aᵀ⁻
-// (winograd.Transform.OutputScheds): right-multiplying by A is MulTInto
-// with Aᵀ's schedule, left-multiplying by Aᵀ is MulInto. Each stage is the
-// naive MatMul reference's chain up to ±0 addends, so Est and MaxErr are
-// bit-equal to the MatMul formulation for finite inputs.
+// Prediction runs with channels as lanes (Lanes): one tile row of an output
+// Domain at a time, every stage over C-long lane vectors, on the sparse
+// term schedules the transform already compiles for Aᵀ and its sign split
+// Aᵀ⁺/Aᵀ⁻ (winograd.Transform.OutputScheds). A single tile is the one-lane
+// case (Predict2DInto, Predict1DInto).
 type Predictor struct {
 	Tr *winograd.Transform
 	Q  *Quantizer
@@ -39,9 +38,197 @@ func NewPredictor(tr *winograd.Transform, q *Quantizer) *Predictor {
 	return p
 }
 
-// Prediction is the destination-side result for one tile. It carries its
-// own stage buffers, so one Prediction serves any number of Into calls
-// for its transform without allocating.
+// Lanes is the state of channel-lane prediction: the C tiles of one
+// output-Domain row, one per channel, predicted together with each channel
+// a lane. A Domain row stores each tile element's C values contiguously,
+// so every buffer here is a block of C-long lane vectors — value k of
+// lane ch at [k·C + ch] — the layout the winograd tile transforms run in.
+// One Lanes serves any number of Into calls for its transform and C
+// without allocating.
+//
+// Every lane's Est and MaxErr are those of the per-tile chain of six
+// schedule products (Sched.MulTInto right-multiplying by A, then
+// Sched.MulInto), bit for bit and for every input: each lane runs the same
+// nonzero terms in the same ascending-k order from the same +0 start, and
+// Sched.MulInto's ±1 add/sub rounds exactly as MulTInto's multiply by ±1.
+// Only the loops around the chains change.
+type Lanes struct {
+	c, m     int         // lanes (the channels of a Domain row); output tile size
+	in       [][]float32 // the T² element rows predicted, C values each
+	tile     []float32   // 1-D: the element rows gathered, T²×C
+	qv, res  []float32   // quantized values / resolutions: T²×C (2-D) or T×m×C (1-D)
+	z        []float32   // T×m×C stage-1 estimate (2-D) or exact Z = y·A (1-D)
+	pos, neg []float32   // T×m×C stage-1 positive / negative error bounds
+	est      []float32   // m×m×C estimated neuron values
+	maxErr   []float32   // m×m×C maximum possible positive error
+	negErr   []float32   // m×m×C negative-coefficient error term (2-D)
+	overflow []bool      // per lane: a source element exceeded the quantizer range
+}
+
+// NewLanes returns a Lanes sized for c channels of tr.
+func NewLanes(tr *winograd.Transform, c int) *Lanes {
+	t, m := tr.T, tr.M
+	return &Lanes{
+		c:        c,
+		m:        m,
+		in:       make([][]float32, t*t),
+		tile:     make([]float32, t*t*c),
+		qv:       make([]float32, t*t*c),
+		res:      make([]float32, t*t*c),
+		z:        make([]float32, t*m*c),
+		pos:      make([]float32, t*m*c),
+		neg:      make([]float32, t*m*c),
+		est:      make([]float32, m*m*c),
+		maxErr:   make([]float32, m*m*c),
+		negErr:   make([]float32, m*m*c),
+		overflow: make([]bool, c),
+	}
+}
+
+// nonActivated reports whether every neuron of lane ch's tile is provably
+// non-activated (estimate + max error < 0) — the condition under which the
+// tile's gathering communication is skipped entirely. The comparison is
+// written as < 0 so that a NaN bound reads as activated.
+func (l *Lanes) nonActivated(ch int) bool {
+	for r := 0; r < l.m; r++ {
+		if !l.rowNonActivated(ch, r) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowNonActivated reports whether every neuron of output row r of lane
+// ch's tile is provably non-activated: the unit a 1-D prediction skips.
+func (l *Lanes) rowNonActivated(ch, r int) bool {
+	if l.overflow[ch] {
+		return false
+	}
+	for i := r*l.m*l.c + ch; i < (r+1)*l.m*l.c; i += l.c {
+		if !(l.est[i]+l.maxErr[i] < 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// CountNonActivated returns how many lanes' tiles are provably
+// non-activated: no overflow, and estimate + max error < 0 for every
+// neuron.
+//
+//mptlint:noalloc
+func (l *Lanes) CountNonActivated() int {
+	n := 0
+	for ch := 0; ch < l.c; ch++ {
+		if l.nonActivated(ch) {
+			n++
+		}
+	}
+	return n
+}
+
+// loadRow points the lanes at output-Domain row `row`: element e's C
+// values are d.El[e]'s row.
+func (l *Lanes) loadRow(p *Predictor, d *winograd.Domain, row int) {
+	if tr := d.Tiling.Tr; tr.T != p.Tr.T || tr.M != p.Tr.M || d.C != l.c || len(l.in) != len(d.El) {
+		panic(fmt.Sprintf("quant: %s prediction over %d lanes got a %s Domain of %d channels",
+			p.Tr, l.c, tr, d.C))
+	}
+	off := row * l.c
+	for e, el := range d.El {
+		l.in[e] = el.Data[off : off+l.c]
+	}
+}
+
+// Predict2DRowInto performs 2-D prediction for every tile of output-Domain
+// row `row` into l, one lane per channel.
+//
+//mptlint:noalloc
+func (p *Predictor) Predict2DRowInto(l *Lanes, d *winograd.Domain, row int) {
+	l.loadRow(p, d, row)
+	p.predict2D(l)
+}
+
+// Predict1DRowInto performs 1-D prediction for every tile of output-Domain
+// row `row` into l, one lane per channel.
+//
+//mptlint:noalloc
+func (p *Predictor) Predict1DRowInto(l *Lanes, d *winograd.Domain, row int) {
+	l.loadRow(p, d, row)
+	p.predict1D(l)
+}
+
+// quantizeLanes quantizes one C-long lane vector v into qv/res, setting
+// ov[ch] for every lane ch whose value overflows.
+func (q *Quantizer) quantizeLanes(v, qv, res []float32, ov []bool) {
+	qv, res, ov = qv[:len(v)], res[:len(v)], ov[:len(v)]
+	for i, x := range v {
+		var o bool
+		qv[i], res[i], o = q.Quantize(x)
+		if o {
+			ov[i] = true
+		}
+	}
+}
+
+// predict2D is 2-D prediction over l's lanes: the source holds scattered
+// individual elements of each T×T Winograd-domain output tile, quantizes
+// each, and the destination propagates values and error bounds through
+// both 1-D stages of the inverse transform.
+//
+// Stage 1 (rows → Z = Q·A): error bound of Z splits into positive and
+// negative parts because A has mixed-sign coefficients. Stage 2 (cols →
+// est = Aᵀ·Z): positive coefficients of Aᵀ multiply the positive stage-1
+// bound, negative coefficients the negative bound, yielding the final
+// maximum positive error (paper Fig. 11, right path). Stage 1 runs once
+// per tile row u, as Aᵀ's schedule over that row's T element vectors;
+// stage 2 runs once, over the m·C values of every Z row.
+func (p *Predictor) predict2D(l *Lanes) {
+	t, m, c := p.Tr.T, p.Tr.M, l.c
+	clear(l.overflow)
+	for e, v := range l.in {
+		p.Q.quantizeLanes(v, l.qv[e*c:], l.res[e*c:], l.overflow)
+	}
+	tc, mc := t*c, m*c
+	for u := 0; u < t; u++ {
+		p.at.MulInto(l.z[u*mc:], l.qv[u*tc:], c)       // estimated stage-1
+		p.atPos.MulInto(l.pos[u*mc:], l.res[u*tc:], c) // positive error bound
+		p.atNeg.MulInto(l.neg[u*mc:], l.res[u*tc:], c) // negative error bound (≤0)
+	}
+	p.at.MulInto(l.est, l.z, mc)
+	p.atPos.MulInto(l.maxErr, l.pos, mc) // positive coeff × positive err
+	p.atNeg.MulInto(l.negErr, l.neg, mc) // negative coeff × negative err
+	for i, v := range l.negErr {
+		l.maxErr[i] += v
+	}
+}
+
+// predict1D is 1-D prediction over l's lanes: the source holds complete
+// tile rows, computes the first 1-D inverse transform Z = y·A with *real*
+// values, then quantizes Z. Only the second stage accumulates quantization
+// error, which is why 1-D prediction is tighter than 2-D (Section V-B).
+func (p *Predictor) predict1D(l *Lanes) {
+	t, m, c := p.Tr.T, p.Tr.M, l.c
+	tc, mc := t*c, m*c
+	for e, v := range l.in {
+		copy(l.tile[e*c:(e+1)*c], v)
+	}
+	for u := 0; u < t; u++ {
+		p.at.MulInto(l.z[u*mc:], l.tile[u*tc:], c) // exact at the source
+	}
+	clear(l.overflow)
+	for i := 0; i < t*mc; i += c {
+		p.Q.quantizeLanes(l.z[i:i+c], l.qv[i:], l.res[i:], l.overflow)
+	}
+	p.at.MulInto(l.est, l.qv, mc)
+	// Stage-2 error: e ∈ [0, res] per Z element, so the positive bound is
+	// pos(Aᵀ)·res and the negative part contributes nothing positive.
+	p.atPos.MulInto(l.maxErr, l.res, mc)
+}
+
+// Prediction is the destination-side result for one tile: the one-lane
+// case of Lanes, whose buffers it carries, so one Prediction serves any
+// number of Into calls for its transform without allocating.
 type Prediction struct {
 	Est    *tensor.Mat // m×m estimated neuron values (from quantized data)
 	MaxErr *tensor.Mat // m×m maximum possible positive error
@@ -49,40 +236,25 @@ type Prediction struct {
 	// quantizer range; the tile must then be treated as activated.
 	Overflow bool
 
-	qv, res  []float32 // T×T quantized values and resolutions (T×m in 1-D)
-	z        []float32 // T×m stage-1 estimate (2-D) or exact Z = y·A (1-D)
-	pos, neg []float32 // T×m stage-1 positive / negative error bounds
-	negErr   []float32 // m×m negative-coefficient error term (2-D)
+	l *Lanes // one lane; Est and MaxErr are its est and maxErr
 }
 
 // NewPrediction returns a Prediction sized for tr, ready for the Into
 // forms of any predictor over tr.
 func NewPrediction(tr *winograd.Transform) *Prediction {
-	t, m := tr.T, tr.M
+	l := NewLanes(tr, 1)
 	return &Prediction{
-		Est:    tensor.NewMat(m, m),
-		MaxErr: tensor.NewMat(m, m),
-		qv:     make([]float32, t*t),
-		res:    make([]float32, t*t),
-		z:      make([]float32, t*m),
-		pos:    make([]float32, t*m),
-		neg:    make([]float32, t*m),
-		negErr: make([]float32, m*m),
+		Est:    tensor.MatFromSlice(tr.M, tr.M, l.est),
+		MaxErr: tensor.MatFromSlice(tr.M, tr.M, l.maxErr),
+		l:      l,
 	}
 }
 
 // NonActivated reports whether every neuron of the tile is provably
-// non-activated (estimate + max error < 0) — the condition under which the
-// tile's gathering communication is skipped entirely. The comparison is
-// written as < 0 so that a NaN bound reads as activated.
+// non-activated (estimate + max error < 0).
 //
 //mptlint:noalloc
-func (pr *Prediction) NonActivated() bool {
-	if pr.Overflow {
-		return false
-	}
-	return allNegativeSum(pr.Est.Data, pr.MaxErr.Data)
-}
+func (pr *Prediction) NonActivated() bool { return pr.l.nonActivated(0) }
 
 // RowNonActivated reports whether every neuron of output-tile row r is
 // provably non-activated. With 1-D prediction the unit of skipped
@@ -90,13 +262,7 @@ func (pr *Prediction) NonActivated() bool {
 // lines").
 //
 //mptlint:noalloc
-func (pr *Prediction) RowNonActivated(r int) bool {
-	if pr.Overflow {
-		return false
-	}
-	c := pr.Est.Cols
-	return allNegativeSum(pr.Est.Data[r*c:r*c+c], pr.MaxErr.Data[r*c:r*c+c])
-}
+func (pr *Prediction) RowNonActivated(r int) bool { return pr.l.rowNonActivated(0, r) }
 
 // NonActivatedRows reports RowNonActivated for every output-tile row.
 func (pr *Prediction) NonActivatedRows() []bool {
@@ -107,71 +273,35 @@ func (pr *Prediction) NonActivatedRows() []bool {
 	return out
 }
 
-// allNegativeSum reports whether est[i] + maxErr[i] < 0 for every i.
-func allNegativeSum(est, maxErr []float32) bool {
-	for i, e := range est {
-		if !(e+maxErr[i] < 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkTile panics unless y is a T×T tile and pr is sized for p's
-// transform.
-func (p *Predictor) checkTile(pr *Prediction, y *tensor.Mat) {
+// loadTile points pr's one lane at the T×T tile y, panicking unless y is
+// a T×T tile and pr is sized for p's transform.
+func (p *Predictor) loadTile(pr *Prediction, y *tensor.Mat) {
 	t, m := p.Tr.T, p.Tr.M
-	if y.Rows != t || y.Cols != t || len(pr.qv) != t*t || len(pr.negErr) != m*m {
+	if y.Rows != t || y.Cols != t || len(pr.l.in) != t*t || len(pr.l.est) != m*m {
 		panic(fmt.Sprintf("quant: %s prediction needs a %dx%d tile and a Prediction from NewPrediction(%s); got a %dx%d tile",
 			p.Tr, t, t, p.Tr, y.Rows, y.Cols))
 	}
-}
-
-// Predict2DInto performs 2-D prediction into pr: the source holds
-// scattered individual elements of the T×T Winograd-domain output tile y,
-// quantizes each, and the destination propagates values and error bounds
-// through both 1-D stages of the inverse transform.
-//
-// Stage 1 (rows → Z = Q·A): error bound of Z splits into positive and
-// negative parts because A has mixed-sign coefficients. Stage 2 (cols →
-// est = Aᵀ·Z): positive coefficients of Aᵀ multiply the positive stage-1
-// bound, negative coefficients the negative bound, yielding the final
-// maximum positive error (paper Fig. 11, right path).
-//
-//mptlint:noalloc
-func (p *Predictor) Predict2DInto(pr *Prediction, y *tensor.Mat) {
-	p.checkTile(pr, y)
-	t, m := p.Tr.T, p.Tr.M
-	pr.Overflow = p.Q.QuantizeSlice(y.Data, pr.qv, pr.res)
-
-	p.at.MulTInto(pr.z, pr.qv, t)              // T×m estimated stage-1
-	p.atPos.MulTInto(pr.pos, pr.res, t)        // T×m positive error bound
-	p.atNeg.MulTInto(pr.neg, pr.res, t)        // T×m negative error bound (≤0)
-	p.at.MulInto(pr.Est.Data, pr.z, m)         // m×m
-	p.atPos.MulInto(pr.MaxErr.Data, pr.pos, m) // positive coeff × positive err
-	p.atNeg.MulInto(pr.negErr, pr.neg, m)      // negative coeff × negative err
-	for i, v := range pr.negErr {
-		pr.MaxErr.Data[i] += v
+	for e := range pr.l.in {
+		pr.l.in[e] = y.Data[e : e+1]
 	}
 }
 
-// Predict1DInto performs 1-D prediction into pr: the source holds complete
-// tile rows, computes the first 1-D inverse transform Z = y·A with *real*
-// values, then quantizes Z. Only the second stage accumulates quantization
-// error, which is why 1-D prediction is tighter than 2-D (Section V-B).
+// Predict2DInto performs 2-D prediction of the T×T tile y into pr.
+//
+//mptlint:noalloc
+func (p *Predictor) Predict2DInto(pr *Prediction, y *tensor.Mat) {
+	p.loadTile(pr, y)
+	p.predict2D(pr.l)
+	pr.Overflow = pr.l.overflow[0]
+}
+
+// Predict1DInto performs 1-D prediction of the T×T tile y into pr.
 //
 //mptlint:noalloc
 func (p *Predictor) Predict1DInto(pr *Prediction, y *tensor.Mat) {
-	p.checkTile(pr, y)
-	t, m := p.Tr.T, p.Tr.M
-	n := t * m
-	p.at.MulTInto(pr.z, y.Data, t) // T×m, exact at the source
-	pr.Overflow = p.Q.QuantizeSlice(pr.z[:n], pr.qv[:n], pr.res[:n])
-
-	p.at.MulInto(pr.Est.Data, pr.qv, m)
-	// Stage-2 error: e ∈ [0, res] per Z element, so the positive bound is
-	// pos(Aᵀ)·res and the negative part contributes nothing positive.
-	p.atPos.MulInto(pr.MaxErr.Data, pr.res, m)
+	p.loadTile(pr, y)
+	p.predict1D(pr.l)
+	pr.Overflow = pr.l.overflow[0]
 }
 
 // Predict2D is Predict2DInto into a fresh Prediction.

@@ -25,12 +25,66 @@ func TestNewQuantizerValidation(t *testing.T) {
 	if _, err := NewQuantizer(3, 6, 1); err == nil {
 		t.Fatal("32 levels / 3 regions accepted (not divisible)")
 	}
+	// Grids whose top point S·(2^R − 1) passes 2^24 base steps. At R ≥ 64
+	// the old (1<<R)−1 wrapped to −1: (64, 8) gave Δ = −2 and (1024, 16)
+	// Δ = −0.125, and both broke the one-sided error bound.
+	for _, c := range [][2]int{{64, 8}, {1024, 16}, {32, 6}, {16, 14}} {
+		if q, err := NewQuantizer(c[0], c[1], 1); err == nil {
+			t.Fatalf("regions=%d bits=%d accepted (Δ = %v)", c[0], c[1], q.Delta)
+		}
+	}
 	q, err := NewQuantizer(4, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.StepsPerRegion != 8 {
 		t.Fatalf("StepsPerRegion = %d, want 8", q.StepsPerRegion)
+	}
+	// The widest accepted grid: 256 steps × (2^16 − 1) = 2^24 − 256.
+	if _, err := NewQuantizer(16, 13, 1); err != nil {
+		t.Fatalf("regions=16 bits=13 rejected: %v", err)
+	}
+}
+
+// TestQuantizeOneSidedOnWidestGrid checks 0 ≤ v − q ≤ res on the widest
+// grid NewQuantizer accepts (16 regions of 256 steps) at every grid point
+// of every region and at both float32 neighbours of each, for both signs.
+// Quantize floors v/Δ after a rounded division, so a value one ulp below
+// a grid point can land on it, at this grid as at the default one; the
+// check allows that one ulp of v and nothing more.
+func TestQuantizeOneSidedOnWidestGrid(t *testing.T) {
+	for _, sigma := range []float32{1, 0.37, 3e-5, 7.3, 1e30} {
+		q := MustQuantizer(16, 13, sigma)
+		if !(q.Delta > 0) {
+			t.Fatalf("sigma %v: Δ = %v", sigma, q.Delta)
+		}
+		top := q.StepsPerRegion * (1<<q.Regions - 1)
+		check := func(v float32) {
+			qv, res, ov := q.Quantize(v)
+			if ov {
+				return
+			}
+			abs := float32(math.Abs(float64(v)))
+			ulp := float64(math.Nextafter32(abs, float32(math.Inf(1)))) - float64(abs)
+			if e := float64(v) - float64(qv); e < -ulp || e > float64(res)+ulp {
+				t.Fatalf("sigma %v: Quantize(%v) = %v, res %v: v − q = %v", sigma, v, qv, res, e)
+			}
+		}
+		for r := 0; r < q.Regions; r++ {
+			step, low := 1<<r, (1<<r-1)*q.StepsPerRegion
+			for i := 0; i <= q.StepsPerRegion; i++ {
+				for _, g := range []int{low + i*step - 1, low + i*step, low + i*step + 1} {
+					if g < 0 || g > top {
+						continue
+					}
+					gp := q.Delta * float32(g)
+					for _, v := range []float32{math.Nextafter32(gp, 0), gp, math.Nextafter32(gp, float32(math.Inf(1)))} {
+						check(v)
+						check(-v)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -28,10 +28,16 @@ type Quantizer struct {
 	Delta          float32 // derived: base step size
 }
 
+// maxGridUnits bounds a quantizer's top grid point in base steps: every
+// integer up to 2^24 is exact in float32.
+const maxGridUnits = 1 << 24
+
 // NewQuantizer builds a quantizer for bits-wide codes with the given number
 // of regions, calibrated to standard deviation sigma. levels-per-sign is
-// 2^(bits-1); it must be divisible by regions. sigma must be positive and
-// finite: an infinite σ would make Δ infinite and every estimate NaN.
+// 2^(bits-1); it must be divisible by regions, and the top grid point
+// (levels-per-sign/regions)·(2^regions − 1) must not exceed 2^24 base
+// steps. sigma must be positive and finite: an infinite σ would make Δ
+// infinite and every estimate NaN.
 func NewQuantizer(regions, bits int, sigma float32) (*Quantizer, error) {
 	if regions < 1 {
 		return nil, fmt.Errorf("quant: regions must be >= 1, got %d", regions)
@@ -42,6 +48,14 @@ func NewQuantizer(regions, bits int, sigma float32) (*Quantizer, error) {
 	perSign := 1 << (bits - 1)
 	if perSign%regions != 0 {
 		return nil, fmt.Errorf("quant: %d levels per sign not divisible by %d regions", perSign, regions)
+	}
+	// The top grid point, S·(2^R − 1) base steps, must be a float32
+	// integer, so that Δ·float32(g) is the grid point and not a rounding
+	// of it. Past R = 24 the product no longer needs computing (and past
+	// R = 63 it would wrap), since S ≥ 1.
+	if regions > 24 || int64(perSign/regions)*(1<<regions-1) > maxGridUnits {
+		return nil, fmt.Errorf("quant: %d regions of %d steps put the top grid point past 2^24 base steps",
+			regions, perSign/regions)
 	}
 	q := &Quantizer{
 		Regions:        regions,

@@ -68,18 +68,21 @@ func DomainSigma(d *winograd.Domain) float32 {
 // MeasureGather runs both predictors over every (tile, output channel) of a
 // Winograd-domain output Domain and tallies prediction quality. pred2D and
 // pred1D may use different quantizers (the paper uses 6-bit for 2-D and
-// 5-bit for 1-D). The per-tile work reuses one tile, one oracle output and
-// one Prediction per predictor, so its allocations do not grow with the
-// tile count.
+// 5-bit for 1-D). Prediction runs a Domain row at a time with the channels
+// as lanes, as in the engine; the exact oracle runs per tile, through one
+// reused tile and output, so the allocations do not grow with the tile
+// count.
 func MeasureGather(yd *winograd.Domain, pred2D, pred1D *Predictor) GatherStats {
 	tr := yd.Tiling.Tr
 	var s GatherStats
 	tile := tensor.NewMat(tr.T, tr.T)
 	out := tensor.NewMat(tr.M, tr.M)
 	tmp := make([]float32, tr.TmpLen())
-	p2, p1 := NewPrediction(tr), NewPrediction(tr)
+	l2, l1 := NewLanes(tr, yd.C), NewLanes(tr, yd.C)
 	rows := yd.Rows()
 	for row := 0; row < rows; row++ {
+		pred2D.Predict2DRowInto(l2, yd, row)
+		pred1D.Predict1DRowInto(l1, yd, row)
 		for c := 0; c < yd.C; c++ {
 			yd.TileInto(tile, row, c)
 			s.Tiles++
@@ -89,8 +92,7 @@ func MeasureGather(yd *winograd.Domain, pred2D, pred1D *Predictor) GatherStats {
 			if trueTile {
 				s.TrueNonActTiles++
 			}
-			pred2D.Predict2DInto(p2, tile)
-			if p2.NonActivated() {
+			if l2.nonActivated(c) {
 				s.PredNonActTiles++
 				if !trueTile {
 					s.FalseNegatives++
@@ -100,14 +102,13 @@ func MeasureGather(yd *winograd.Domain, pred2D, pred1D *Predictor) GatherStats {
 			// 1-D prediction skips whole source lines (rows of the
 			// Winograd-domain tile map to columns of Z; we count the m×m
 			// output's rows, whose true status the per-row oracle gives).
-			pred1D.Predict1DInto(p1, tile)
 			s.Lines += tr.M
 			for r := 0; r < tr.M; r++ {
 				trueRow := allNegative(out.Data[r*tr.M : (r+1)*tr.M])
 				if trueRow {
 					s.TrueNonActLines++
 				}
-				if p1.RowNonActivated(r) {
+				if l1.rowNonActivated(c, r) {
 					s.PredNonActLines++
 					if !trueRow {
 						s.FalseNegatives++

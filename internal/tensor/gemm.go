@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -23,10 +24,16 @@ import (
 // of the reference loop. The SIMD kernel vectorizes across output columns
 // (each lane is one output element), never across k, so it computes the
 // same chain lane-wise. Results are therefore independent of MC/KC/NC/MR/NR
-// and of the worker count of any caller that shards whole GEMMs, and they
-// are bit-identical to MatMulNaiveInto for all finite inputs (the
-// reference's zero-operand skip only elides +0/-0 addends, which cannot
-// change an accumulator that starts at +0).
+// and of the worker count of any caller that shards whole GEMMs. The
+// reference NN and TN loops skip a zero A operand; where B is finite that
+// only elides ±0 addends, which cannot change an accumulator that starts
+// at +0, but under a ±Inf or NaN in B it drops the NaN addend 0·Inf or
+// 0·NaN that the blocked kernel computes. Dispatch therefore keeps NN and
+// TN products whose B is not finite on the reference loops (onReference),
+// and every entry point returns the reference's result for every input:
+// bit for bit, except for the sign and payload of a NaN, which Go's
+// arithmetic leaves open (the reference loop itself yields different NaN
+// bits under the race detector's build than under the plain one).
 //
 // The micro-kernel and its blocking parameters are not fixed: the driver is
 // parameterized by the runtime-dispatched tier (gemm_kernel.go), each tier
@@ -45,11 +52,14 @@ const (
 	gemmMaxMR = 16
 	gemmMaxNR = 16
 
-	// gemmMinFlops is the problem size (2·M·N·K flops / 2) below which the
-	// packing overhead outweighs the blocking win and the naive loops are
-	// used instead. Tile-transform-sized operands (T ≤ 6) always fall below
-	// this; Winograd element GEMMs at realistic layer sizes are far above.
-	gemmMinFlops = 1 << 15
+	// gemmMinFlops is the problem size (M·N·K multiply-adds) below which
+	// the packing overhead outweighs the blocking win and the naive loops
+	// are used instead. BenchmarkGemmCrossover sets it: on the sse2 and
+	// avx2 tiers every probed product of 512 multiply-adds or more that
+	// meets the two-register-tile rule of smallGemm ran faster blocked,
+	// while at 256 (16×16×1) the two paths traded places between runs
+	// (EXPERIMENTS.md, "Element-GEMM crossover").
+	gemmMinFlops = 1 << 9
 )
 
 // GemmScratch holds the packing buffers of the blocked kernel. A zero value
@@ -188,7 +198,7 @@ func MatMulIntoScratch(dst, a, b *Mat, s *GemmScratch) {
 	}
 	countGemm(dst.Rows, dst.Cols, a.Cols)
 	g := activeGemm.Load()
-	if smallGemm(g, dst.Rows, dst.Cols, a.Cols) {
+	if onReference(g, dst.Rows, dst.Cols, a.Cols, b.Data) {
 		if g.fused {
 			fmaNaiveInto(dst, a, b)
 		} else {
@@ -244,7 +254,7 @@ func MatMulTNIntoScratch(dst, a, b *Mat, s *GemmScratch) {
 	checkTN(dst, a, b)
 	countGemm(dst.Rows, dst.Cols, a.Rows)
 	g := activeGemm.Load()
-	if smallGemm(g, dst.Rows, dst.Cols, a.Rows) {
+	if onReference(g, dst.Rows, dst.Cols, a.Rows, b.Data) {
 		if g.fused {
 			fmaTNNaiveInto(dst, a, b)
 		} else {
@@ -275,6 +285,29 @@ func MatMulTN(a, b *Mat) *Mat {
 // gemmMinFlops or thinner than two register tiles on them.
 func smallGemm(g *gemmKernel, m, n, k int) bool {
 	return g.kern == nil || m < 2*g.mr || n < 2*g.nr || m*n*k < gemmMinFlops
+}
+
+// onReference reports whether an NN or TN product with B's values b stays
+// on the reference loops under tier g: every small one, and, on an unfused
+// tier, every one whose B holds ±Inf or NaN. The unfused NN/TN loops skip
+// a zero A operand, so they drop the 0·Inf and 0·NaN addends the blocked
+// kernel computes; only there can the two differ, so this keeps dispatch
+// from changing any result. The NT loops and the fused loops skip nothing
+// and need no such check.
+func onReference(g *gemmKernel, m, n, k int, b []float32) bool {
+	return smallGemm(g, m, n, k) || !g.fused && !finite(b)
+}
+
+// finite reports whether no value of v is ±Inf or NaN, stopping at the
+// first that is.
+func finite(v []float32) bool {
+	const exp = 0x7f800000 // the exponent field: all ones only for ±Inf and NaN
+	for _, x := range v {
+		if math.Float32bits(x)&exp == exp {
+			return false
+		}
+	}
+	return true
 }
 
 // gemmBlocked is the blocked driver: dst(M×N) = opA(a)·opB(b) where aT/bT

@@ -13,8 +13,11 @@ import (
 // supports at init (raw CPUID on amd64, no third-party modules). The
 // determinism contract stays per-element: every unfused tier computes the
 // same ascending-k float32 chain as MatMulNaiveInto, lane-parallel across
-// output columns only, so switching tiers (or machines) never changes a
-// result bit. The one exception is the explicit `fma` tier: fused
+// output columns only, and keeps the products where the reference's
+// zero-operand skip matters (a non-finite B) on the reference loops, so
+// switching tiers (or machines) never changes a result, for any input
+// (nor a bit of one, up to the sign and payload of a NaN; see gemm.go).
+// The one exception is the explicit `fma` tier: fused
 // multiply-adds round once per update, so it is bit-identical to the
 // FMA32 scalar reference instead, and the auto-dispatch never selects it —
 // it must be forced via MPTWINO_GEMM_KERNEL=fma or SelectGemmKernel.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -245,5 +246,63 @@ func TestGemmScratchPanelsPerTier(t *testing.T) {
 	if cap(s.ap) < maxAP || cap(s.bp) < maxBP {
 		t.Fatalf("scratch shrank below the widest tier: cap %d/%d, want ≥ %d/%d",
 			cap(s.ap), cap(s.bp), maxAP, maxBP)
+	}
+}
+
+// TestGemmNonFiniteOperandsMatchReference: with ±0 in A and ±Inf and NaN
+// in B, NN, NT and TN products through the public entry points equal the
+// tier's reference loops on every tier — the unfused loops' zero-operand
+// skip included, which drops the 0·Inf and 0·NaN addends the blocked
+// kernel would compute — bit for bit except for which NaN a NaN result
+// is (requireSameValues). Shapes lie on both sides of the crossover; the
+// last spans two depth panels and holds its non-finite values in the
+// second only.
+func TestGemmNonFiniteOperandsMatchReference(t *testing.T) {
+	defer restoreGemmKernel(t)
+	specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for _, name := range GemmKernels() {
+		if err := SelectGemmKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		g := activeGemm.Load()
+		refNN, refNT, refTN := gemmRefs(g)
+		rng := rand.New(rand.NewSource(5))
+		for _, sh := range [][4]int{ // {m, n, k, first depth row holding a non-finite value}
+			{5, 7, 3, 0}, {16, 32, 8, 0}, {16, 48, 32, 0}, {64, 64, 64, 0}, {40, 24, g.kc + 37, g.kc},
+		} {
+			m, n, k, k0 := sh[0], sh[1], sh[2], sh[3]
+			a := randMat(rng, m, k, 0.3)
+			for i, v := range a.Data {
+				if v == 0 && rng.Intn(2) == 0 {
+					a.Data[i] = float32(math.Copysign(0, -1))
+				}
+			}
+			b := randMat(rng, k, n, 0)
+			for i := 0; i < 3+n/8; i++ {
+				b.Set(k0+rng.Intn(k-k0), rng.Intn(n), specials[rng.Intn(len(specials))])
+			}
+			ctx := func(op string) string { return fmt.Sprintf("%s %s %dx%dx%d", name, op, m, n, k) }
+
+			want, got := NewMat(m, n), NewMat(m, n)
+			refNN(want, a, b)
+			MatMulInto(got, a, b)
+			requireSameValues(t, ctx("MatMulInto"), want, got)
+			var s GemmScratch
+			got.Zero()
+			MatMulIntoScratch(got, a, b, &s)
+			requireSameValues(t, ctx("MatMulIntoScratch"), want, got)
+
+			bt := b.T()
+			refNT(want, a, bt)
+			got.Zero()
+			MatMulNTInto(got, a, bt)
+			requireSameValues(t, ctx("MatMulNTInto"), want, got)
+
+			at := a.T()
+			refTN(want, at, b)
+			got.Zero()
+			MatMulTNInto(got, at, b)
+			requireSameValues(t, ctx("MatMulTNInto"), want, got)
+		}
 	}
 }

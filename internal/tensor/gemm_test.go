@@ -31,6 +31,26 @@ func requireBitIdentical(t *testing.T, ctx string, want, got *Mat) {
 	}
 }
 
+// requireSameValues is requireBitIdentical with every NaN equal to every
+// other. Go leaves open which NaN an operation on two NaN operands returns
+// and may swap an addition's operands, so the sign and payload of a NaN
+// result can differ between two builds of the same loop: the reference NT
+// loop's NaN bits differ between the race detector's build and the plain
+// one. Every other value, ±0 and ±Inf included, must match bit for bit.
+func requireSameValues(t *testing.T, ctx string, want, got *Mat) {
+	t.Helper()
+	if want.Rows != got.Rows || want.Cols != got.Cols {
+		t.Fatalf("%s: shape %dx%d vs %dx%d", ctx, want.Rows, want.Cols, got.Rows, got.Cols)
+	}
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float32bits(w) != math.Float32bits(g) && !(w != w && g != g) {
+			t.Fatalf("%s: element %d: %v (bits %08x) vs %v (bits %08x)",
+				ctx, i, w, math.Float32bits(w), g, math.Float32bits(g))
+		}
+	}
+}
+
 // ulpClose reports whether got is within maxUlps float32 units in the last
 // place of want (the scaled-tolerance fallback used by the fuzz target).
 func ulpClose(want, got float32, maxUlps int32) bool {
@@ -65,7 +85,7 @@ func gemmRefs(g *gemmKernel) (nn, nt, tn func(dst, a, b *Mat)) {
 // The blocked kernel must be bit-identical to the naive reference for
 // finite inputs: every output element's float32 accumulation chain is the
 // same ascending-k chain, and the reference's zero-skip only elides ±0
-// addends. Shapes straddle every blocking boundary (MR/NR strip remainders,
+// addends (TestGemmNonFiniteOperandsMatchReference covers the rest). Shapes straddle every blocking boundary (MR/NR strip remainders,
 // MC/KC/NC panel remainders) and the small-dispatch threshold. The test
 // runs against whatever tier is active (MPTWINO_GEMM_KERNEL included), so
 // the CI tier matrix re-proves the contract per tier.

@@ -87,30 +87,17 @@ func MatMul(a, b *Mat) *Mat {
 }
 
 // MatMulInto computes dst = a×b, reusing dst's storage. dst must have shape
-// a.Rows × b.Cols. Small operands use the reference (i,k,j) loop; larger
-// ones dispatch to the cache-blocked packed kernel in gemm.go, which is
-// bit-identical to the reference for all finite inputs (see the contract
-// note there). Callers inside parallel loops should prefer
-// MatMulIntoScratch with per-worker scratch to stay allocation-free.
+// a.Rows × b.Cols. It is MatMulIntoScratch with pooled packing scratch:
+// small operands use the reference (i,k,j) loop, larger ones the
+// cache-blocked packed kernel in gemm.go, and the result is the
+// reference's for every input (see the contract note there).
+// Callers inside parallel loops should prefer MatMulIntoScratch with
+// per-worker scratch to stay allocation-free.
 //
 //mptlint:noalloc
 func MatMulInto(dst, a, b *Mat) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmul shape error dst %dx%d = %dx%d · %dx%d",
-			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	countGemm(dst.Rows, dst.Cols, a.Cols)
-	g := activeGemm.Load()
-	if smallGemm(g, dst.Rows, dst.Cols, a.Cols) {
-		if g.fused {
-			fmaNaiveInto(dst, a, b)
-		} else {
-			MatMulNaiveInto(dst, a, b)
-		}
-		return
-	}
 	s := gemmPool.Get().(*GemmScratch)
-	gemmBlocked(dst, a.Data, a.Cols, b.Data, b.Cols, dst.Rows, dst.Cols, a.Cols, false, false, s, g)
+	MatMulIntoScratch(dst, a, b, s)
 	gemmPool.Put(s)
 }
 
