@@ -86,6 +86,15 @@ var sanctionedCallees = map[string]string{
 	// candidates (gemm_amd64 tiers) are straight-line store loops; the
 	// per-tier 0 allocs/op benchmarks cover each one.
 	"(*mptwino/internal/tensor.gemmKernel).kern": "runtime-dispatched micro-kernel tier; all candidates are allocation-free store loops",
+
+	// The runtime-dispatched schedule-row kernel under the Winograd tile
+	// transforms and activation prediction (tensor.SchedRowInto): a
+	// function-typed field like kern, nil on tiers that run the Go loop.
+	// Its one candidate, schedRowAVX2 (gemm_amd64.s), is a bodyless
+	// register loop that only stores into dst; TestTrainStepAllocationFree,
+	// TestFpropReLUPredictionAllocFree and the 0 allocs/op benchmarks run
+	// through it on the avx2 tier.
+	"(*mptwino/internal/tensor.gemmKernel).row": "runtime-dispatched schedule-row kernel; its one candidate is an allocation-free AVX2 store loop",
 }
 
 // sanctionedCalleePrefixes sanctions whole packages by key prefix: pure

@@ -49,9 +49,12 @@ func NewPredictor(tr *winograd.Transform, q *Quantizer) *Predictor {
 // Every lane's Est and MaxErr are those of the per-tile chain of six
 // schedule products (Sched.MulTInto right-multiplying by A, then
 // Sched.MulInto), bit for bit and for every input: each lane runs the same
-// nonzero terms in the same ascending-k order from the same +0 start, and
-// Sched.MulInto's ±1 add/sub rounds exactly as MulTInto's multiply by ±1.
-// Only the loops around the chains change.
+// nonzero terms in the same ascending-k order from the same +0 start. All
+// six lane products are Sched.MulInto rows on tensor.SchedRowInto, which
+// multiplies by each coefficient on the avx2 and fma tiers and turns
+// c = ±1 into an add or subtract in the Go loop of the others; both round
+// exactly as MulTInto's multiply by ±1. Only the loops around the chains
+// change.
 type Lanes struct {
 	c, m     int         // lanes (the channels of a Domain row); output tile size
 	in       [][]float32 // the T² element rows predicted, C values each

@@ -246,6 +246,158 @@ fmastore:
 	VZEROUPPER
 	RET
 
+// func schedRowAVX2(dst *float32, n int, terms *RowTerm, nt int, x *float32, xc int)
+//
+// Schedule-row kernel of the avx2 and fma tiers (SchedRowInto):
+// dst[j] = +0 + c₀·x[k₀·xc+j] + c₁·x[k₁·xc+j] + … for j < n, with n ≥ 1
+// and nt ≥ 1. Lanes run in blocks of 32, 16, 8, 4 and 1. A block's
+// accumulators start at +0 and take one VMULPS and one VADDPS per term, in
+// term order, so each lane is the scalar chain of the Go reference loop
+// (schedRowGo). No fused multiply-add is used, on either tier.
+//
+// Every instruction is VEX-encoded, the scalar tail included: a legacy-SSE
+// MOVSS/MULSS/ADDSS tail after YMM use pays an SSE/AVX transition on each
+// instruction, which made a 15-lane row eight times slower than the Go
+// loop (DESIGN.md §8).
+//
+// Register plan:
+//   DI dst, R8 terms, R10 x
+//   SI n·4 (end of the lanes), R9 nt·8 (end of the terms), R11 xc·4
+//   BX lane offset j·4, CX term offset, AX operand address, DX block end
+//   Y0..Y3 accumulators, Y4 broadcast coefficient, Y5..Y8 products
+
+// OPERAND sets AX = &x[k·xc + j] for the term at offset CX.
+#define OPERAND \
+	MOVLQSX (R8)(CX*1), AX; \
+	IMULQ   R11, AX; \
+	ADDQ    R10, AX; \
+	ADDQ    BX, AX
+
+TEXT ·schedRowAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), SI
+	MOVQ terms+16(FP), R8
+	MOVQ nt+24(FP), R9
+	MOVQ x+32(FP), R10
+	MOVQ xc+40(FP), R11
+	SHLQ $2, SI
+	SHLQ $3, R9
+	SHLQ $2, R11
+	XORQ BX, BX
+
+row32:
+	LEAQ 128(BX), DX
+	CMPQ DX, SI
+	JGT  row16
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ   CX, CX
+
+term32:
+	OPERAND
+	VBROADCASTSS 4(R8)(CX*1), Y4
+	VMULPS       (AX), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	VMULPS       32(AX), Y4, Y6
+	VADDPS       Y6, Y1, Y1
+	VMULPS       64(AX), Y4, Y7
+	VADDPS       Y7, Y2, Y2
+	VMULPS       96(AX), Y4, Y8
+	VADDPS       Y8, Y3, Y3
+	ADDQ         $8, CX
+	CMPQ         CX, R9
+	JLT          term32
+	VMOVUPS      Y0, (DI)(BX*1)
+	VMOVUPS      Y1, 32(DI)(BX*1)
+	VMOVUPS      Y2, 64(DI)(BX*1)
+	VMOVUPS      Y3, 96(DI)(BX*1)
+	MOVQ         DX, BX
+	JMP          row32
+
+	// Fewer than 32 lanes are left: at most one block each of 16, 8 and
+	// 4, then up to three single lanes.
+row16:
+	LEAQ 64(BX), DX
+	CMPQ DX, SI
+	JGT  row8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	XORQ   CX, CX
+
+term16:
+	OPERAND
+	VBROADCASTSS 4(R8)(CX*1), Y4
+	VMULPS       (AX), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	VMULPS       32(AX), Y4, Y6
+	VADDPS       Y6, Y1, Y1
+	ADDQ         $8, CX
+	CMPQ         CX, R9
+	JLT          term16
+	VMOVUPS      Y0, (DI)(BX*1)
+	VMOVUPS      Y1, 32(DI)(BX*1)
+	MOVQ         DX, BX
+
+row8:
+	LEAQ 32(BX), DX
+	CMPQ DX, SI
+	JGT  row4
+	VXORPS Y0, Y0, Y0
+	XORQ   CX, CX
+
+term8:
+	OPERAND
+	VBROADCASTSS 4(R8)(CX*1), Y4
+	VMULPS       (AX), Y4, Y5
+	VADDPS       Y5, Y0, Y0
+	ADDQ         $8, CX
+	CMPQ         CX, R9
+	JLT          term8
+	VMOVUPS      Y0, (DI)(BX*1)
+	MOVQ         DX, BX
+
+row4:
+	LEAQ 16(BX), DX
+	CMPQ DX, SI
+	JGT  row1
+	VXORPS X0, X0, X0
+	XORQ   CX, CX
+
+term4:
+	OPERAND
+	VBROADCASTSS 4(R8)(CX*1), X4
+	VMULPS       (AX), X4, X5
+	VADDPS       X5, X0, X0
+	ADDQ         $8, CX
+	CMPQ         CX, R9
+	JLT          term4
+	VMOVUPS      X0, (DI)(BX*1)
+	MOVQ         DX, BX
+
+row1:
+	CMPQ BX, SI
+	JGE  rowdone
+	VXORPS X0, X0, X0
+	XORQ   CX, CX
+
+term1:
+	OPERAND
+	VMOVSS 4(R8)(CX*1), X4
+	VMULSS (AX), X4, X5
+	VADDSS X5, X0, X0
+	ADDQ   $8, CX
+	CMPQ   CX, R9
+	JLT    term1
+	VMOVSS X0, (DI)(BX*1)
+	ADDQ   $4, BX
+	JMP    row1
+
+rowdone:
+	VZEROUPPER
+	RET
+
 // func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //
 // Raw CPUID — the repo is stdlib-only, so feature detection cannot lean on

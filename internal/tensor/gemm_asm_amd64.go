@@ -25,6 +25,15 @@ func kernel8x8avx2(dst *float32, ldd, kc int, as, bs *float32)
 //go:noescape
 func kernel8x8fma(dst *float32, ldd, kc int, as, bs *float32)
 
+// schedRowAVX2 is the schedule-row kernel of the avx2 and fma tiers: it
+// writes dst[j] = +0 + Σ c·x[k·xc+j] for the n lanes from the nt terms,
+// each lane one VMULPS+VADDPS chain in term order (never fused). It needs
+// n ≥ 1 and nt ≥ 1; SchedRowInto bounds-checks every operand row first.
+// See gemm_amd64.s.
+//
+//go:noescape
+func schedRowAVX2(dst *float32, n int, terms *RowTerm, nt int, x *float32, xc int)
+
 func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvRaw() (eax, edx uint32)
@@ -70,10 +79,12 @@ func buildGemmKernels() []*gemmKernel {
 		{name: "sse2", mr: gemmMR, nr: gemmNR, mc: gemmMC, kc: gemmKC, nc: gemmNC, kern: kernel4x8},
 	}
 	if cpuHasAVX2 {
-		ks = append(ks, &gemmKernel{name: "avx2", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8avx2})
+		ks = append(ks, &gemmKernel{name: "avx2", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8avx2, row: schedRowAVX2})
 	}
 	if cpuHasFMA {
-		ks = append(ks, &gemmKernel{name: "fma", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8fma, fused: true})
+		// The fused GEMM tier keeps the unfused row kernel: the tile
+		// transforms and the predictor give the same bits on every tier.
+		ks = append(ks, &gemmKernel{name: "fma", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8fma, row: schedRowAVX2, fused: true})
 	}
 	return ks
 }

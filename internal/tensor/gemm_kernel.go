@@ -31,6 +31,11 @@ import (
 // The portable tier has no assembly micro-kernel and keeps every product on
 // the reference loops — the exact behavior of a -tags purego or non-amd64
 // build.
+//
+// Each tier also picks the schedule-row kernel under the Winograd tile
+// transforms and activation prediction (SchedRowInto): avx2 and fma run
+// one AVX2 assembly kernel, unfused on both, and portable and sse2 the Go
+// reference loop.
 
 // EnvGemmKernel is the environment variable that forces a dispatch tier
 // (portable|sse2|avx2|fma); empty or "auto" selects the best unfused tier
@@ -49,6 +54,12 @@ type gemmKernel struct {
 	// accumulators from dst (see kernel4x8). nil marks the portable tier:
 	// no blocking edge, every product stays on the naive reference loops.
 	kern func(dst *float32, ldd, kc int, as, bs *float32)
+
+	// row is the tier's schedule-row kernel (SchedRowInto): it writes the
+	// n lanes at dst from the nt ≥ 1 terms, n ≥ 1. Every tier that has one
+	// runs it unfused, so it gives the Go loop's bits on every tier, fma
+	// included. nil runs the Go reference loop (portable and sse2).
+	row func(dst *float32, n int, terms *RowTerm, nt int, x *float32, xc int)
 
 	// fused marks tiers whose accumulation chain is fused multiply-add
 	// (single rounding per update, FMA32 reference semantics). Never

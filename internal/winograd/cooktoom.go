@@ -37,7 +37,7 @@ type Transform struct {
 	A  *tensor.Mat // T×M, transpose of AT (cached)
 	GT *tensor.Mat // R×T, transpose of G (cached)
 
-	// fused holds the compiled sparse add/sub schedules of the transform
+	// fused holds the compiled sparse term schedules of the transform
 	// matrices (nil for tile sizes past fusedMaxT, or for Transforms built
 	// outside MakeTransform; the Into methods then use the generic
 	// allocation-free fallback — see fused.go).

@@ -68,9 +68,9 @@ func (d *Domain) row(b, th, tw int) int {
 //   - Forward (TransformInput, TransformOutputGrad): the image is packed
 //     once into a zero-padded buffer covering every tile. Stage 1 runs per
 //     tile row across the whole padded row (Sched.MulInto), so the
-//     overlapping input tiles share it; stage 2 then runs per tile with
-//     applyRow over C-long vectors, written straight into each element
-//     matrix's contiguous (row, 0..C) slot.
+//     overlapping input tiles share it; stage 2 then runs per tile, one
+//     tensor.SchedRowInto call per output over C-long vectors, written
+//     straight into each element matrix's contiguous (row, 0..C) slot.
 //   - Inverse (InverseOutput, InverseInputGrad): a tile's T² element rows
 //     are gathered into a T×T×C block, both stages run over the C lanes,
 //     and the result is stored — overlapping dx tiles accumulated in tile
@@ -79,9 +79,11 @@ func (d *Domain) row(b, th, tw int) int {
 // Bit identity with the oracle: every output value is computed from the
 // same addends (the schedule's nonzero terms, ascending k), in the same
 // order, from the same +0 start — only the loop nest around the chains
-// changes. Stage 2's applyRow classifies c = ±1 into add/sub where the
-// oracle's MulTInto multiplies by c, which rounds identically (1·v and
-// −1·v are exact, and x − v is x + (−v)). Zero taps are +0 in both
+// changes. Both stages here run on tensor.SchedRowInto, whose chain per
+// lane is one multiply and one add per term on every tier (the Go loop of
+// the portable and sse2 tiers turns c = ±1 into a plain add or subtract);
+// the oracle's stage-2 MulTInto multiplies by c. These round identically:
+// 1·v and −1·v are exact, and x − v is x + (−v). Zero taps are +0 in both
 // (padding, partial edge tiles), and dx slots receive their tile
 // contributions in the oracle's (th, tw) order starting from +0. For
 // transforms without compiled schedules the oracle runs the generic
@@ -169,11 +171,7 @@ func (tl *Tiling) forwardImage(d *Domain, s *Sched, pad, stage []float32, rs, b 
 			for i := 0; i < t; i++ {
 				src := stage[i*rs+tw*m*c:]
 				for j, terms := range s.rows {
-					drow := d.El[i*t+j].Data[off : off+c]
-					for k := range drow {
-						drow[k] = 0
-					}
-					applyRow(drow, terms, src, c)
+					tensor.SchedRowInto(d.El[i*t+j].Data[off:off+c], terms, src, c)
 				}
 			}
 		}
@@ -247,11 +245,7 @@ func inverseTile(d *Domain, s *Sched, row int, tile, stage, out []float32) {
 	for i := 0; i < r; i++ {
 		src := stage[i*t*c:]
 		for j, terms := range s.rows {
-			o := out[(i*r+j)*c : (i*r+j+1)*c]
-			for k := range o {
-				o[k] = 0
-			}
-			applyRow(o, terms, src, c)
+			tensor.SchedRowInto(out[(i*r+j)*c:(i*r+j+1)*c], terms, src, c)
 		}
 	}
 }
@@ -393,18 +387,27 @@ func (d *Domain) Scale(alpha float32) *Domain {
 	return d
 }
 
-// AddDomain accumulates o into d elementwise. Shapes must match; this is
-// the paper's modified join operation (mean of Winograd-domain tiles,
-// Fig. 14) before the final Scale(1/n).
+// AddDomain accumulates o into d elementwise. Shapes must match — the
+// transform size, tile grid, batch and channels — or it panics naming
+// both; this is the paper's modified join operation (mean of
+// Winograd-domain tiles, Fig. 14) before the final Scale(1/n).
 func (d *Domain) AddDomain(o *Domain) {
-	if d.B != o.B || d.C != o.C || len(d.El) != len(o.El) {
-		panic(fmt.Sprintf("winograd: AddDomain shape mismatch B=%d/%d C=%d/%d", d.B, o.B, d.C, o.C))
+	a, b := d.Tiling, o.Tiling
+	if a.Tr.M != b.Tr.M || a.Tr.R != b.Tr.R || a.TilesH != b.TilesH || a.TilesW != b.TilesW ||
+		d.B != o.B || d.C != o.C || len(d.El) != len(o.El) {
+		panic(fmt.Sprintf("winograd: AddDomain of a %s into a %s", o.shape(), d.shape()))
 	}
 	for e := range d.El {
 		for i := range d.El[e].Data {
 			d.El[e].Data[i] += o.El[e].Data[i]
 		}
 	}
+}
+
+// shape describes d's shape for panic messages.
+func (d *Domain) shape() string {
+	tl := d.Tiling
+	return fmt.Sprintf("%s domain of %dx%d tiles, B=%d C=%d", tl.Tr, tl.TilesH, tl.TilesW, d.B, d.C)
 }
 
 // AddOutputBias shifts every spatial-domain neuron that this output Domain
@@ -547,13 +550,22 @@ func (w *Weights) Clone() *Weights {
 }
 
 // AXPY accumulates alpha·o into w elementwise (the SGD update in the
-// Winograd domain).
+// Winograd domain). Shapes must match — the transform size and the
+// channels — or it panics naming both.
 func (w *Weights) AXPY(alpha float32, o *Weights) {
+	if w.Tr.M != o.Tr.M || w.Tr.R != o.Tr.R || w.In != o.In || w.Out != o.Out || len(w.El) != len(o.El) {
+		panic(fmt.Sprintf("winograd: AXPY of %s into %s", o.shape(), w.shape()))
+	}
 	for e := range w.El {
 		for i := range w.El[e].Data {
 			w.El[e].Data[i] += alpha * o.El[e].Data[i]
 		}
 	}
+}
+
+// shape describes w's shape for panic messages.
+func (w *Weights) shape() string {
+	return fmt.Sprintf("%s weights of %dx%d channels", w.Tr, w.In, w.Out)
 }
 
 // Bytes returns the Winograd-domain weight storage size |W| in bytes.

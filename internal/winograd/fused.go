@@ -9,11 +9,13 @@ import (
 // Fused sandwich transforms. The Cook–Toom matrices B, G, A are sparse with
 // small fixed coefficients (0, ±1, ±½, … — e.g. every F(2,3) entry is one
 // of 0, ±1, ±½), so each transform L·x·R is compiled once, at MakeTransform
-// time, into a sparse per-row/per-column term schedule. The executor
-// classifies each coefficient: c = 1 becomes a fused add, c = −1 a fused
-// subtract, anything else a multiply-add — the add/sub codepaths generated
-// from the exact structure of the matrices, without the dense inner
-// products (or the two temporary matrices) of tensor.Sandwich.
+// time, into a sparse per-row/per-column term schedule, without the dense
+// inner products (or the two temporary matrices) of tensor.Sandwich. Stage
+// 1 runs each schedule row as one tensor.SchedRowInto call over the x
+// columns as lanes: the tier's row kernel (AVX2 on avx2/fma) multiplies by
+// every coefficient, ±1 included, and the Go reference loop of the other
+// tiers turns c = ±1 into an add or subtract. Stage 2 (MulTInto) is a
+// scalar multiply-add chain per output.
 //
 // Bit-compatibility with tensor.Sandwich (verified in fused_test.go): the
 // schedule enumerates exactly the nonzero coefficients of L (resp. R) in
@@ -23,8 +25,8 @@ import (
 // instead; the sets differ only in ±0 addends, which cannot change an
 // accumulator chain that starts at +0 (x + (±0) = x, and +0 + (±0) = +0
 // under round-to-nearest). 1·v and (−1)·v are exact, and x − v is
-// bit-equal to x + (−v), so the classified codepaths round identically to
-// the reference's c·v multiply-adds.
+// bit-equal to x + (−v), so a multiply by ±1 and the Go loop's add/sub
+// round identically to the reference's c·v multiply-adds.
 //
 // Transforms with T beyond fusedMaxT (far past every size the paper uses)
 // skip compilation and take the allocation-free generic sandwichInto path,
@@ -33,28 +35,22 @@ import (
 // fusedMaxT bounds the tile sizes that get compiled schedules.
 const fusedMaxT = 8
 
-// term is one addend of a sparse dot product: coefficient c applied to the
-// operand at index k. Terms are stored in ascending k.
-type term struct {
-	k int32
-	c float32
-}
-
 // Sched is the compiled sparse structure of a transform matrix S: row i
-// lists the nonzero (k, c) of S's row i in ascending k. Besides driving the
-// fused sandwiches here, the schedules of Aᵀ and its sign split are what
-// activation prediction (internal/quant) runs its six products on.
+// lists the nonzero (k, c) of S's row i as tensor.RowTerms in ascending k.
+// Besides driving the fused sandwiches here, the schedules of Aᵀ and its
+// sign split are what activation prediction (internal/quant) runs its six
+// products on.
 type Sched struct {
-	rows [][]term
+	rows [][]tensor.RowTerm
 	cols int
 }
 
 func compileSched(m *tensor.Mat) *Sched {
-	s := &Sched{rows: make([][]term, m.Rows), cols: m.Cols}
+	s := &Sched{rows: make([][]tensor.RowTerm, m.Rows), cols: m.Cols}
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			if c := m.At(i, k); c != 0 {
-				s.rows[i] = append(s.rows[i], term{k: int32(k), c: c})
+				s.rows[i] = append(s.rows[i], tensor.RowTerm{K: int32(k), C: c})
 			}
 		}
 	}
@@ -65,11 +61,11 @@ func compileSched(m *tensor.Mat) *Sched {
 // each row's positive and negative terms, in the same ascending-k order —
 // exactly the nonzero structure of PNSplit's two matrices.
 func (s *Sched) signSplit() (pos, neg *Sched) {
-	pos = &Sched{rows: make([][]term, len(s.rows)), cols: s.cols}
-	neg = &Sched{rows: make([][]term, len(s.rows)), cols: s.cols}
+	pos = &Sched{rows: make([][]tensor.RowTerm, len(s.rows)), cols: s.cols}
+	neg = &Sched{rows: make([][]tensor.RowTerm, len(s.rows)), cols: s.cols}
 	for i, terms := range s.rows {
 		for _, t := range terms {
-			if t.c > 0 {
+			if t.C > 0 {
 				pos.rows[i] = append(pos.rows[i], t)
 			} else {
 				neg.rows[i] = append(neg.rows[i], t)
@@ -114,45 +110,20 @@ func (tr *Transform) OutputScheds() (at, atPos, atNeg *Sched) {
 	return at, atPos, atNeg
 }
 
-// applyRow accumulates the classified terms of one schedule row into drow:
-// drow += c·x[k] for each term, with the c = ±1 fast paths.
-func applyRow(drow []float32, terms []term, x []float32, xc int) {
-	for _, t := range terms {
-		xrow := x[int(t.k)*xc : int(t.k)*xc+len(drow)]
-		switch t.c {
-		case 1:
-			for j, v := range xrow {
-				drow[j] += v
-			}
-		case -1:
-			for j, v := range xrow {
-				drow[j] -= v
-			}
-		default:
-			c := t.c
-			for j, v := range xrow {
-				drow[j] += c * v
-			}
-		}
-	}
-}
-
 // MulInto computes dst = S·x, where x is row-major with S's column count
 // of rows and xc columns; it writes the first rows(S)·xc values of dst.
 // This is the stage-1 (left-multiply) loop of the fused sandwich: per
 // output, the chain of S's nonzero terms in ascending k, starting from +0 —
 // the addends, order and rounding of the naive reference's coefficient-
-// skipping loop.
+// skipping loop. Each row is one tensor.SchedRowInto call over xc lanes;
+// dst must not overlap x.
 //
 //mptlint:noalloc
 func (s *Sched) MulInto(dst, x []float32, xc int) {
 	n := len(s.rows) * xc
 	d := dst[:n:n]
-	for i := range d {
-		d[i] = 0
-	}
 	for i, terms := range s.rows {
-		applyRow(d[i*xc:i*xc+xc], terms, x, xc)
+		tensor.SchedRowInto(d[i*xc:i*xc+xc], terms, x, xc)
 	}
 }
 
@@ -174,7 +145,7 @@ func (s *Sched) MulTInto(dst, x []float32, xr int) {
 				// c·v is exact for c = ±1, so the single multiply-add path
 				// rounds identically to dedicated add/sub branches while
 				// keeping the inner loop branch-free.
-				acc += t.c * row[t.k]
+				acc += t.C * row[t.K]
 			}
 			drow[j] = acc
 		}

@@ -1,7 +1,9 @@
 package winograd
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -591,17 +593,78 @@ func TestDomainScaleAddClone(t *testing.T) {
 	}
 }
 
-func TestAddDomainShapeMismatchPanics(t *testing.T) {
-	p := conv.Params{In: 1, Out: 1, K: 3, Pad: 1, H: 4, W: 4}
-	tl, _ := NewTiling(F2x2_3x3, p)
-	a := newDomain(tl, 1, 1)
-	b := newDomain(tl, 1, 2)
+// requirePanicNaming runs f and requires a panic whose message names
+// every one of parts (a bare index-out-of-range does not).
+func requirePanicNaming(t *testing.T, what string, f func(), parts ...string) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Errorf("%s: no panic", what)
+			return
+		}
+		msg := fmt.Sprint(r)
+		for _, p := range parts {
+			if !strings.Contains(msg, p) {
+				t.Errorf("%s: panic %q does not name %q", what, msg, p)
+			}
 		}
 	}()
-	a.AddDomain(b)
+	f()
+}
+
+func TestAddDomainShapeMismatchPanics(t *testing.T) {
+	tiling := func(tr *Transform, k, hw, pad int) *Tiling {
+		tl, err := NewTiling(tr, conv.Params{In: 1, Out: 1, K: k, Pad: pad, H: hw, W: hw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tl
+	}
+	small := tiling(F2x2_3x3, 3, 4, 1) // 2×2 = 4 tiles
+	large := tiling(F2x2_3x3, 3, 8, 1) // 4×4 = 16 tiles
+	f25 := tiling(F2x2_5x5, 5, 8, 2)   // T = 6, 16 tiles
+	f43 := tiling(F4x4_3x3, 3, 16, 1)  // T = 6, 16 tiles
+	cases := []struct {
+		name  string
+		d, o  *Domain
+		parts []string
+	}{
+		{"channels", newDomain(small, 1, 1), newDomain(small, 1, 2), []string{"C=1", "C=2"}},
+		{"batch", newDomain(small, 1, 1), newDomain(small, 2, 1), []string{"B=1", "B=2"}},
+		{"16 tiles into 4", newDomain(small, 1, 1), newDomain(large, 1, 1), []string{"2x2 tiles", "4x4 tiles"}},
+		{"4 tiles into 16", newDomain(large, 1, 1), newDomain(small, 1, 1), []string{"2x2 tiles", "4x4 tiles"}},
+		{"F(4x4,3x3) into F(2x2,5x5)", newDomain(f25, 1, 3), newDomain(f43, 1, 3), []string{"F(2x2,5x5)", "F(4x4,3x3)"}},
+	}
+	for _, c := range cases {
+		requirePanicNaming(t, c.name, func() { c.d.AddDomain(c.o) }, c.parts...)
+	}
+}
+
+// TestWeightsAXPYShapeMismatchPanics: the SGD update rejects a gradient of
+// another shape, naming both, instead of writing a wrong update.
+func TestWeightsAXPYShapeMismatchPanics(t *testing.T) {
+	cases := []struct {
+		name  string
+		w, o  *Weights
+		parts []string
+	}{
+		{"4x4 channels into 2x2", NewWeights(F2x2_3x3, 2, 2), NewWeights(F2x2_3x3, 4, 4), []string{"2x2 channels", "4x4 channels"}},
+		{"2x2 channels into 4x4", NewWeights(F2x2_3x3, 4, 4), NewWeights(F2x2_3x3, 2, 2), []string{"2x2 channels", "4x4 channels"}},
+		{"1x3 into 3x1", NewWeights(F2x2_3x3, 3, 1), NewWeights(F2x2_3x3, 1, 3), []string{"3x1 channels", "1x3 channels"}},
+		{"F(4x4,3x3) into F(2x2,5x5)", NewWeights(F2x2_5x5, 2, 3), NewWeights(F4x4_3x3, 2, 3), []string{"F(2x2,5x5)", "F(4x4,3x3)"}},
+	}
+	for _, c := range cases {
+		requirePanicNaming(t, c.name, func() { c.w.AXPY(-0.5, c.o) }, c.parts...)
+	}
+	// A gradient of the same shape still applies.
+	w, g := NewWeights(F2x2_3x3, 2, 3), NewWeights(F2x2_3x3, 2, 3)
+	w.El[5].Data[4], g.El[5].Data[4] = 1, 4
+	w.AXPY(-0.5, g)
+	if got := w.El[5].Data[4]; got != -1 {
+		t.Fatalf("AXPY gave %v, want -1", got)
+	}
 }
 
 // TestFprop1DMatchesDirect validates the 1-D Winograd path (the paper's
