@@ -39,33 +39,70 @@ import (
 	"mptwino/internal/traceview"
 )
 
-func main() {
-	layerName := flag.String("layer", "", "Table II layer: Early, Mid-1, Mid-2, Late-1, Late-2")
-	netName := flag.String("net", "", "network: wrn, resnet34, fractalnet, vgg, alexnet")
-	cfgName := flag.String("config", "w_mp++", "Table IV config (d_dp,w_dp,w_mp,w_mp+,w_mp*,w_mp++) or 'all'")
-	workers := flag.Int("workers", 256, "NDP worker count")
-	batch := flag.Int("batch", 256, "total batch size (layer mode only; networks use their catalog batch)")
-	k := flag.Int("k", 3, "kernel size for layer mode: 3 or 5")
-	breakdown := flag.Bool("breakdown", false, "layer mode: show per-resource durations and the binding resource")
-	faults := flag.String("faults", "", "net mode: comma-separated failed module IDs; re-solves clustering over the survivors and reports healthy vs degraded")
-	scenarios := flag.Bool("scenarios", false, "run the deterministic degraded-fleet scenario matrix and emit the TSV table (byte-identical at any -parallel)")
-	scenariosOut := flag.String("scenarios-out", "", "with -scenarios: write the table to this file instead of stdout")
-	scenariosSmoke := flag.Bool("scenarios-smoke", false, "with -scenarios: run the trimmed fast subset (the make-verify smoke grid)")
-	autoplan := flag.Bool("autoplan", false, "net mode: search per-layer parallelization strategies with lower-bound pruning and emit the plan TSV (byte-identical at any -parallel)")
-	autoplanOut := flag.String("autoplan-out", "", "with -autoplan: write the plan dump to this file instead of stdout")
-	allowWideTiles := flag.Bool("allow-wide-tiles", false, "with -autoplan: admit the numerically unsafe F(6x6,3x3) transform into the planner's tile-size axis (inference-grade only)")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) with simulated-cycle timestamps to this file")
-	traceReport := flag.String("trace-report", "", "write the mpttrace text attribution report (critical path, overlap, idle) for this run to this file")
-	metrics := flag.Bool("metrics", false, "dump the telemetry counters as aligned text on exit")
-	metricsJSON := flag.String("metrics-json", "", "write the telemetry counters as JSON to this file ('-' for stdout)")
-	force := flag.Bool("force", false, "overwrite existing -trace/-metrics-json/-trace-report output files instead of refusing")
-	par := flag.Int("parallel", 0, "host goroutines for the sweep fan-out (0 = GOMAXPROCS); results and telemetry are byte-identical for every value")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// options is one parsed mptsim command line.
+type options struct {
+	layer, net, config          string
+	workers, batch, k, parallel int
+	breakdown                   bool
+	faults                      string
+	scenarios, scenariosSmoke   bool
+	scenariosOut                string
+	autoplan, allowWideTiles    bool
+	autoplanOut                 string
+	trace, traceReport          string
+	metrics, force              bool
+	metricsJSON                 string
+	cpuProfile, memProfile      string
+}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+// parseFlags parses args into options on fs. It rejects counts no mode
+// can run: -workers below 1 in every mode, and -batch below 1 in layer
+// mode (networks use their catalog batch). main calls it before any
+// output, so a rejected command line prints only the error.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.layer, "layer", "", "Table II layer: Early, Mid-1, Mid-2, Late-1, Late-2")
+	fs.StringVar(&o.net, "net", "", "network: wrn, resnet34, fractalnet, vgg, alexnet")
+	fs.StringVar(&o.config, "config", "w_mp++", "Table IV config (d_dp,w_dp,w_mp,w_mp+,w_mp*,w_mp++) or 'all'")
+	fs.IntVar(&o.workers, "workers", 256, "NDP worker count")
+	fs.IntVar(&o.batch, "batch", 256, "total batch size (layer mode only; networks use their catalog batch)")
+	fs.IntVar(&o.k, "k", 3, "kernel size for layer mode: 3 or 5")
+	fs.BoolVar(&o.breakdown, "breakdown", false, "layer mode: show per-resource durations and the binding resource")
+	fs.StringVar(&o.faults, "faults", "", "net mode: comma-separated failed module IDs; re-solves clustering over the survivors and reports healthy vs degraded")
+	fs.BoolVar(&o.scenarios, "scenarios", false, "run the deterministic degraded-fleet scenario matrix and emit the TSV table (byte-identical at any -parallel)")
+	fs.StringVar(&o.scenariosOut, "scenarios-out", "", "with -scenarios: write the table to this file instead of stdout")
+	fs.BoolVar(&o.scenariosSmoke, "scenarios-smoke", false, "with -scenarios: run the trimmed fast subset (the make-verify smoke grid)")
+	fs.BoolVar(&o.autoplan, "autoplan", false, "net mode: search per-layer parallelization strategies with lower-bound pruning and emit the plan TSV (byte-identical at any -parallel)")
+	fs.StringVar(&o.autoplanOut, "autoplan-out", "", "with -autoplan: write the plan dump to this file instead of stdout")
+	fs.BoolVar(&o.allowWideTiles, "allow-wide-tiles", false, "with -autoplan: admit the numerically unsafe F(6x6,3x3) transform into the planner's tile-size axis (inference-grade only)")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) with simulated-cycle timestamps to this file")
+	fs.StringVar(&o.traceReport, "trace-report", "", "write the mpttrace text attribution report (critical path, overlap, idle) for this run to this file")
+	fs.BoolVar(&o.metrics, "metrics", false, "dump the telemetry counters as aligned text on exit")
+	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the telemetry counters as JSON to this file ('-' for stdout)")
+	fs.BoolVar(&o.force, "force", false, "overwrite existing -trace/-metrics-json/-trace-report output files instead of refusing")
+	fs.IntVar(&o.parallel, "parallel", 0, "host goroutines for the sweep fan-out (0 = GOMAXPROCS); results and telemetry are byte-identical for every value")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.workers < 1 {
+		return o, fmt.Errorf("-workers %d: need at least 1 worker", o.workers)
+	}
+	if !o.scenarios && o.layer != "" && o.batch < 1 {
+		return o, fmt.Errorf("-batch %d: need at least 1 sample", o.batch)
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail(err)
+	}
+
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fail(err)
 		}
@@ -75,9 +112,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if o.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(o.memProfile)
 			if err != nil {
 				fail(err)
 			}
@@ -90,35 +127,35 @@ func main() {
 	}
 
 	s := sim.DefaultSystem()
-	s.Workers = *workers
-	s.Parallel = *par
+	s.Workers = o.workers
+	s.Parallel = o.parallel
 
 	// Telemetry: any of -trace/-trace-report/-metrics/-metrics-json turns
 	// the registry on; -trace and -trace-report additionally record the
 	// cycle-domain event stream. Telemetry files are never silently
 	// overwritten — an existing regular file at any of these paths aborts
 	// the run unless -force is set.
-	for _, p := range []string{*traceFile, *traceReport, *metricsJSON} {
-		checkOverwrite(p, *force)
+	for _, p := range []string{o.trace, o.traceReport, o.metricsJSON} {
+		checkOverwrite(p, o.force)
 	}
 	var reg *telemetry.Registry
 	var tracer *telemetry.Tracer
-	if *traceFile != "" || *traceReport != "" || *metrics || *metricsJSON != "" {
+	if o.trace != "" || o.traceReport != "" || o.metrics || o.metricsJSON != "" {
 		reg = telemetry.NewRegistry()
 		parallel.Attach(reg)
 	}
-	if *traceFile != "" || *traceReport != "" {
+	if o.trace != "" || o.traceReport != "" {
 		tracer = telemetry.NewTracer()
 	}
 	s.Metrics = reg
 	s.Trace = tracer
-	defer writeTelemetry(reg, tracer, *traceFile, *traceReport, *metrics, *metricsJSON)
+	defer writeTelemetry(reg, tracer, o.trace, o.traceReport, o.metrics, o.metricsJSON)
 
 	var cfgs []sim.SystemConfig
-	if *cfgName == "all" {
+	if o.config == "all" {
 		cfgs = sim.AllConfigs()
 	} else {
-		c, err := parseConfig(*cfgName)
+		c, err := parseConfig(o.config)
 		if err != nil {
 			fail(err)
 		}
@@ -126,11 +163,11 @@ func main() {
 	}
 
 	switch {
-	case *scenarios:
-		m := scenario.Run(scenario.Options{Workers: *workers, Parallel: *par, Smoke: *scenariosSmoke})
+	case o.scenarios:
+		m := scenario.Run(scenario.Options{Workers: o.workers, Parallel: o.parallel, Smoke: o.scenariosSmoke})
 		w := os.Stdout
-		if *scenariosOut != "" {
-			f, err := os.Create(*scenariosOut)
+		if o.scenariosOut != "" {
+			f, err := os.Create(o.scenariosOut)
 			if err != nil {
 				fail(err)
 			}
@@ -140,41 +177,41 @@ func main() {
 		if err := m.WriteTSV(w); err != nil {
 			fail(err)
 		}
-	case *layerName != "":
-		l, err := findLayer(*layerName, *k)
+	case o.layer != "":
+		l, err := findLayer(o.layer, o.k)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("%-8s %-7s %3s %3s %12s %12s %12s %14s %12s\n",
 			"layer", "config", "Ng", "Nc", "fwd (us)", "bwd (us)", "total (us)", "energy (J)", "net MB/wkr")
 		for _, c := range cfgs {
-			r := s.SimulateLayer(l, *batch, c)
+			r := s.SimulateLayer(l, o.batch, c)
 			fmt.Printf("%-8s %-7s %3d %3d %12.1f %12.1f %12.1f %14.4f %12.2f\n",
 				l.Name, c, r.Ng, r.Nc, r.ForwardSec*1e6, r.BackwardSec*1e6,
 				r.TotalSec()*1e6, r.Energy.Total(), float64(r.NetBytes)/1e6)
-			if *breakdown {
+			if o.breakdown {
 				printBreakdown("fwd", r.Forward)
 				printBreakdown("bwd", r.Backward)
 			}
 		}
-	case *netName != "":
-		net, err := findNetwork(*netName)
+	case o.net != "":
+		net, err := findNetwork(o.net)
 		if err != nil {
 			fail(err)
 		}
-		if *faults != "" {
-			failed, err := parseFaults(*faults)
+		if o.faults != "" {
+			failed, err := parseFaults(o.faults)
 			if err != nil {
 				fail(err)
 			}
 			runFaults(s, net, cfgs, failed)
 			return
 		}
-		if *autoplan {
-			if *cfgName == "all" {
+		if o.autoplan {
+			if o.config == "all" {
 				fail(fmt.Errorf("-autoplan needs a single -config, not 'all'"))
 			}
-			runAutoplan(s, net, cfgs[0], *autoplanOut, *allowWideTiles)
+			runAutoplan(s, net, cfgs[0], o.autoplanOut, o.allowWideTiles)
 			return
 		}
 		base := sim.SingleWorkerBaseline(net)

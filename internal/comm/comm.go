@@ -24,8 +24,8 @@ type Strategy struct {
 	// Nf shards the filter (output-channel) dimension and Ni the input-
 	// channel dimension inside each (group, cluster) cell, so the total
 	// worker count is Ng·Nc·Nf·Ni. Zero means 1 (axis unused); the paper's
-	// fixed menu always runs with both at 1, and every formula degenerates
-	// bit-exactly to the two-axis model in that case.
+	// fixed menu always runs with both at 1, its (Ng, Nc) special case of
+	// the one four-axis model (multiaxis.go).
 	Nf int // filter (output-channel) shards per cell
 	Ni int // input-channel shards per cell
 
@@ -184,15 +184,19 @@ func RingCollectivePerWorker(msg int64, n int) int64 {
 	return msg * int64(n-1) / int64(n)
 }
 
-// TileTransferPerWorker returns the per-worker traffic of distributing
-// tile data across ng groups when each worker holds tiles/(nc·ng) bytes:
-// the (ng−1)/ng share leaves the worker (paper Section III-C).
-func TileTransferPerWorker(tiles int64, ng, nc int) int64 {
-	if ng <= 1 {
-		return 0
+// WeightShardBytes returns the weight bytes each worker holds and
+// ring-reduces every iteration under the strategy. Direct convolution and
+// one-worker Winograd cells keep data-parallel spatial weights (Table IV
+// "update w"), so every worker holds the whole |w|. Any larger cell
+// shards the Winograd-domain weights across its D = Ng·Nf·Ni workers:
+// |W|/D each. This is the only statement of the rule; the volume model,
+// the phase model, the planner's floor and the fault path's re-shard cost
+// all call it.
+func WeightShardBytes(tr *winograd.Transform, p conv.Params, s Strategy) int64 {
+	if !s.Winograd || s.Cell() == 1 {
+		return SpatialWeightBytes(p)
 	}
-	held := tiles / int64(nc) / int64(ng)
-	return held * int64(ng-1) / int64(ng)
+	return WinogradWeightBytes(tr, p) / int64(s.Cell())
 }
 
 // LayerVolumes computes the per-worker, per-iteration communication of one
@@ -200,53 +204,38 @@ func TileTransferPerWorker(tiles int64, ng, nc int) int64 {
 //
 //   - fprop:  scatter input tiles X, gather output tiles Y
 //   - bprop:  scatter output-gradient tiles dY, gather input-gradient dX
-//   - updateGrad: ring collective of the group's weight-gradient shard
+//   - updateGrad: ring collective of the worker's weight-gradient shard
 //
-// Direct-convolution and single-group Winograd strategies have no tile
-// transfer; single-cluster strategies (Nc=1) have no weight collective.
-// When the group count lets each worker hold whole tile lines, the 1-D
-// transform optimization shrinks gathered tiles by m/T (Section IV).
+// The tile terms are PhaseVolumes summed over both phases. One-worker
+// cells (direct convolution, w_dp) have no tile transfer; single-cluster
+// Winograd strategies (Nc=1) have no weight collective. When the group
+// count lets each worker hold whole tile lines, the 1-D transform
+// optimization shrinks gathered tiles by m/T (Section IV).
 func LayerVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) Volumes {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	if s.Extended() {
-		// Channel/filter axes in play: the four-axis model (multiaxis.go).
-		return layerVolumesExt(tr, p, batch, s)
-	}
-	var v Volumes
+	// A sharded weight is replicated once per cluster; a spatial replica
+	// of direct convolution sits on every worker.
+	ring := s.Nc
 	if !s.Winograd {
-		// d_dp: spatial weights reduced across all p workers.
-		v.Weight = RingCollectivePerWorker(SpatialWeightBytes(p), s.Workers())
-		return v
+		ring = s.Workers()
 	}
-	if s.Ng == 1 {
-		// w_dp: Winograd compute but data-parallel weights; Table IV keeps
-		// spatial weights ("update w") so the collective moves |w|.
-		v.Weight = RingCollectivePerWorker(SpatialWeightBytes(p), s.Workers())
+	v := Volumes{Weight: RingCollectivePerWorker(WeightShardBytes(tr, p, s), ring)}
+	if !s.Winograd {
 		return v
 	}
 
-	// MPT: Winograd-domain weights, partitioned across groups.
-	wBytes := WinogradWeightBytes(tr, p) / int64(s.Ng)
-	v.Weight = RingCollectivePerWorker(wBytes, s.Nc)
-
-	inTiles := TileBytes(tr, p, batch, p.In)
-	outTiles := TileBytes(tr, p, batch, p.Out)
-
-	gather := TileTransferPerWorker(outTiles, s.Ng, s.Nc) + // fprop: Y
-		TileTransferPerWorker(inTiles, s.Ng, s.Nc) // bprop: dX
-	scatter := TileTransferPerWorker(inTiles, s.Ng, s.Nc) + // fprop: X
-		TileTransferPerWorker(outTiles, s.Ng, s.Nc) // bprop: dY
-
+	fwd, bwd := PhaseVolumes(tr, p, batch, s)
+	gather := fwd.Gather + bwd.Gather // Y, dX
 	if winograd.HoldsWholeLines(tr.T, s.Ng) && s.Ng > 1 {
 		// Whole-line ownership enables the 1-D inverse transform at the
 		// source: gathered data shrinks from T to m values per line.
 		gather = gather * int64(tr.M) / int64(tr.T)
 	}
-
 	v.TileGather = int64(float64(gather) * (1 - s.GatherReduction))
-	v.TileScatter = int64(float64(scatter) * (1 - s.ScatterReduction))
+	v.TileScatter = int64(float64(fwd.Scatter+bwd.Scatter) * (1 - s.ScatterReduction)) // X, dY
+	v.PartialSum = fwd.Partial + bwd.Partial
 	return v
 }
 

@@ -30,14 +30,19 @@ func TestRingCollectivePerWorker(t *testing.T) {
 }
 
 func TestTileTransferPerWorker(t *testing.T) {
-	if TileTransferPerWorker(1<<20, 1, 256) != 0 {
-		t.Fatal("single group should not transfer tiles")
+	tr := winograd.F2x2_3x3
+	if f, b := PhaseVolumes(tr, earlyLayer, 256, Strategy{Ng: 1, Nc: 256, Winograd: true}); f != (TileTraffic{}) || b != (TileTraffic{}) {
+		t.Fatalf("single group should not transfer tiles: fprop %+v bprop %+v", f, b)
 	}
-	// tiles/(nc·ng) held, (ng-1)/ng leaves.
-	got := TileTransferPerWorker(1<<20, 4, 64)
-	want := int64(1<<20) / 64 / 4 * 3 / 4
-	if got != want {
-		t.Fatalf("got %d, want %d", got, want)
+	// Two axes: tiles/(nc·ng) held, (ng-1)/ng leaves, no partial sums.
+	f, b := PhaseVolumes(tr, earlyLayer, 256, Strategy{Ng: 4, Nc: 64, Winograd: true})
+	in := TileBytes(tr, earlyLayer, 256, earlyLayer.In) / 64 / 4 * 3 / 4
+	out := TileBytes(tr, earlyLayer, 256, earlyLayer.Out) / 64 / 4 * 3 / 4
+	if want := (TileTraffic{Scatter: in, Gather: out}); f != want {
+		t.Fatalf("fprop %+v, want %+v", f, want)
+	}
+	if want := (TileTraffic{Scatter: out, Gather: in}); b != want {
+		t.Fatalf("bprop %+v, want %+v", b, want)
 	}
 }
 
@@ -165,9 +170,8 @@ func TestOneDOptimizationShrinksGather(t *testing.T) {
 	v16 := LayerVolumes(tr, earlyLayer, 256, s16)
 	// Per the formulas, gather_4 = tiles/(256)·(3/4)·(1/2) and
 	// gather_16 = tiles/(256)·(15/16); confirm the 1-D factor is present.
-	outTiles := TileBytes(tr, earlyLayer, 256, earlyLayer.Out)
-	inTiles := TileBytes(tr, earlyLayer, 256, earlyLayer.In)
-	wantG4 := (TileTransferPerWorker(outTiles, 4, 64) + TileTransferPerWorker(inTiles, 4, 64)) / 2
+	f4, b4 := PhaseVolumes(tr, earlyLayer, 256, s4)
+	wantG4 := (f4.Gather + b4.Gather) / 2
 	if v4.TileGather != wantG4 {
 		t.Fatalf("1D gather = %d, want %d", v4.TileGather, wantG4)
 	}

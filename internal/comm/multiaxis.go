@@ -5,24 +5,25 @@ import (
 	"mptwino/internal/winograd"
 )
 
-// This file extends the paper's two-axis (Ng, Nc) communication model to
-// the four-axis strategy space the per-layer auto-search planner explores
-// (internal/planner): Ng Winograd-element groups × Nc batch clusters ×
-// Nf filter (output-channel) shards × Ni input-channel shards, with
-// Ng·Nc·Nf·Ni = p. The extra axes follow Jia et al. ("Exploring Hidden
-// Dimensions in Parallelizing CNNs"): sharding filters replicates input
-// tiles, sharding input channels leaves partial output sums that a new
-// intra-cell reduction collective must combine.
+// This file is the traffic model of the four-axis strategy space the
+// per-layer auto-search planner explores (internal/planner): Ng
+// Winograd-element groups × Nc batch clusters × Nf filter (output-channel)
+// shards × Ni input-channel shards, with Ng·Nc·Nf·Ni = p. The extra axes
+// follow Jia et al. ("Exploring Hidden Dimensions in Parallelizing CNNs"):
+// sharding filters replicates input tiles, sharding input channels leaves
+// partial output sums that an intra-cell reduction collective must
+// combine. The paper's (Ng, Nc) model (Section III-C) is the Nf = Ni = 1
+// case of the same formulas, so the fixed menu and the planner run one
+// model.
 //
-// Traffic accounting (per worker, per iteration, bytes). One cluster owns
-// the batch shard B/Nc; its cell of D = Ng·Nf·Ni workers initially holds
-// the shard's tiles uniformly in position-major order (1/D each). Worker
-// (g, f, i) of the cell computes, for group g's T²/Ng elements, the
+// Traffic accounting (per worker, per iteration, whole bytes). One cluster
+// owns the batch shard B/Nc; its cell of D = Ng·Nf·Ni workers initially
+// holds the shard's tiles uniformly in position-major order (1/D each).
+// Worker (g, f, i) of the cell computes, for group g's T²/Ng elements, the
 // partial GEMM X[rows, In/Ni]·W[In/Ni, Out/Nf]:
 //
 //   - scatter (fprop X):   need = inT/(Nc·Ng·Ni); the resident fraction of
-//     the need is 1/D, so (D−1)/D of it crosses the cell fabric. The
-//     legacy two-axis formula is the D = Ng special case.
+//     the need is 1/D, so (D−1)/D of it crosses the cell fabric.
 //   - partial-sum reduce (fprop Y): the Ni channel shards hold partial
 //     sums of the same outT/(Nc·Ng·Nf) values; a ring reduce moves
 //     (Ni−1)/Ni of that payload per worker.
@@ -30,78 +31,43 @@ import (
 //     layout, (D−1)/D of the outT/(Nc·Ng·Nf) payload crossing.
 //   - bprop mirrors with X and Y swapped: dY scattered over (g, f), dX
 //     gathered over (g, i), dX partial sums reduced across Nf.
-//   - updateGrad: each worker's dW shard shrinks to |W|/(Ng·Nf·Ni) and
-//     ring-reduces across the Nc clusters; X and dY shards are already
-//     co-located from the forward/backward scatters, so no extra traffic.
+//   - updateGrad: each worker's dW shard (WeightShardBytes) ring-reduces
+//     across the Nc clusters; X and dY shards are already co-located from
+//     the forward/backward scatters, so no extra traffic.
 //
-// Every formula degenerates to the legacy model at Nf = Ni = 1 (checked
-// bit-exactly by TestExtendedVolumesDegenerate).
+// Every value is floored to whole bytes: each payload once, by a single
+// division per tensor role (floor(floor(a/b)/c) = floor(a/(b·c)), so one
+// division equals dividing by each axis in turn), then each crossing or
+// partial share. A value is therefore below its exact rational payload by
+// less than 2 bytes (TestPhaseVolumesWholeBytes).
 
-// layerVolumesExt computes per-worker volumes for an extended strategy.
-func layerVolumesExt(tr *winograd.Transform, p conv.Params, batch int, s Strategy) Volumes {
-	ng, nc := s.Ng, s.Nc
-	d := s.Cell()
-
-	var v Volumes
-
-	// Weight collective: the Winograd-domain shard is split across the
-	// whole cell, rung across clusters.
-	wBytes := WinogradWeightBytes(tr, p) / int64(d)
-	v.Weight = RingCollectivePerWorker(wBytes, nc)
-	if d == 1 {
-		// Degenerate single-worker cell: pure data parallelism in the
-		// Winograd domain keeps spatial weights (Table IV "update w").
-		v.Weight = RingCollectivePerWorker(SpatialWeightBytes(p), s.Workers())
-		return v
-	}
-
-	sF, gF, pF := ExtPhaseVolumes(tr, p, batch, s, false)
-	sB, gB, pB := ExtPhaseVolumes(tr, p, batch, s, true)
-	gather := gF + gB
-	scatter := sF + sB
-
-	if winograd.HoldsWholeLines(tr.T, ng) && ng > 1 {
-		// Whole-line ownership enables the 1-D inverse transform at the
-		// source, shrinking gathered data from T to M values per line.
-		gather = gather * float64(tr.M) / float64(tr.T)
-	}
-
-	v.TileGather = int64(gather * (1 - s.GatherReduction))
-	v.TileScatter = int64(scatter * (1 - s.ScatterReduction))
-	v.PartialSum = int64(pF + pB)
-	return v
+// TileTraffic is one training phase's dense per-worker traffic on the cell
+// fabric, in bytes.
+type TileTraffic struct {
+	Scatter int64 // X (fprop) or dY (bprop) tiles in
+	Gather  int64 // Y (fprop) or dX (bprop) tiles out
+	Partial int64 // intra-cell partial-sum reduction of the gathered tensor
 }
 
-// ExtPhaseVolumes returns the raw (dense, un-reduced) per-worker traffic
-// of one training phase under an extended strategy, in bytes: the tile
-// scatter, the tile gather, and the intra-cell partial-sum reduction.
-// backward=false is fprop (scatter X, reduce+gather Y); backward=true is
-// bprop (scatter dY, reduce+gather dX). Callers apply the Section V
-// reductions, the 1-D gather shrink, and gather scaling themselves —
-// partial sums take none of them (they move not-yet-final sums).
-func ExtPhaseVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy, backward bool) (scatter, gather, partial float64) {
-	ng, nc := s.Ng, s.Nc
-	nf, ni := s.FilterShards(), s.ChannelShards()
-	d := s.Cell()
+// PhaseVolumes returns the raw (dense, un-reduced) per-worker tile traffic
+// of fprop (scatter X, reduce+gather Y) and bprop (scatter dY,
+// reduce+gather dX). Callers apply the Section V reductions, the 1-D
+// gather shrink and gather scaling themselves; partial sums take none of
+// them, since they move not-yet-final sums. A one-worker cell moves
+// nothing.
+func PhaseVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) (fwd, bwd TileTraffic) {
+	d := int64(s.Cell())
 	if d <= 1 {
-		return 0, 0, 0
+		return fwd, bwd
 	}
-	inT := float64(TileBytes(tr, p, batch, p.In))
-	outT := float64(TileBytes(tr, p, batch, p.Out))
-
-	// Per-worker payloads of the two tile roles inside one cluster.
-	inNeed := inT / float64(nc*ng*ni)   // X / dX payload per worker
-	outNeed := outT / float64(nc*ng*nf) // Y / dY payload per worker
-	crossing := float64(d-1) / float64(d)
-
-	if backward {
-		// bprop: scatter dY over (g, f), gather dX over (g, i), reduce
-		// the dX partial sums across the Nf filter shards.
-		return outNeed * crossing, inNeed * crossing, inNeed * float64(nf-1) / float64(nf)
-	}
-	// fprop: scatter X over (g, i), gather Y over (g, f), reduce the Y
-	// partial sums across the Ni input-channel shards.
-	return inNeed * crossing, outNeed * crossing, outNeed * float64(ni-1) / float64(ni)
+	nc, ng := int64(s.Nc), int64(s.Ng)
+	nf, ni := int64(s.FilterShards()), int64(s.ChannelShards())
+	in := TileBytes(tr, p, batch, p.In) / (nc * ng * ni)   // X / dX payload
+	out := TileBytes(tr, p, batch, p.Out) / (nc * ng * nf) // Y / dY payload
+	inCross, outCross := in*(d-1)/d, out*(d-1)/d
+	fwd = TileTraffic{Scatter: inCross, Gather: outCross, Partial: out * (ni - 1) / ni}
+	bwd = TileTraffic{Scatter: outCross, Gather: inCross, Partial: in * (nf - 1) / nf}
+	return fwd, bwd
 }
 
 // Factorization is one ordered (Ng, Nc, Nf, Ni) split of the fleet.

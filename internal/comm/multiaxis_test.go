@@ -7,32 +7,6 @@ import (
 	"mptwino/internal/winograd"
 )
 
-// TestExtendedVolumesDegenerate pins the four-axis model to the legacy
-// two-axis one: at Nf = Ni = 1 the extended formulas must reproduce the
-// paper's volumes bit-exactly for every catalog layer and menu config.
-func TestExtendedVolumesDegenerate(t *testing.T) {
-	const p = 256
-	nets := append(model.AllNetworks(), model.VGG16())
-	for _, net := range nets {
-		for _, l := range net.Layers {
-			for _, cfg := range DefaultConfigs(p) {
-				if cfg.Ng == 1 {
-					continue // no ext strategy has a one-worker cell
-				}
-				s, tr := StrategyFor(cfg, l.P.K, true, PaperReductions())
-				legacy := LayerVolumes(tr, l.P, net.Batch, s)
-
-				s.Nf, s.Ni = 1, 1
-				ext := layerVolumesExt(tr, l.P, net.Batch, s)
-				if ext != legacy {
-					t.Errorf("%s %s (Ng=%d,Nc=%d): ext %+v != legacy %+v",
-						net.Name, l.Name, cfg.Ng, cfg.Nc, ext, legacy)
-				}
-			}
-		}
-	}
-}
-
 // TestExtendedVolumesAxes checks the qualitative structure of the new
 // axes: partial sums appear exactly when a channel/filter axis is in
 // play, and sharding channels shrinks the weight collective.
@@ -46,7 +20,7 @@ func TestExtendedVolumesAxes(t *testing.T) {
 	fs := Strategy{Ng: 4, Nc: 16, Nf: 4, Ni: 1, Winograd: true}
 	cs := Strategy{Ng: 4, Nc: 16, Nf: 1, Ni: 4, Winograd: true}
 
-	vb := layerVolumesExt(tr, l.P, 256, base)
+	vb := LayerVolumes(tr, l.P, 256, base)
 	vf := LayerVolumes(tr, l.P, 256, fs)
 	vc := LayerVolumes(tr, l.P, 256, cs)
 
@@ -63,19 +37,64 @@ func TestExtendedVolumesAxes(t *testing.T) {
 	}
 }
 
-// TestExtPhaseVolumesMirror checks the fprop/bprop duality: swapping the
-// direction swaps the scatter and gather payload roles.
-func TestExtPhaseVolumesMirror(t *testing.T) {
-	l := model.VGG16().Layers[4]
-	tr, err := winograd.ForKernel(l.P.K, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestPhaseVolumesWholeBytes checks every value PhaseVolumes returns
+// against its exact rational payload, got ≤ exact < got + 2, by integer
+// cross-multiplication (no overflow at these sizes), on every feasible
+// factorization of fleets the menu divides and fleets it does not. It
+// also checks the fprop/bprop duality: the scatter of one phase is the
+// gather of the other.
+func TestPhaseVolumesWholeBytes(t *testing.T) {
+	var layers []model.Layer
+	for _, n := range append(model.AllNetworks(), model.VGG16(), model.AlexNet()) {
+		layers = append(layers, n.Layers...)
 	}
-	s := Strategy{Ng: 4, Nc: 8, Nf: 2, Ni: 4, Winograd: true}
-	sF, gF, _ := ExtPhaseVolumes(tr, l.P, 256, s, false)
-	sB, gB, _ := ExtPhaseVolumes(tr, l.P, 256, s, true)
-	if sF != gB || gF != sB {
-		t.Errorf("fprop (s=%g,g=%g) and bprop (s=%g,g=%g) are not mirrored", sF, gF, sB, gB)
+	layers = append(append(layers, model.FiveLayers()...), model.FiveLayers5x5()...)
+
+	checked := 0
+	for _, p := range []int{16, 60, 240, 252, 255, 256} {
+		for _, batch := range []int{256, 100, 8} {
+			for _, f := range Factorizations(p) {
+				for _, l := range layers {
+					if f.Nc > batch || f.Nf > l.P.Out || f.Ni > l.P.In {
+						continue
+					}
+					for _, tileM := range []int{0, 2, 4, 6} {
+						s := Strategy{Ng: f.Ng, Nc: f.Nc, Nf: f.Nf, Ni: f.Ni, Winograd: true, TileM: tileM}
+						tr, err := s.Transform(l.P.K)
+						if err != nil {
+							continue
+						}
+						fwd, bwd := PhaseVolumes(tr, l.P, batch, s)
+						if fwd.Scatter != bwd.Gather || fwd.Gather != bwd.Scatter {
+							t.Fatalf("p=%d %+v: fprop %+v and bprop %+v are not mirrored", p, f, fwd, bwd)
+						}
+						d := int64(s.Cell())
+						nc, ng, nf, ni := int64(f.Nc), int64(f.Ng), int64(f.Nf), int64(f.Ni)
+						in := TileBytes(tr, l.P, batch, l.P.In)
+						out := TileBytes(tr, l.P, batch, l.P.Out)
+						for _, c := range []struct {
+							name     string
+							got      int64
+							num, den int64 // exact payload num/den
+						}{
+							{"fprop scatter", fwd.Scatter, in * (d - 1), nc * ng * ni * d},
+							{"fprop gather", fwd.Gather, out * (d - 1), nc * ng * nf * d},
+							{"fprop partial", fwd.Partial, out * (ni - 1), nc * ng * nf * ni},
+							{"bprop partial", bwd.Partial, in * (nf - 1), nc * ng * ni * nf},
+						} {
+							if !(c.got*c.den <= c.num && c.num < (c.got+2)*c.den) {
+								t.Fatalf("p=%d batch=%d %s %+v tile %s: %s = %d, exact %d/%d",
+									p, batch, l.Name, f, tr, c.name, c.got, c.num, c.den)
+							}
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no factorization checked")
 	}
 }
 

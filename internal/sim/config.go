@@ -183,12 +183,3 @@ func (s System) ringBW(c SystemConfig) float64 {
 	}
 	return s.LinkBW
 }
-
-// tileBW returns the per-worker outgoing bandwidth available to tile
-// transfer (zero for data-parallel configs, which have none).
-func (s System) tileBW(c SystemConfig) float64 {
-	if c.isMPT() {
-		return s.LinkBW / 2
-	}
-	return 0
-}

@@ -127,25 +127,24 @@ func survivorModules(modules, failed []int) []int {
 }
 
 // reshardSeconds prices the weight redistribution a wiring change implies:
-// each surviving worker streams its new per-layer weight shard (the
-// Winograd-domain W columns its group now owns, or the full spatial
-// replica for data-parallel layers) over the host link. Workers load in
-// parallel, so the time is the per-worker byte total at hostLinkBW.
+// each surviving worker streams its new per-layer weight shard
+// (comm.WeightShardBytes: the Winograd-domain W columns its cell now owns,
+// or the full spatial replica for data-parallel layers) over the host
+// link. Workers load in parallel, so the time is the per-worker byte total
+// at hostLinkBW.
 func (s System) reshardSeconds(net model.Network, c SystemConfig, degraded NetworkResult) float64 {
 	var perWorker int64
 	for i, l := range net.Layers {
-		ng := degraded.Layers[i].Ng
-		var shard int64
-		if c == DDp || ng <= 1 {
-			shard = comm.SpatialWeightBytes(l.P)
-		} else {
-			tr, err := winograd.ForKernel(l.P.K, ng)
-			if err != nil {
+		r := degraded.Layers[i]
+		st := comm.Strategy{Ng: r.Ng, Nc: r.Nc, Nf: r.Nf, Ni: r.Ni, Winograd: c != DDp}
+		var tr *winograd.Transform
+		if st.Winograd {
+			var err error
+			if tr, err = st.Transform(l.P.K); err != nil {
 				continue
 			}
-			shard = comm.WinogradWeightBytes(tr, l.P) / int64(ng)
 		}
-		perWorker += shard * int64(l.EffectiveRepeat())
+		perWorker += comm.WeightShardBytes(tr, l.P, st) * int64(l.EffectiveRepeat())
 	}
 	return float64(perWorker) / hostLinkBW
 }

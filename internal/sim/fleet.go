@@ -12,8 +12,9 @@ import (
 // LinkSpeeds, from fault.Plan.ModuleSpeeds):
 //
 //   - The worker grid maps clusters onto modules in slot order: cluster c
-//     owns grid slots [c·Ng, (c+1)·Ng), and a cluster runs at its slowest
-//     member's speed (the intra-cluster scatter/compute/gather barrier).
+//     owns grid slots [c·D, (c+1)·D) for its cell of D = Ng·Nf·Ni workers
+//     (st.Cell()), and a cluster runs at its slowest member's speed (the
+//     intra-cluster scatter/compute/gather barrier).
 //   - Each cluster's share of the batch takes share/speed relative time;
 //     the synchronous step waits for the worst cluster. Shares are treated
 //     as continuous here (B ≫ Nc washes out sample granularity; the mpt
@@ -55,7 +56,7 @@ func (s System) activeModules(n int) []int {
 	return out
 }
 
-// fleetFactors computes the stretches for one (Ng, Nc) strategy. With
+// fleetFactors computes the stretches for one strategy. With
 // all-1.0 speed slices every factor is exactly 1.0, so multiplying the
 // phase durations reproduces the homogeneous results bit-for-bit.
 func (s System) fleetFactors(st comm.Strategy, batch int) fleetFactors {

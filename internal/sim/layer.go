@@ -129,13 +129,13 @@ func (p phase) breakdown() Breakdown {
 }
 
 // strategyFor resolves the clustering, transform and reduction fractions a
-// config uses for one layer.
-func (s System) strategyFor(c SystemConfig, p conv.Params, batch int) (comm.Strategy, *winograd.Transform) {
+// fixed-grid config uses for a layer with k×k kernels.
+func (s System) strategyFor(c SystemConfig, k int) (comm.Strategy, *winograd.Transform) {
 	switch {
 	case c == DDp:
 		return comm.Strategy{Ng: 1, Nc: s.Workers}, winograd.F4x4_3x3 // transform unused
 	case c == WDp:
-		tr, err := winograd.ForKernel(p.K, 1)
+		tr, err := winograd.ForKernel(k, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -155,8 +155,7 @@ func (s System) strategyFor(c SystemConfig, p conv.Params, batch int) (comm.Stra
 			}
 			cfg = comm.ClusterConfig{Ng: ng, Nc: s.Workers / ng}
 		}
-		st, tr := comm.StrategyFor(cfg, p.K, c.usesPrediction(), s.Reductions)
-		return st, tr
+		return comm.StrategyFor(cfg, k, c.usesPrediction(), s.Reductions)
 	}
 }
 
@@ -214,7 +213,7 @@ func (s System) SimulateLayer(l model.Layer, batch int, c SystemConfig) LayerRes
 		best.BoundBytes = comm.LowerBoundBytes(l.P, batch, menu)
 		return best
 	}
-	st, tr := s.strategyFor(c, l.P, batch)
+	st, tr := s.strategyFor(c, l.P.K)
 	res := s.simulateWithStrategy(l, batch, c, st, tr)
 	res.BoundBytes = comm.LowerBoundBytes(l.P, batch, s.clusterMenu())
 	return res
@@ -227,12 +226,9 @@ func (s System) simulateWithStrategy(l model.Layer, batch int, c SystemConfig, s
 		Nf: st.FilterShards(), Ni: st.ChannelShards()}
 
 	var fwd, bwd phase
-	switch {
-	case c == DDp:
+	if c == DDp {
 		fwd, bwd = s.directPhases(p, batch)
-	case st.Extended():
-		fwd, bwd = s.winogradPhasesExt(p, batch, st, tr, l.EffectiveGatherScale())
-	default:
+	} else {
 		fwd, bwd = s.winogradPhases(p, batch, st, tr, l.EffectiveGatherScale())
 	}
 
@@ -290,9 +286,11 @@ func (s System) directPhases(p conv.Params, batch int) (fwd, bwd phase) {
 	return fwd, bwd
 }
 
-// winogradPhases models all Winograd configs: element-partitioned dot
-// products, transforms on the vector unit, tile transfer (MPT only) and
-// the group-ring weight collective.
+// winogradPhases models every Winograd strategy, from the paper's menu to
+// the planner's four-axis cells: element-partitioned In/Ni × Out/Nf GEMM
+// shards, transforms on the vector unit, tile transfer and partial sums on
+// the D = Ng·Nf·Ni cell fabric, and the weight collective across the Nc
+// clusters.
 func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *winograd.Transform, gatherScale float64) (fwd, bwd phase) {
 	// Active workers in the grid. For healthy divisible configurations this
 	// equals s.Workers; survivor menus may idle a remainder (e.g. (16,15)
@@ -307,6 +305,9 @@ func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *w
 	// ring-reduces only its own dW columns), so the load balances to
 	// T²/Ng fractionally.
 	elemsPerWorker := float64(t2) / float64(st.Ng)
+	ni, nf := int64(st.ChannelShards()), int64(st.FilterShards())
+	inShard := (int64(p.In) + ni - 1) / ni
+	outShard := (int64(p.Out) + nf - 1) / nf
 	tiles := comm.TileBytes(tr, p, batch, 1) / 4 / t2 // tiles per channel-batch
 	rowsPerWorker := tiles / int64(st.Nc)
 	if rowsPerWorker < 1 {
@@ -316,76 +317,77 @@ func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *w
 	fc := winograd.FpropCost(tr, p, batch)
 	bc := winograd.BpropCost(tr, p, batch)
 	uc := winograd.UpdateGradCost(tr, p, batch)
+	tf, tb := comm.PhaseVolumes(tr, p, batch, st)
 
 	// --- forward ---
-	// Dot products: elemsPerWorker independent (rows × I)·(I × J) matmuls.
-	fwd.systolicSec = elemsPerWorker * s.NDP.MatmulSeconds(rowsPerWorker, int64(p.In), int64(p.Out))
+	// Dot products: elemsPerWorker independent (rows × I/Ni)·(I/Ni × J/Nf)
+	// matmuls.
+	fwd.systolicSec = elemsPerWorker * s.NDP.MatmulSeconds(rowsPerWorker, inShard, outShard)
 	fwd.vectorSec = float64(s.NDP.VectorCycles(fc.TransformMACs/pw)) / s.NDP.ClockHz
-	fwd.dramBytes = s.winogradDRAMBytes(fc, st, tr, p, rowsPerWorker)
+	fwd.dramBytes = s.winogradDRAMBytes(fc, st, rowsPerWorker)
 	fwd.dramSec = s.NDP.DRAMSeconds(fwd.dramBytes)
 	fwd.macs = fc.DotMACs
 	fwd.vops = fc.TransformMACs
-
-	inTiles := comm.TileBytes(tr, p, batch, p.In)
-	outTiles := comm.TileBytes(tr, p, batch, p.Out)
-	oneD := winograd.HoldsWholeLines(tr.T, st.Ng) && st.Ng > 1
-
-	scatterF := float64(comm.TileTransferPerWorker(inTiles, st.Ng, st.Nc)) * (1 - st.ScatterReduction)
-	gatherF := float64(comm.TileTransferPerWorker(outTiles, st.Ng, st.Nc)) * (1 - st.GatherReduction) * gatherScale
-	if oneD {
-		gatherF *= float64(tr.M) / float64(tr.T)
-	}
-	fwd.tileCommBytes = int64(scatterF + gatherF)
-	fwd.tileCommSec = s.tileSeconds(fwd.tileCommBytes, st)
-	fwd.netBytes = int64((scatterF + gatherF) * meanTileHops(st.Ng) * float64(pw))
+	s.chargeTiles(&fwd, tf, st, tr, gatherScale)
 
 	// --- backward: bprop + updateGrad ---
-	bwd.systolicSec = elemsPerWorker * (s.NDP.MatmulSeconds(rowsPerWorker, int64(p.Out), int64(p.In)) +
-		s.NDP.MatmulSeconds(int64(p.In), rowsPerWorker, int64(p.Out)))
+	bwd.systolicSec = elemsPerWorker * (s.NDP.MatmulSeconds(rowsPerWorker, outShard, inShard) +
+		s.NDP.MatmulSeconds(inShard, rowsPerWorker, outShard))
 	bwd.vectorSec = float64(s.NDP.VectorCycles(bc.TransformMACs/pw)) / s.NDP.ClockHz
-	bwd.dramBytes = s.winogradDRAMBytes(bc, st, tr, p, rowsPerWorker) +
-		s.winogradDRAMBytes(uc, st, tr, p, rowsPerWorker)
+	bwd.dramBytes = s.winogradDRAMBytes(bc, st, rowsPerWorker) +
+		s.winogradDRAMBytes(uc, st, rowsPerWorker)
 	bwd.dramSec = s.NDP.DRAMSeconds(bwd.dramBytes)
 	bwd.macs = bc.DotMACs + uc.DotMACs
 	bwd.vops = bc.TransformMACs
+	s.chargeTiles(&bwd, tb, st, tr, gatherScale)
 
-	scatterB := float64(comm.TileTransferPerWorker(outTiles, st.Ng, st.Nc)) * (1 - st.ScatterReduction)
-	gatherB := float64(comm.TileTransferPerWorker(inTiles, st.Ng, st.Nc)) * (1 - st.GatherReduction) * gatherScale
-	if oneD {
-		gatherB *= float64(tr.M) / float64(tr.T)
-	}
-	bwd.tileCommBytes = int64(scatterB + gatherB)
-	bwd.tileCommSec = s.tileSeconds(bwd.tileCommBytes, st)
-	bwd.netBytes = int64((scatterB + gatherB) * meanTileHops(st.Ng) * float64(pw))
-
-	// Weight collective. Data-parallel Winograd updates spatial w
-	// (Table IV "update w"); MPT updates the Winograd-domain shard.
-	var msg int64
-	ring := st.Nc
-	if st.Ng == 1 {
-		msg = comm.SpatialWeightBytes(p)
-	} else {
-		msg = comm.WinogradWeightBytes(tr, p) / int64(st.Ng)
-	}
-	oneWay := comm.RingCollectivePerWorker(msg, ring)
+	// Weight collective: every worker's shard ring-reduced and broadcast
+	// across the Nc clusters.
+	msg, bw := s.weightCollective(tr, p, st)
+	oneWay := comm.RingCollectivePerWorker(msg, st.Nc)
 	bwd.collBytes = 2 * oneWay
-	var cfgClass SystemConfig = WMp
-	if st.Ng == 1 {
-		cfgClass = WDp
-	}
-	bwd.collSec = s.collectiveSeconds(msg, ring, s.ringBW(cfgClass))
+	bwd.collSec = s.collectiveSeconds(msg, st.Nc, bw)
 	bwd.netBytes += 2 * oneWay * pw
 	return fwd, bwd
 }
 
+// chargeTiles puts one phase's tile traffic on the cell fabric. The
+// Section V reductions, gather scaling and the 1-D gather shrink apply to
+// the scatter and gather; partial sums move as they are.
+func (s System) chargeTiles(ph *phase, v comm.TileTraffic, st comm.Strategy, tr *winograd.Transform, gatherScale float64) {
+	scatter := float64(v.Scatter) * (1 - st.ScatterReduction)
+	gather := float64(v.Gather) * (1 - st.GatherReduction) * gatherScale
+	if winograd.HoldsWholeLines(tr.T, st.Ng) && st.Ng > 1 {
+		// Whole-line ownership enables the 1-D inverse transform at the
+		// source: gathered data shrinks from T to m values per line.
+		gather *= float64(tr.M) / float64(tr.T)
+	}
+	total := scatter + gather + float64(v.Partial)
+	ph.tileCommBytes = int64(total)
+	ph.tileCommSec = s.tileSeconds(ph.tileCommBytes, st.Cell())
+	ph.netBytes = int64(total * meanTileHops(st.Cell()) * float64(st.Workers()))
+}
+
+// weightCollective returns a Winograd strategy's weight-collective payload
+// (comm.WeightShardBytes) and its ring bandwidth: a one-worker cell keeps
+// data-parallel spatial weights on all links, a larger cell rings its
+// Winograd-domain shard on the MPT half.
+func (s System) weightCollective(tr *winograd.Transform, p conv.Params, st comm.Strategy) (msg int64, bw float64) {
+	cls := WMp
+	if st.Cell() == 1 {
+		cls = WDp
+	}
+	return comm.WeightShardBytes(tr, p, st), s.ringBW(cls)
+}
+
 // winogradDRAMBytes distributes one phase's data volume to a worker:
-// tiles and spatial data split across all p workers; the weight shard is
-// group-local and re-read once per systolic pass when it exceeds the
-// double-buffered SRAM.
-func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, tr *winograd.Transform, p conv.Params, rows int64) int64 {
+// tiles and spatial data split across all workers; the weight shard is
+// the cell-local 1/D share and is re-read once per systolic pass when it
+// exceeds the double-buffered SRAM.
+func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, rows int64) int64 {
 	pw := int64(st.Workers())
 	b := (cst.TileBytes + cst.SpatialBytes) / pw
-	shard := cst.WeightBytes / int64(st.Ng)
+	shard := cst.WeightBytes / int64(st.Cell())
 	if shard > 0 {
 		passes := int64(1)
 		if !s.NDP.WeightsFitInBuffer(shard) {
@@ -399,15 +401,16 @@ func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, tr *winog
 	return b
 }
 
-// tileSeconds converts per-worker tile-transfer bytes to time on the
-// cluster fabric, derated by the mean hop count (intermediate hops consume
-// link capacity) plus the diameter's SerDes latency.
-func (s System) tileSeconds(bytes int64, st comm.Strategy) float64 {
-	if bytes == 0 || st.Ng <= 1 {
+// tileSeconds converts per-worker tile-fabric bytes to time for a D-worker
+// cell on the MPT half of the link budget, derated by the mean hop count
+// (intermediate hops consume link capacity) plus the diameter's SerDes
+// latency.
+func (s System) tileSeconds(bytes int64, cell int) float64 {
+	if bytes == 0 || cell <= 1 {
 		return 0
 	}
 	bw := s.LinkBW / 2 // MPT tile share
-	hops := meanTileHops(st.Ng)
+	hops := meanTileHops(cell)
 	cong := s.TileCongestion
 	if cong <= 0 {
 		cong = 1

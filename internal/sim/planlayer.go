@@ -2,17 +2,15 @@ package sim
 
 import (
 	"mptwino/internal/comm"
-	"mptwino/internal/conv"
 	"mptwino/internal/model"
 	"mptwino/internal/winograd"
 )
 
-// This file is the simulator's side of the four-axis strategy space the
+// This file holds the planner's entry points into the phase model of
+// layer.go, which runs every strategy of the four-axis space the
 // auto-search planner explores (internal/planner, internal/comm/multiaxis):
 // Ng element groups × Nc batch clusters × Nf filter shards × Ni input-
-// channel shards. The legacy two-axis math in layer.go is untouched — the
-// scenario goldens pin it byte-exactly — and strategies with Nf = Ni = 1
-// never reach this path.
+// channel shards.
 
 // SimulateLayerStrategy runs one training iteration of layer l under an
 // explicit parallelization strategy — the planner's cost oracle. The
@@ -55,132 +53,6 @@ func (s System) CommFloorSec(l model.Layer, batch int, st comm.Strategy) float64
 	}
 	v := comm.LayerVolumes(tr, l.P, batch, st)
 	tileBytes := int64(float64(v.TileGather)*l.EffectiveGatherScale()) + v.TileScatter + v.PartialSum
-	t := s.tileSecondsExt(tileBytes, st.Cell())
-
-	ring := st.Nc
-	cls := WMp
-	var msg int64
-	switch {
-	case st.Ng == 1 && !st.Extended():
-		msg = comm.SpatialWeightBytes(l.P)
-		cls = WDp
-	case st.Extended():
-		msg = comm.WinogradWeightBytes(tr, l.P) / int64(st.Cell())
-	default:
-		msg = comm.WinogradWeightBytes(tr, l.P) / int64(st.Ng)
-	}
-	return t + s.collectiveSeconds(msg, ring, s.ringBW(cls))
-}
-
-// winogradPhasesExt models a Winograd layer under an extended strategy.
-// It mirrors winogradPhases with three changes: each worker's element
-// GEMMs shrink to In/Ni × Out/Nf shards, the tile fabric additionally
-// carries the intra-cell partial-sum reductions, and the weight shard and
-// cluster fabric span the whole D = Ng·Nf·Ni cell rather than Ng groups.
-func (s System) winogradPhasesExt(p conv.Params, batch int, st comm.Strategy, tr *winograd.Transform, gatherScale float64) (fwd, bwd phase) {
-	pw := int64(st.Workers())
-	d := st.Cell()
-	ni := int64(st.ChannelShards())
-	nf := int64(st.FilterShards())
-	t2 := int64(tr.T) * int64(tr.T)
-	elemsPerWorker := float64(t2) / float64(st.Ng)
-	inShard := (int64(p.In) + ni - 1) / ni
-	outShard := (int64(p.Out) + nf - 1) / nf
-	tiles := comm.TileBytes(tr, p, batch, 1) / 4 / t2
-	rowsPerWorker := tiles / int64(st.Nc)
-	if rowsPerWorker < 1 {
-		rowsPerWorker = 1
-	}
-
-	fc := winograd.FpropCost(tr, p, batch)
-	bc := winograd.BpropCost(tr, p, batch)
-	uc := winograd.UpdateGradCost(tr, p, batch)
-
-	oneD := winograd.HoldsWholeLines(tr.T, st.Ng) && st.Ng > 1
-	hops := meanTileHops(d)
-
-	// --- forward ---
-	fwd.systolicSec = elemsPerWorker * s.NDP.MatmulSeconds(rowsPerWorker, inShard, outShard)
-	fwd.vectorSec = float64(s.NDP.VectorCycles(fc.TransformMACs/pw)) / s.NDP.ClockHz
-	fwd.dramBytes = s.winogradDRAMBytesExt(fc, st, rowsPerWorker)
-	fwd.dramSec = s.NDP.DRAMSeconds(fwd.dramBytes)
-	fwd.macs = fc.DotMACs
-	fwd.vops = fc.TransformMACs
-
-	sF, gF, pF := comm.ExtPhaseVolumes(tr, p, batch, st, false)
-	scatterF := sF * (1 - st.ScatterReduction)
-	gatherF := gF * (1 - st.GatherReduction) * gatherScale
-	if oneD {
-		gatherF *= float64(tr.M) / float64(tr.T)
-	}
-	fwd.tileCommBytes = int64(scatterF + gatherF + pF)
-	fwd.tileCommSec = s.tileSecondsExt(fwd.tileCommBytes, d)
-	fwd.netBytes = int64((scatterF + gatherF + pF) * hops * float64(pw))
-
-	// --- backward: bprop + updateGrad ---
-	bwd.systolicSec = elemsPerWorker * (s.NDP.MatmulSeconds(rowsPerWorker, outShard, inShard) +
-		s.NDP.MatmulSeconds(inShard, rowsPerWorker, outShard))
-	bwd.vectorSec = float64(s.NDP.VectorCycles(bc.TransformMACs/pw)) / s.NDP.ClockHz
-	bwd.dramBytes = s.winogradDRAMBytesExt(bc, st, rowsPerWorker) +
-		s.winogradDRAMBytesExt(uc, st, rowsPerWorker)
-	bwd.dramSec = s.NDP.DRAMSeconds(bwd.dramBytes)
-	bwd.macs = bc.DotMACs + uc.DotMACs
-	bwd.vops = bc.TransformMACs
-
-	sB, gB, pB := comm.ExtPhaseVolumes(tr, p, batch, st, true)
-	scatterB := sB * (1 - st.ScatterReduction)
-	gatherB := gB * (1 - st.GatherReduction) * gatherScale
-	if oneD {
-		gatherB *= float64(tr.M) / float64(tr.T)
-	}
-	bwd.tileCommBytes = int64(scatterB + gatherB + pB)
-	bwd.tileCommSec = s.tileSecondsExt(bwd.tileCommBytes, d)
-	bwd.netBytes = int64((scatterB + gatherB + pB) * hops * float64(pw))
-
-	// Weight collective: the cell's |W|/D shard ring-reduced across the Nc
-	// clusters. Extended cells always hold Winograd-domain weights.
-	msg := comm.WinogradWeightBytes(tr, p) / int64(d)
-	oneWay := comm.RingCollectivePerWorker(msg, st.Nc)
-	bwd.collBytes = 2 * oneWay
-	bwd.collSec = s.collectiveSeconds(msg, st.Nc, s.ringBW(WMp))
-	bwd.netBytes += 2 * oneWay * pw
-	return fwd, bwd
-}
-
-// winogradDRAMBytesExt distributes one phase's volume to a worker under
-// an extended strategy: tiles and spatial data split across all workers,
-// the weight shard shrinks to the whole-cell 1/D share (vs. the legacy
-// 1/Ng) and is re-read per systolic pass when it overflows the buffer.
-func (s System) winogradDRAMBytesExt(cst winograd.Cost, st comm.Strategy, rows int64) int64 {
-	pw := int64(st.Workers())
-	b := (cst.TileBytes + cst.SpatialBytes) / pw
-	shard := cst.WeightBytes / int64(st.Cell())
-	if shard > 0 {
-		passes := int64(1)
-		if !s.NDP.WeightsFitInBuffer(shard) {
-			passes = (rows + int64(s.NDP.SystolicDim) - 1) / int64(s.NDP.SystolicDim)
-			if passes < 1 {
-				passes = 1
-			}
-		}
-		b += shard * passes
-	}
-	return b
-}
-
-// tileSecondsExt converts per-worker tile-fabric bytes to time for a
-// D-worker cell — the same link model as tileSeconds with the hop count
-// taken from the cell size (a cell with Ng = 1 but Nf·Ni > 1 still moves
-// tiles, which the legacy Ng-gated form would miss).
-func (s System) tileSecondsExt(bytes int64, cell int) float64 {
-	if bytes == 0 || cell <= 1 {
-		return 0
-	}
-	bw := s.LinkBW / 2 // MPT tile share
-	hops := meanTileHops(cell)
-	cong := s.TileCongestion
-	if cong <= 0 {
-		cong = 1
-	}
-	return float64(bytes)*hops*cong/bw + 2*hops*s.SerDesSec
+	msg, bw := s.weightCollective(tr, l.P, st)
+	return s.tileSeconds(tileBytes, st.Cell()) + s.collectiveSeconds(msg, st.Nc, bw)
 }

@@ -255,11 +255,18 @@ func TestBandwidthSplit(t *testing.T) {
 	if s.ringBW(WDp) != s.LinkBW {
 		t.Fatal("data-parallel should use all links for rings")
 	}
-	if s.ringBW(WMp) != s.LinkBW/2 || s.tileBW(WMp) != s.LinkBW/2 {
-		t.Fatal("MPT should split bandwidth in half")
+	if s.ringBW(WMp) != s.LinkBW/2 {
+		t.Fatal("MPT rings should get half the links")
 	}
-	if s.tileBW(DDp) != 0 {
-		t.Fatal("direct DP has no tile fabric")
+	// The tile fabric gets the other half: with no latency or congestion
+	// derate, a one-hop (4-worker) cell moves bytes at exactly LinkBW/2.
+	s.SerDesSec, s.TileCongestion = 0, 1
+	const bytes = 1 << 30
+	if bw := bytes / s.tileSeconds(bytes, 4); bw != s.LinkBW/2 {
+		t.Fatalf("tile fabric bandwidth %g, want %g", bw, s.LinkBW/2)
+	}
+	if s.tileSeconds(bytes, 1) != 0 {
+		t.Fatal("a one-worker cell has no tile fabric")
 	}
 }
 
