@@ -29,10 +29,12 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the numeric invariants: activation-predictor
-# safety, blocked-GEMM bit-identity with the naive reference, and the
-# schedule-row kernel's bit-identity with its Go loop on every tier.
+# safety, the quantizer lane kernel's bit-identity with Quantize, blocked-
+# GEMM bit-identity with the naive reference, and the schedule-row
+# kernel's bit-identity with its Go loop on every tier.
 fuzz:
 	$(GO) test -fuzz=FuzzPredictorNeverUnderestimates -fuzztime=30s ./internal/quant/
+	$(GO) test -fuzz=FuzzQuantizeLanesMatchesQuantize -fuzztime=30s ./internal/quant/
 	$(GO) test -fuzz=FuzzBlockedGemmMatchesNaive -fuzztime=30s ./internal/tensor/
 	$(GO) test -fuzz=FuzzSchedRowMatchesGoLoop -fuzztime=30s ./internal/tensor/
 

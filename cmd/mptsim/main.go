@@ -45,6 +45,7 @@ type options struct {
 	workers, batch, k, parallel int
 	breakdown                   bool
 	faults                      string
+	failed                      []int // -faults, parsed and checked against -workers
 	scenarios, scenariosSmoke   bool
 	scenariosOut                string
 	autoplan, allowWideTiles    bool
@@ -56,9 +57,10 @@ type options struct {
 }
 
 // parseFlags parses args into options on fs. It rejects counts no mode
-// can run: -workers below 1 in every mode, and -batch below 1 in layer
-// mode (networks use their catalog batch). main calls it before any
-// output, so a rejected command line prints only the error.
+// can run: -workers below 1 in every mode, -batch below 1 in layer mode
+// (networks use their catalog batch), and a -faults list that is malformed,
+// names a module outside [0, -workers) or leaves no survivor. main calls it
+// before any output, so a rejected command line prints only the error.
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.layer, "layer", "", "Table II layer: Early, Mid-1, Mid-2, Late-1, Late-2")
@@ -91,6 +93,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	}
 	if !o.scenarios && o.layer != "" && o.batch < 1 {
 		return o, fmt.Errorf("-batch %d: need at least 1 sample", o.batch)
+	}
+	if o.faults != "" {
+		var err error
+		if o.failed, err = parseFaults(o.faults, o.workers); err != nil {
+			return o, err
+		}
 	}
 	return o, nil
 }
@@ -200,11 +208,7 @@ func main() {
 			fail(err)
 		}
 		if o.faults != "" {
-			failed, err := parseFaults(o.faults)
-			if err != nil {
-				fail(err)
-			}
-			runFaults(s, net, cfgs, failed)
+			runFaults(s, net, cfgs, o.failed)
 			return
 		}
 		if o.autoplan {
@@ -282,8 +286,12 @@ func runFaults(s sim.System, net model.Network, cfgs []sim.SystemConfig, failed 
 	}
 }
 
-func parseFaults(list string) ([]int, error) {
+// parseFaults parses a -faults list of module ids, each in [0, workers),
+// that leaves at least one of the workers alive (a repeated id fails one
+// module).
+func parseFaults(list string, workers int) ([]int, error) {
 	var out []int
+	dead := map[int]bool{}
 	for _, tok := range strings.Split(list, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -293,10 +301,17 @@ func parseFaults(list string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad module id %q in -faults", tok)
 		}
+		if v < 0 || v >= workers {
+			return nil, fmt.Errorf("-faults module %d out of range [0,%d)", v, workers)
+		}
 		out = append(out, v)
+		dead[v] = true
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("-faults given but no module ids parsed")
+	}
+	if len(dead) == workers {
+		return nil, fmt.Errorf("-faults fails all %d workers", workers)
 	}
 	return out, nil
 }

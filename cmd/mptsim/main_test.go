@@ -15,7 +15,9 @@ func parseArgs(args string) (options, error) {
 
 // TestParseFlagsRejectsBadCounts checks the command-line gate main runs
 // before any output: a worker count below 1 is rejected in every mode, a
-// batch below 1 in layer mode, and valid command lines parse.
+// batch below 1 in layer mode, a -faults list that is malformed, names a
+// module outside [0, -workers) or fails every worker, and valid command
+// lines parse.
 func TestParseFlagsRejectsBadCounts(t *testing.T) {
 	for _, tc := range []struct {
 		args    string
@@ -29,6 +31,14 @@ func TestParseFlagsRejectsBadCounts(t *testing.T) {
 		{"-layer Mid-1 -config w_mp -workers 64 -batch 128", ""},
 		{"-net alexnet -batch 0", ""},            // networks use their catalog batch
 		{"-scenarios -layer Early -batch 0", ""}, // -scenarios takes precedence
+		{"-net alexnet -faults 300", "module 300 out of range [0,256)"},
+		{"-net alexnet -faults -1", "module -1 out of range [0,256)"},
+		{"-net alexnet -faults 3,x", `bad module id "x"`},
+		{"-net alexnet -workers 64 -faults 64", "module 64 out of range [0,64)"},
+		{"-net alexnet -faults ,", "no module ids"},
+		{"-net alexnet -workers 2 -faults 0,1,1", "fails all 2 workers"},
+		{"-net wrn -faults 3,7,200 -config all", ""},
+		{"-net alexnet -workers 2 -faults 1,1", ""},
 	} {
 		_, err := parseArgs(tc.args)
 		if tc.wantErr == "" && err != nil {
@@ -42,5 +52,9 @@ func TestParseFlagsRejectsBadCounts(t *testing.T) {
 	o, err := parseArgs("-layer Mid-1 -config w_mp -workers 64 -batch 128")
 	if err != nil || o.layer != "Mid-1" || o.config != "w_mp" || o.workers != 64 || o.batch != 128 {
 		t.Errorf("valid layer command line parsed to %+v, %v", o, err)
+	}
+	o, err = parseArgs("-net wrn -faults 3,7,200")
+	if err != nil || len(o.failed) != 3 || o.failed[0] != 3 || o.failed[1] != 7 || o.failed[2] != 200 {
+		t.Errorf("-faults 3,7,200 parsed to %v, %v", o.failed, err)
 	}
 }

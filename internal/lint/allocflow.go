@@ -95,6 +95,14 @@ var sanctionedCallees = map[string]string{
 	// TestFpropReLUPredictionAllocFree and the 0 allocs/op benchmarks run
 	// through it on the avx2 tier.
 	"(*mptwino/internal/tensor.gemmKernel).row": "runtime-dispatched schedule-row kernel; its one candidate is an allocation-free AVX2 store loop",
+
+	// The activation-prediction quantizer's lane kernel (lanes_amd64.s),
+	// called directly from quantizeBlocks on the avx2 and fma tiers: a
+	// bodyless register loop with a zero-size frame that only stores into
+	// qv, res and ov. TestFpropReLUPredictionAllocFree,
+	// TestTrainStepAllocationFree and BenchmarkPredictSteady (0 allocs/op)
+	// run through it on those tiers.
+	"mptwino/internal/quant.quantizeLanesAVX2": "bodyless AVX2 quantizer lane kernel; a zero-frame store loop into caller buffers",
 }
 
 // sanctionedCalleePrefixes sanctions whole packages by key prefix: pure

@@ -11,6 +11,7 @@ package mpt
 
 import (
 	"fmt"
+	"math"
 
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
@@ -314,15 +315,23 @@ func (e *Engine) countScatter(t *Traffic, d *winograd.Domain) {
 	if e.Cfg.ZeroSkip {
 		values = 0
 		for _, el := range d.El {
-			for _, v := range el.Data {
-				if v != 0 {
-					values++
-				}
-			}
+			values += nonZero(el.Data)
 		}
 	}
 	t.ScatterBytes += 4 * values * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
 	t.ScatterRawBytes += 4 * raw * int64(e.Cfg.Ng-1) / int64(e.Cfg.Ng)
+}
+
+// nonZero counts the values of vs that are not ±0 (NaN included), as
+// v != 0 does, in integer arithmetic with no data-dependent branch:
+// x = |bits| is 0 only for ±0, and x + 0x7fffffff carries into bit 31 for
+// every other x.
+func nonZero(vs []float32) int64 {
+	var n int64
+	for _, v := range vs {
+		n += int64((math.Float32bits(v)&0x7fffffff + 0x7fffffff) >> 31)
+	}
+	return n
 }
 
 // countGather charges tile-gathering traffic for one cluster's output
@@ -441,8 +450,9 @@ func (e *Engine) predictSkips(t *Traffic, ps *predictor, yd *winograd.Domain) in
 	t.TotalTiles += int64(rows) * int64(yd.C)
 	// Re-derive Δ in place from the shard's Winograd-domain distribution
 	// (the paper profiles per layer and precomputes Δ). A σ that is not
-	// finite (NaN or Inf in the input) bounds nothing, so the shard
-	// predicts nothing and every tile is gathered.
+	// finite (NaN or Inf in the input), or whose Δ underflows to 0 or
+	// overflows to +Inf, bounds nothing, so the shard predicts nothing and
+	// every tile is gathered.
 	if ps.q.Calibrate(quant.DomainSigma(yd)) != nil {
 		return 0
 	}

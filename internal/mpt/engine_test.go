@@ -297,6 +297,30 @@ func TestZeroSkipReducesScatter(t *testing.T) {
 	}
 }
 
+// nonZero, the zero-skip tally, counts exactly the values v != 0 counts:
+// everything but ±0, NaN and subnormals included.
+func TestNonZeroMatchesNotEqualZero(t *testing.T) {
+	vs := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()), -float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32,
+		-math.SmallestNonzeroFloat32, math.MaxFloat32, 1, -1,
+		math.Float32frombits(0x7fffffff), math.Float32frombits(0xffffffff), math.Float32frombits(0x80000001)}
+	rng := tensor.NewRNG(5)
+	for i := 0; i < 1000; i++ {
+		vs = append(vs, math.Float32frombits(uint32(rng.Uint64())))
+	}
+	for n := range vs {
+		var want int64
+		for _, v := range vs[:n] {
+			if v != 0 {
+				want++
+			}
+		}
+		if got := nonZero(vs[:n]); got != want {
+			t.Fatalf("nonZero of the first %d values = %d, v != 0 counts %d", n, got, want)
+		}
+	}
+}
+
 func TestSingleGroupHasNoTileTraffic(t *testing.T) {
 	e, _ := NewEngine(winograd.F4x4_3x3, testP, Config{Ng: 1, Nc: 4}, tensor.NewRNG(1))
 	x := tensor.New(4, testP.In, testP.H, testP.W)

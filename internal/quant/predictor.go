@@ -162,12 +162,16 @@ func (p *Predictor) Predict1DRowInto(l *Lanes, d *winograd.Domain, row int) {
 }
 
 // quantizeLanes quantizes one C-long lane vector v into qv/res, setting
-// ov[ch] for every lane ch whose value overflows.
+// ov[ch] for every lane ch whose value overflows. Every lane gets
+// Quantize's bits on every tier: on avx2 and fma (tensor.RowKernelAVX2)
+// the lanes run eight at a time through an AVX2 kernel of Quantize's
+// closed form (lanes_amd64.s), and the fewer than eight left over, like
+// every lane on the other tiers, run Quantize itself.
 func (q *Quantizer) quantizeLanes(v, qv, res []float32, ov []bool) {
 	qv, res, ov = qv[:len(v)], res[:len(v)], ov[:len(v)]
-	for i, x := range v {
+	for i := q.quantizeBlocks(v, qv, res, ov); i < len(v); i++ {
 		var o bool
-		qv[i], res[i], o = q.Quantize(x)
+		qv[i], res[i], o = q.Quantize(v[i])
 		if o {
 			ov[i] = true
 		}

@@ -33,6 +33,30 @@ func TestNewQuantizerValidation(t *testing.T) {
 			t.Fatalf("regions=%d bits=%d accepted (Δ = %v)", c[0], c[1], q.Delta)
 		}
 	}
+	// σ values that are positive and finite but whose base step Δ is not:
+	// Δ = 4σ/(S·(2^R − 1)) rounds to +Inf on the (1,2) grid at σ = 3e38, to
+	// 0 on the default grid below σ ≈ 2e-44, and to 0 on the widest grid
+	// at σ = 1e-39. Calibrate rejects them too, leaving the quantizer as it
+	// was.
+	for _, c := range []struct {
+		regions, bits int
+		sigma         float32
+	}{{1, 2, 3e38}, {4, 6, 1e-44}, {4, 6, math.SmallestNonzeroFloat32}, {16, 13, 1e-39}} {
+		if q, err := NewQuantizer(c.regions, c.bits, c.sigma); err == nil {
+			t.Fatalf("regions=%d bits=%d sigma=%v accepted (Δ = %v)", c.regions, c.bits, c.sigma, q.Delta)
+		}
+		q := MustQuantizer(c.regions, c.bits, 1)
+		before := *q
+		if err := q.Calibrate(c.sigma); err == nil || *q != before {
+			t.Fatalf("Calibrate(%v) on grid (%d,%d): error %v, quantizer %+v -> %+v",
+				c.sigma, c.regions, c.bits, err, before, *q)
+		}
+	}
+	for _, sigma := range []float32{1e-40, 3e37} {
+		if q, err := NewQuantizer(4, 6, sigma); err != nil || !(q.Delta > 0) || math.IsInf(float64(q.Delta), 1) {
+			t.Fatalf("sigma %v: Δ %v, error %v", sigma, q.Delta, err)
+		}
+	}
 	q, err := NewQuantizer(4, 6, 1)
 	if err != nil {
 		t.Fatal(err)

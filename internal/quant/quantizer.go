@@ -36,8 +36,9 @@ const maxGridUnits = 1 << 24
 // of regions, calibrated to standard deviation sigma. levels-per-sign is
 // 2^(bits-1); it must be divisible by regions, and the top grid point
 // (levels-per-sign/regions)·(2^regions − 1) must not exceed 2^24 base
-// steps. sigma must be positive and finite: an infinite σ would make Δ
-// infinite and every estimate NaN.
+// steps. Since levels-per-sign is a power of two, so are regions and
+// StepsPerRegion. sigma must be positive and finite and give a positive,
+// finite base step Δ (see Calibrate).
 func NewQuantizer(regions, bits int, sigma float32) (*Quantizer, error) {
 	if regions < 1 {
 		return nil, fmt.Errorf("quant: regions must be >= 1, got %d", regions)
@@ -72,25 +73,33 @@ func NewQuantizer(regions, bits int, sigma float32) (*Quantizer, error) {
 // Calibrate re-derives Sigma and the base step Δ in place for a new
 // standard deviation — the per-layer recalibration the engine runs on
 // every predicted pass, without rebuilding the quantizer. A σ that is not
-// positive and finite is rejected and leaves q unchanged.
+// positive and finite is rejected and leaves q unchanged, and so is one
+// whose Δ rounds to 0 or +Inf in float32: at the default grid any σ below
+// about 2e-44 gives Δ = 0, and a zero input then quantizes through 0/0;
+// NewQuantizer(1, 2, 3e38) gives Δ = +Inf, and every estimate is NaN. So
+// a calibrated Δ is positive and finite, and a quotient v/Δ is NaN only
+// for a NaN v.
 func (q *Quantizer) Calibrate(sigma float32) error {
 	if !(sigma > 0) || math.IsInf(float64(sigma), 1) {
 		return SigmaError{sigma}
 	}
-	q.Sigma = sigma
 	// Half-range in base steps is S·(2^R − 1); solve Δ from the σ coverage.
-	q.Delta = float32(q.RangeSigmas * float64(sigma) / float64(q.StepsPerRegion*((1<<q.Regions)-1)))
+	delta := float32(q.RangeSigmas * float64(sigma) / float64(q.topUnits()))
+	if !(delta > 0) || math.IsInf(float64(delta), 1) {
+		return SigmaError{sigma}
+	}
+	q.Sigma, q.Delta = sigma, delta
 	return nil
 }
 
-// SigmaError rejects a calibration σ that is not positive and finite.
-// Calibrate runs on every predicted pass, so its error is a plain value
-// rather than a formatted one; it is built, and allocates when boxed as an
-// error, only when Calibrate fails.
+// SigmaError rejects a calibration σ that is not positive and finite, or
+// whose base step Δ is not. Calibrate runs on every predicted pass, so its
+// error is a plain value rather than a formatted one; it is built, and
+// allocates when boxed as an error, only when Calibrate fails.
 type SigmaError struct{ Sigma float32 }
 
 func (e SigmaError) Error() string {
-	return fmt.Sprintf("quant: sigma must be positive and finite, got %v", e.Sigma)
+	return fmt.Sprintf("quant: sigma must be positive and finite, with a positive finite base step, got %v", e.Sigma)
 }
 
 // MustQuantizer is NewQuantizer that panics on error.
@@ -105,15 +114,28 @@ func MustQuantizer(regions, bits int, sigma float32) *Quantizer {
 // HalfRange returns the largest representable magnitude; values beyond it
 // overflow.
 func (q *Quantizer) HalfRange() float32 {
-	return q.Delta * float32(q.StepsPerRegion*((1<<q.Regions)-1))
+	return q.Delta * float32(q.topUnits())
+}
+
+// topUnits returns the top grid point S·(2^R − 1), in base steps.
+func (q *Quantizer) topUnits() int {
+	return q.StepsPerRegion * (1<<q.Regions - 1)
+}
+
+// stepShift returns log2 S. StepsPerRegion is a power of two by
+// construction (NewQuantizer), so dividing by it is this shift.
+func (q *Quantizer) stepShift() int {
+	return bits.TrailingZeros(uint(q.StepsPerRegion))
 }
 
 // regionOfUnits returns the step-doubling region holding a grid magnitude
 // of u base-step units, using the integer-arithmetic-and-bit-shift
 // formulation of Fig. 10(b): the region index is the bit position of the
-// most significant bit of u/S + 1.
+// most significant bit of u/S + 1. u/S is the shift u >> log2 S: plainly
+// for u ≥ 0, and also for the one negative u that reaches here, amd64's
+// int(+Inf) = MinInt64, which S divides.
 func (q *Quantizer) regionOfUnits(u int) int {
-	return bits.Len(uint(u/q.StepsPerRegion+1)) - 1
+	return bits.Len(uint(u>>q.stepShift()+1)) - 1
 }
 
 // quantAbsUnits floors a non-negative magnitude to the grid, in integer
@@ -129,7 +151,7 @@ func (q *Quantizer) quantAbsUnits(mag float32) (gridU, stepU int, overflow bool)
 	if region >= q.Regions || mag != mag {
 		// Clamp to the top grid point and flag overflow; the predictor must
 		// treat overflowed elements conservatively.
-		return s * ((1 << q.Regions) - 1), 1 << (q.Regions - 1), true
+		return q.topUnits(), 1 << (q.Regions - 1), true
 	}
 	step := 1 << region
 	regionLow := (step - 1) * s
@@ -167,7 +189,7 @@ func (q *Quantizer) Quantize(v float32) (qv, res float32, overflow bool) {
 	if q.Delta*float32(g) < -v {
 		g += step
 		step = q.stepOfGridUnits(g)
-		if g >= q.StepsPerRegion*((1<<q.Regions)-1) {
+		if g >= q.topUnits() {
 			ov = true
 		}
 	}
@@ -239,7 +261,7 @@ func (q *Quantizer) Decode(code uint32) (qv, res float32) {
 	sign := code&(1<<(q.Bits-1)) != 0
 	level := int(code & ((1 << (q.Bits - 1)) - 1))
 	s := q.StepsPerRegion
-	region := level / s
+	region := level >> q.stepShift()
 	if region >= q.Regions {
 		region = q.Regions - 1
 	}

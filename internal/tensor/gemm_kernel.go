@@ -35,7 +35,8 @@ import (
 // Each tier also picks the schedule-row kernel under the Winograd tile
 // transforms and activation prediction (SchedRowInto): avx2 and fma run
 // one AVX2 assembly kernel, unfused on both, and portable and sse2 the Go
-// reference loop.
+// reference loop. The activation-prediction quantizer's lane kernel
+// (internal/quant) follows the same choice through RowKernelAVX2.
 
 // EnvGemmKernel is the environment variable that forces a dispatch tier
 // (portable|sse2|avx2|fma); empty or "auto" selects the best unfused tier
@@ -114,6 +115,12 @@ func autoGemmKernel() *gemmKernel {
 // GemmKernel returns the active dispatch tier's name — the value benchdiff
 // records in baseline metadata.
 func GemmKernel() string { return activeGemm.Load().name }
+
+// RowKernelAVX2 reports whether the active tier runs the AVX2 schedule-row
+// kernel (avx2 and fma). Lane kernels outside this package, such as the
+// activation-prediction quantizer's, follow it, so SelectGemmKernel and
+// MPTWINO_GEMM_KERNEL switch every lane kernel together.
+func RowKernelAVX2() bool { return activeGemm.Load().row != nil }
 
 // GemmKernels lists the tiers this CPU can run, in dispatch-preference
 // order (portable first, fused tiers last).
