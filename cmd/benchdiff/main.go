@@ -123,8 +123,7 @@ func main() {
 		}
 		fatal(err)
 	}
-	// Model metrics are only comparable between runs on the same GEMM
-	// dispatch tier: the fused `fma` tier rounds differently by design, and
+	// Every GEMM tier gives the same model metrics bit for bit, but
 	// wall-time baselines recorded on one tier gate meaninglessly against
 	// another. Refuse rather than report bogus drift.
 	if base.GemmKernel != "" && base.GemmKernel != snap.GemmKernel {

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,61 +58,102 @@ func usage() {
 	os.Exit(2)
 }
 
-func cmdReport(args []string) {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	metricsPath := fs.String("metrics", "", "metrics snapshot JSON (mptsim -metrics-json) to join planner gauges from")
-	format := fs.String("format", "text", "output format: text, json, or html (self-contained timeline + flame view)")
-	top := fs.Int("top", 5, "critical-path contributors to list per lane")
-	out := fs.String("o", "-", "output file ('-' = stdout)")
-	fs.Parse(args)
+// reportOptions are the parsed flags of `mpttrace report`.
+type reportOptions struct {
+	metrics, format, out, trace string
+	top                         int
+}
+
+// parseReport parses report's command line on fs and validates it: exactly
+// one trace file, a known -format and -top ≥ 1. cmdReport calls it before
+// it reads any input or opens -o, so a rejected command line leaves every
+// file as it was.
+func parseReport(fs *flag.FlagSet, args []string) (reportOptions, error) {
+	var o reportOptions
+	fs.StringVar(&o.metrics, "metrics", "", "metrics snapshot JSON (mptsim -metrics-json) to join planner gauges from")
+	fs.StringVar(&o.format, "format", "text", "output format: text, json, or html (self-contained timeline + flame view)")
+	fs.IntVar(&o.top, "top", 5, "critical-path contributors to list per lane (≥ 1)")
+	fs.StringVar(&o.out, "o", "-", "output file ('-' = stdout)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "mpttrace report: exactly one trace file required")
-		os.Exit(2)
+		return o, errors.New("exactly one trace file required")
+	}
+	o.trace = fs.Arg(0)
+	switch o.format {
+	case "text", "json", "html":
+	default:
+		return o, fmt.Errorf("unknown -format %q (text, json, html)", o.format)
+	}
+	if o.top < 1 {
+		return o, fmt.Errorf("-top %d: need at least 1 contributor per lane", o.top)
+	}
+	return o, nil
+}
+
+func cmdReport(args []string) {
+	o, err := parseReport(flag.NewFlagSet("report", flag.ExitOnError), args)
+	if err != nil {
+		usageFail("report", err)
 	}
 
-	run := loadRun(fs.Arg(0), *metricsPath)
-	rep := traceview.Analyze(run, traceview.Options{TopK: *top})
+	run := loadRun(o.trace, o.metrics)
+	rep := traceview.Analyze(run, traceview.Options{TopK: o.top})
 
-	w, closeFn := openOut(*out)
+	w, closeFn := openOut(o.out)
 	defer closeFn()
-	var err error
-	switch *format {
+	switch o.format {
 	case "text":
 		err = rep.WriteText(w)
 	case "json":
 		err = rep.WriteJSON(w)
 	case "html":
 		err = traceview.WriteHTML(w, run, rep)
-	default:
-		fmt.Fprintf(os.Stderr, "mpttrace report: unknown -format %q (text, json, html)\n", *format)
-		os.Exit(2)
 	}
 	if err != nil {
 		fail(err)
 	}
 }
 
-func cmdDiff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	metricsA := fs.String("metrics-a", "", "metrics snapshot JSON for run A")
-	metricsB := fs.String("metrics-b", "", "metrics snapshot JSON for run B")
-	maxCycles := fs.Int64("max-delta-cycles", 0, "allowed absolute model-time increase per metric")
-	maxFrac := fs.Float64("max-delta-frac", 0, "allowed relative increase per metric (0.02 = +2%)")
-	exact := fs.Bool("exact", false, "fail on any difference, improvements included (golden-gate mode)")
-	out := fs.String("o", "-", "output file ('-' = stdout)")
-	fs.Parse(args)
+// diffOptions are the parsed flags of `mpttrace diff`.
+type diffOptions struct {
+	metricsA, metricsB, out string
+	a, b                    string // the two trace files
+	opt                     traceview.DiffOptions
+}
+
+// parseDiff parses diff's command line on fs and validates it: exactly two
+// trace files. cmdDiff calls it before it reads any input or opens -o.
+func parseDiff(fs *flag.FlagSet, args []string) (diffOptions, error) {
+	var o diffOptions
+	fs.StringVar(&o.metricsA, "metrics-a", "", "metrics snapshot JSON for run A")
+	fs.StringVar(&o.metricsB, "metrics-b", "", "metrics snapshot JSON for run B")
+	fs.Int64Var(&o.opt.MaxDeltaCycles, "max-delta-cycles", 0, "allowed absolute model-time increase per metric")
+	fs.Float64Var(&o.opt.MaxDeltaFrac, "max-delta-frac", 0, "allowed relative increase per metric (0.02 = +2%)")
+	fs.BoolVar(&o.opt.Exact, "exact", false, "fail on any difference, improvements included (golden-gate mode)")
+	fs.StringVar(&o.out, "o", "-", "output file ('-' = stdout)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "mpttrace diff: exactly two trace files required (a.json b.json)")
-		os.Exit(2)
+		return o, errors.New("exactly two trace files required (a.json b.json)")
+	}
+	o.a, o.b = fs.Arg(0), fs.Arg(1)
+	return o, nil
+}
+
+func cmdDiff(args []string) {
+	o, err := parseDiff(flag.NewFlagSet("diff", flag.ExitOnError), args)
+	if err != nil {
+		usageFail("diff", err)
 	}
 
-	repA := traceview.Analyze(loadRun(fs.Arg(0), *metricsA), traceview.Options{})
-	repB := traceview.Analyze(loadRun(fs.Arg(1), *metricsB), traceview.Options{})
-	d := traceview.Diff(repA, repB, traceview.DiffOptions{
-		MaxDeltaCycles: *maxCycles, MaxDeltaFrac: *maxFrac, Exact: *exact,
-	})
+	repA := traceview.Analyze(loadRun(o.a, o.metricsA), traceview.Options{})
+	repB := traceview.Analyze(loadRun(o.b, o.metricsB), traceview.Options{})
+	d := traceview.Diff(repA, repB, o.opt)
 
-	w, closeFn := openOut(*out)
+	w, closeFn := openOut(o.out)
 	if err := d.WriteText(w); err != nil {
 		closeFn()
 		fail(err)
@@ -123,26 +165,43 @@ func cmdDiff(args []string) {
 	}
 }
 
-func cmdCheck(args []string) {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	metricsPath := fs.String("metrics", "", "metrics snapshot JSON to join planner gauges from")
-	a := traceview.Unset()
-	fs.Float64Var(&a.MinOverlap, "min-overlap", a.MinOverlap, "require comm-hidden-by-compute overlap ≥ this fraction in every phase lane (-1 = off)")
-	fs.Float64Var(&a.MaxIdle, "max-idle", a.MaxIdle, "cap the idle share of every phase lane (-1 = off)")
-	fs.Float64Var(&a.MaxBoundRatio, "max-bound-ratio", a.MaxBoundRatio, "cap every planned layer's achieved/bound byte ratio (-1 = off)")
-	fs.Int64Var(&a.MaxCriticalCycles, "max-critical-cycles", a.MaxCriticalCycles, "cap every phase lane's critical-path cycles (-1 = off)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "mpttrace check: exactly one trace file required")
-		os.Exit(2)
+// checkOptions are the parsed flags of `mpttrace check`.
+type checkOptions struct {
+	metrics, trace string
+	a              traceview.Assertions
+}
+
+// parseCheck parses check's command line on fs and validates it: exactly
+// one trace file and at least one assertion. cmdCheck calls it before it
+// reads any input.
+func parseCheck(fs *flag.FlagSet, args []string) (checkOptions, error) {
+	o := checkOptions{a: traceview.Unset()}
+	fs.StringVar(&o.metrics, "metrics", "", "metrics snapshot JSON to join planner gauges from")
+	fs.Float64Var(&o.a.MinOverlap, "min-overlap", o.a.MinOverlap, "require comm-hidden-by-compute overlap ≥ this fraction in every phase lane (-1 = off)")
+	fs.Float64Var(&o.a.MaxIdle, "max-idle", o.a.MaxIdle, "cap the idle share of every phase lane (-1 = off)")
+	fs.Float64Var(&o.a.MaxBoundRatio, "max-bound-ratio", o.a.MaxBoundRatio, "cap every planned layer's achieved/bound byte ratio (-1 = off)")
+	fs.Int64Var(&o.a.MaxCriticalCycles, "max-critical-cycles", o.a.MaxCriticalCycles, "cap every phase lane's critical-path cycles (-1 = off)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	if !a.Any() {
-		fmt.Fprintln(os.Stderr, "mpttrace check: no assertions enabled (see -h)")
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		return o, errors.New("exactly one trace file required")
+	}
+	o.trace = fs.Arg(0)
+	if !o.a.Any() {
+		return o, errors.New("no assertions enabled (see -h)")
+	}
+	return o, nil
+}
+
+func cmdCheck(args []string) {
+	o, err := parseCheck(flag.NewFlagSet("check", flag.ExitOnError), args)
+	if err != nil {
+		usageFail("check", err)
 	}
 
-	rep := traceview.Analyze(loadRun(fs.Arg(0), *metricsPath), traceview.Options{})
-	fails := traceview.Check(rep, a)
+	rep := traceview.Analyze(loadRun(o.trace, o.metrics), traceview.Options{})
+	fails := traceview.Check(rep, o.a)
 	for _, f := range fails {
 		fmt.Fprintln(os.Stderr, "FAIL:", f)
 	}
@@ -196,5 +255,11 @@ func openOut(path string) (io.Writer, func()) {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "mpttrace:", err)
+	os.Exit(2)
+}
+
+// usageFail reports a rejected command line of subcommand sub and exits 2.
+func usageFail(sub string, err error) {
+	fmt.Fprintf(os.Stderr, "mpttrace %s: %v\n", sub, err)
 	os.Exit(2)
 }

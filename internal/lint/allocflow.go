@@ -82,7 +82,7 @@ var sanctionedCallees = map[string]string{
 	"(*sync.Pool).Put": "returns scratch to the pool; does not allocate",
 
 	// The runtime-dispatched register-tile micro-kernel: a function-typed
-	// field so the AVX2/FMA tier can be selected per CPU at startup. The
+	// field so the SSE2 or AVX2 tier can be selected per CPU at startup. The
 	// candidates (gemm_amd64 tiers) are straight-line store loops; the
 	// per-tier 0 allocs/op benchmarks cover each one.
 	"(*mptwino/internal/tensor.gemmKernel).kern": "runtime-dispatched micro-kernel tier; all candidates are allocation-free store loops",
@@ -97,11 +97,11 @@ var sanctionedCallees = map[string]string{
 	"(*mptwino/internal/tensor.gemmKernel).row": "runtime-dispatched schedule-row kernel; its one candidate is an allocation-free AVX2 store loop",
 
 	// The activation-prediction quantizer's lane kernel (lanes_amd64.s),
-	// called directly from quantizeBlocks on the avx2 and fma tiers: a
-	// bodyless register loop with a zero-size frame that only stores into
-	// qv, res and ov. TestFpropReLUPredictionAllocFree,
+	// called directly from quantizeBlocks on the avx2 tier: a bodyless
+	// register loop with a zero-size frame that only stores into qv, res
+	// and ov. TestFpropReLUPredictionAllocFree,
 	// TestTrainStepAllocationFree and BenchmarkPredictSteady (0 allocs/op)
-	// run through it on those tiers.
+	// run through it on that tier.
 	"mptwino/internal/quant.quantizeLanesAVX2": "bodyless AVX2 quantizer lane kernel; a zero-frame store loop into caller buffers",
 }
 

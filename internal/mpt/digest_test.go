@@ -150,11 +150,8 @@ func netDigest(t *testing.T, cfgs []Config) string {
 // counts — on the planned grids, on one cluster, and on a load-aware
 // straggler profile, at worker counts {1, 2, 8}. Any change to the tile
 // transforms, the cluster fan-out or the ring all-reduce that moves a
-// single bit fails here. The fused `fma` GEMM tier rounds its chains
-// differently by design, so under it only the cross-worker identity is
-// checked.
+// single bit fails here, on every GEMM tier.
 func TestAlexNetBodyGoldenDigest(t *testing.T) {
-	fused := tensor.GemmKernel() == "fma"
 	for _, tc := range []struct {
 		name string
 		cfgs []Config
@@ -174,7 +171,7 @@ func TestAlexNetBodyGoldenDigest(t *testing.T) {
 			} else if got != first {
 				t.Errorf("%s: workers=%d digest %s, workers=1 %s", tc.name, workers, got, first)
 			}
-			if !fused && got != tc.want {
+			if got != tc.want {
 				t.Errorf("%s: workers=%d digest %s, golden %s", tc.name, workers, got, tc.want)
 			}
 		}
@@ -182,7 +179,7 @@ func TestAlexNetBodyGoldenDigest(t *testing.T) {
 }
 
 // Goldens recorded on the per-tile transforms and the sequential cluster
-// loop (auto-dispatched unfused GEMM tier).
+// loop (auto-dispatched GEMM tier).
 const (
 	goldenPlanned = "ee260bea34860560c339f7101609236890687fa5bd1079ab2c286251ae34d5b0"
 	goldenNc1     = "1fb3be499abfa0d0d5289ed3cf56e9f874a804d2698c410f09c7b0d6404b9f72"

@@ -12,10 +12,8 @@ import (
 
 // The MatMul formulation of prediction, kept as the reference the
 // schedule-driven Into forms must reproduce bit for bit. It runs on the
-// naive unfused loops rather than tensor.MatMul, so a forced fused GEMM
-// tier (MPTWINO_GEMM_KERNEL=fma) cannot change the reference either — the
-// schedules are plain mul+add chains by contract, like the fused
-// transforms (winograd's sandwichRef).
+// naive reference loops rather than through the GEMM dispatch, like the
+// fused transforms' reference (winograd's sandwichRef).
 func matMulRef(a, b *tensor.Mat) *tensor.Mat {
 	out := tensor.NewMat(a.Rows, b.Cols)
 	tensor.MatMulNaiveInto(out, a, b)
@@ -79,8 +77,8 @@ func checkBitIdentical(t *testing.T, p *Predictor, pr *Prediction, y *tensor.Mat
 
 // TestPredictIntoBitIdentical: the schedule-driven Into forms reproduce
 // the MatMul chain's Est/MaxErr bits and Overflow flag for every tile size
-// the engine predicts on — plus F(6×6,5×5), whose T = 10 has no compiled
-// schedules and takes OutputScheds' compile-on-call path — over tiles
+// the engine predicts on — plus F(6×6,5×5), whose T = 10 is past every
+// size the engine uses — over tiles
 // holding exact zeros (padding) and elements past the quantizer range,
 // into one reused Prediction.
 func TestPredictIntoBitIdentical(t *testing.T) {

@@ -15,8 +15,8 @@ func quantizeLanesAVX2(v, qv, res *float32, ov *bool, n int, delta, top, half fl
 
 // quantizeBlocks runs the leading ⌊len(v)/8⌋·8 lanes of quantizeLanes
 // through the AVX2 kernel when the active GEMM tier runs the AVX2 row
-// kernel (avx2 and fma), and returns how many lanes it took: none on the
-// other tiers. qv, res and ov hold at least len(v) values.
+// kernel (avx2), and returns how many lanes it took: none on the other
+// tiers. qv, res and ov hold at least len(v) values.
 func (q *Quantizer) quantizeBlocks(v, qv, res []float32, ov []bool) int {
 	n := len(v) &^ 7
 	if n == 0 || !tensor.RowKernelAVX2() {

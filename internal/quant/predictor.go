@@ -51,10 +51,9 @@ func NewPredictor(tr *winograd.Transform, q *Quantizer) *Predictor {
 // Sched.MulInto), bit for bit and for every input: each lane runs the same
 // nonzero terms in the same ascending-k order from the same +0 start. All
 // six lane products are Sched.MulInto rows on tensor.SchedRowInto, which
-// multiplies by each coefficient on the avx2 and fma tiers and turns
-// c = ±1 into an add or subtract in the Go loop of the others; both round
-// exactly as MulTInto's multiply by ±1. Only the loops around the chains
-// change.
+// multiplies by each coefficient on the avx2 tier and turns c = ±1 into an
+// add or subtract in the Go loop of the others; both round exactly as
+// MulTInto's multiply by ±1. Only the loops around the chains change.
 type Lanes struct {
 	c, m     int         // lanes (the channels of a Domain row); output tile size
 	in       [][]float32 // the T² element rows predicted, C values each
@@ -163,10 +162,10 @@ func (p *Predictor) Predict1DRowInto(l *Lanes, d *winograd.Domain, row int) {
 
 // quantizeLanes quantizes one C-long lane vector v into qv/res, setting
 // ov[ch] for every lane ch whose value overflows. Every lane gets
-// Quantize's bits on every tier: on avx2 and fma (tensor.RowKernelAVX2)
-// the lanes run eight at a time through an AVX2 kernel of Quantize's
-// closed form (lanes_amd64.s), and the fewer than eight left over, like
-// every lane on the other tiers, run Quantize itself.
+// Quantize's bits on every tier: on avx2 (tensor.RowKernelAVX2) the lanes
+// run eight at a time through an AVX2 kernel of Quantize's closed form
+// (lanes_amd64.s), and the fewer than eight left over, like every lane on
+// the other tiers, run Quantize itself.
 func (q *Quantizer) quantizeLanes(v, qv, res []float32, ov []bool) {
 	qv, res, ov = qv[:len(v)], res[:len(v)], ov[:len(v)]
 	for i := q.quantizeBlocks(v, qv, res, ov); i < len(v); i++ {

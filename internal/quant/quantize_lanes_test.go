@@ -177,7 +177,7 @@ func FuzzQuantizeLanesMatchesQuantize(f *testing.F) {
 }
 
 // BenchmarkQuantizeLanes times quantizeLanes on each tier this CPU runs
-// (portable and sse2 run Quantize per lane, avx2 and fma the AVX2 kernel)
+// (portable and sse2 run Quantize per lane, avx2 the AVX2 kernel)
 // at 8, 32 and 48 lanes of Gaussian values, the channel counts the engine
 // predicts over.
 func BenchmarkQuantizeLanes(b *testing.B) {

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkGemmCrossover is the probe gemmMinFlops is set from: the
 // reference loops against the blocked kernel (with the finite-B check
-// dispatch adds to NN and TN) on every unfused tier with an assembly
-// kernel, at the element-GEMM shapes m×n×k of perfbench's AlexNet body
+// dispatch adds to NN and TN) on every tier with an assembly kernel, at
+// the element-GEMM shapes m×n×k of perfbench's AlexNet body
 // (conv2–5 on their planned grids, one-image cluster shards) and at five
 // smaller products:
 //
@@ -35,7 +35,7 @@ func BenchmarkGemmCrossover(b *testing.B) {
 			b.Fatal(err)
 		}
 		g := activeGemm.Load()
-		if g.kern == nil || g.fused {
+		if g.kern == nil {
 			continue
 		}
 		for _, sh := range shapes {

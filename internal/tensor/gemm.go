@@ -199,11 +199,7 @@ func MatMulIntoScratch(dst, a, b *Mat, s *GemmScratch) {
 	countGemm(dst.Rows, dst.Cols, a.Cols)
 	g := activeGemm.Load()
 	if onReference(g, dst.Rows, dst.Cols, a.Cols, b.Data) {
-		if g.fused {
-			fmaNaiveInto(dst, a, b)
-		} else {
-			MatMulNaiveInto(dst, a, b)
-		}
+		MatMulNaiveInto(dst, a, b)
 		return
 	}
 	gemmBlocked(dst, a.Data, a.Cols, b.Data, b.Cols, dst.Rows, dst.Cols, a.Cols, false, false, s, g)
@@ -227,11 +223,7 @@ func MatMulNTIntoScratch(dst, a, b *Mat, s *GemmScratch) {
 	countGemm(dst.Rows, dst.Cols, a.Cols)
 	g := activeGemm.Load()
 	if smallGemm(g, dst.Rows, dst.Cols, a.Cols) {
-		if g.fused {
-			fmaNTNaiveInto(dst, a, b)
-		} else {
-			MatMulNTNaiveInto(dst, a, b)
-		}
+		MatMulNTNaiveInto(dst, a, b)
 		return
 	}
 	gemmBlocked(dst, a.Data, a.Cols, b.Data, b.Cols, dst.Rows, dst.Cols, a.Cols, false, true, s, g)
@@ -255,11 +247,7 @@ func MatMulTNIntoScratch(dst, a, b *Mat, s *GemmScratch) {
 	countGemm(dst.Rows, dst.Cols, a.Rows)
 	g := activeGemm.Load()
 	if onReference(g, dst.Rows, dst.Cols, a.Rows, b.Data) {
-		if g.fused {
-			fmaTNNaiveInto(dst, a, b)
-		} else {
-			MatMulTNNaiveInto(dst, a, b)
-		}
+		MatMulTNNaiveInto(dst, a, b)
 		return
 	}
 	gemmBlocked(dst, a.Data, a.Cols, b.Data, b.Cols, dst.Rows, dst.Cols, a.Rows, true, false, s, g)
@@ -288,14 +276,13 @@ func smallGemm(g *gemmKernel, m, n, k int) bool {
 }
 
 // onReference reports whether an NN or TN product with B's values b stays
-// on the reference loops under tier g: every small one, and, on an unfused
-// tier, every one whose B holds ±Inf or NaN. The unfused NN/TN loops skip
-// a zero A operand, so they drop the 0·Inf and 0·NaN addends the blocked
-// kernel computes; only there can the two differ, so this keeps dispatch
-// from changing any result. The NT loops and the fused loops skip nothing
-// and need no such check.
+// on the reference loops under tier g: every small one, and every one
+// whose B holds ±Inf or NaN. The NN/TN loops skip a zero A operand, so
+// they drop the 0·Inf and 0·NaN addends the blocked kernel computes; only
+// there can the two differ, so this keeps dispatch from changing any
+// result. The NT loops skip nothing and need no such check.
 func onReference(g *gemmKernel, m, n, k int, b []float32) bool {
-	return smallGemm(g, m, n, k) || !g.fused && !finite(b)
+	return smallGemm(g, m, n, k) || !finite(b)
 }
 
 // finite reports whether no value of v is ±Inf or NaN, stopping at the
@@ -314,8 +301,7 @@ func finite(v []float32) bool {
 // select the transposed reading of the row-major storage. lda/ldb are the
 // storage row strides (a.Cols / b.Cols of the stored matrices). Panel and
 // register-tile geometry come from the dispatch tier g; full tiles run g's
-// assembly kernel and edge tiles the portable microKernel, which follows
-// g's accumulation semantics (plain or fused).
+// assembly kernel and edge tiles the portable microKernel.
 func gemmBlocked(dst *Mat, a []float32, lda int, b []float32, ldb int, m, n, k int, aT, bT bool, s *GemmScratch, g *gemmKernel) {
 	ap, bp := s.panels(g, m, n, k)
 	MR, NR := g.mr, g.nr
@@ -423,10 +409,8 @@ func packB(bp, b []float32, ldb, pc, kc, jc, nc int, bT bool, NR int) {
 // so each element's k-chain runs in ascending order across blocks — the
 // determinism contract. It is the portable fallback for edge tiles and for
 // tiers without an assembly kernel, following tier g's register-tile
-// geometry and accumulation semantics (FMA32 chains under a fused tier, so
-// edge tiles match the fused assembly kernel bit for bit). The panel
-// entries past mr/nr are zero padding and are neither read into nor stored
-// from the valid region.
+// geometry. The panel entries past mr/nr are zero padding and are neither
+// read into nor stored from the valid region.
 func microKernel(dst []float32, ldd, i0, j0, mr, nr, kc int, as, bs []float32, g *gemmKernel) {
 	MR, NR := g.mr, g.nr
 	var acc [gemmMaxMR * gemmMaxNR]float32
@@ -444,21 +428,11 @@ func microKernel(dst []float32, ldd, i0, j0, mr, nr, kc int, as, bs []float32, g
 		bk := bs[:NR]
 		as = as[MR:]
 		bs = bs[NR:]
-		if g.fused {
-			for r := 0; r < MR; r++ {
-				av := ak[r]
-				arow := acc[r*NR : r*NR+NR]
-				for c, bv := range bk {
-					arow[c] = FMA32(av, bv, arow[c])
-				}
-			}
-		} else {
-			for r := 0; r < MR; r++ {
-				av := ak[r]
-				arow := acc[r*NR : r*NR+NR]
-				for c, bv := range bk {
-					arow[c] += av * bv
-				}
+		for r := 0; r < MR; r++ {
+			av := ak[r]
+			arow := acc[r*NR : r*NR+NR]
+			for c, bv := range bk {
+				arow[c] += av * bv
 			}
 		}
 	}

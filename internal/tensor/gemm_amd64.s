@@ -98,7 +98,8 @@ store:
 // ascends, and each YMM lane is one output element — VBROADCASTSS/VMULPS/
 // VADDPS round every lane independently exactly like the scalar reference
 // chain, so the tier is bit-identical to the SSE2/naive path. No fused
-// multiply-add is used here by design (that is the separate `fma` tier).
+// multiply-add is used here by design: a fused update rounds once where
+// the reference rounds twice.
 //
 // Register plan (16 YMM):
 //   Y0..Y7  accumulators: one dst row each (8 columns)
@@ -175,85 +176,14 @@ avx2store:
 	VZEROUPPER
 	RET
 
-// func kernel8x8fma(dst *float32, ldd, kc int, as, bs *float32)
-//
-// 8×8 micro-kernel of the explicit `fma` tier: identical structure to
-// kernel8x8avx2 but each lane update is a single-rounded fused multiply-add
-// (VFMADD231PS). Per lane this computes FMA32(a, b, acc) in ascending k —
-// the tier's scalar reference in gemm_fma.go — which is NOT bit-identical
-// to the mul+add tiers, so dispatch never selects it automatically.
-//
-// Go asm reverses the Intel operand order: VFMADD231PS Y8, Y9, Yn
-// computes Yn += Y9·Y8.
-TEXT ·kernel8x8fma(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ ldd+8(FP), SI
-	MOVQ kc+16(FP), DX
-	MOVQ as+24(FP), R8
-	MOVQ bs+32(FP), R9
-
-	SHLQ $2, SI
-	LEAQ (DI)(SI*2), R10
-	LEAQ (R10)(SI*2), R11
-	LEAQ (R11)(SI*2), R12
-
-	VMOVUPS (DI), Y0
-	VMOVUPS (DI)(SI*1), Y1
-	VMOVUPS (R10), Y2
-	VMOVUPS (R10)(SI*1), Y3
-	VMOVUPS (R11), Y4
-	VMOVUPS (R11)(SI*1), Y5
-	VMOVUPS (R12), Y6
-	VMOVUPS (R12)(SI*1), Y7
-
-	TESTQ DX, DX
-	JZ    fmastore
-
-fmaloop:
-	VMOVUPS (R9), Y8         // b[k][0:8]
-
-	VBROADCASTSS (R8), Y9    // a[k][0]
-	VFMADD231PS  Y8, Y9, Y0
-	VBROADCASTSS 4(R8), Y9   // a[k][1]
-	VFMADD231PS  Y8, Y9, Y1
-	VBROADCASTSS 8(R8), Y9   // a[k][2]
-	VFMADD231PS  Y8, Y9, Y2
-	VBROADCASTSS 12(R8), Y9  // a[k][3]
-	VFMADD231PS  Y8, Y9, Y3
-	VBROADCASTSS 16(R8), Y9  // a[k][4]
-	VFMADD231PS  Y8, Y9, Y4
-	VBROADCASTSS 20(R8), Y9  // a[k][5]
-	VFMADD231PS  Y8, Y9, Y5
-	VBROADCASTSS 24(R8), Y9  // a[k][6]
-	VFMADD231PS  Y8, Y9, Y6
-	VBROADCASTSS 28(R8), Y9  // a[k][7]
-	VFMADD231PS  Y8, Y9, Y7
-
-	ADDQ $32, R8
-	ADDQ $32, R9
-	DECQ DX
-	JNZ  fmaloop
-
-fmastore:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, (DI)(SI*1)
-	VMOVUPS Y2, (R10)
-	VMOVUPS Y3, (R10)(SI*1)
-	VMOVUPS Y4, (R11)
-	VMOVUPS Y5, (R11)(SI*1)
-	VMOVUPS Y6, (R12)
-	VMOVUPS Y7, (R12)(SI*1)
-	VZEROUPPER
-	RET
-
 // func schedRowAVX2(dst *float32, n int, terms *RowTerm, nt int, x *float32, xc int)
 //
-// Schedule-row kernel of the avx2 and fma tiers (SchedRowInto):
+// Schedule-row kernel of the avx2 tier (SchedRowInto):
 // dst[j] = +0 + c₀·x[k₀·xc+j] + c₁·x[k₁·xc+j] + … for j < n, with n ≥ 1
 // and nt ≥ 1. Lanes run in blocks of 32, 16, 8, 4 and 1. A block's
 // accumulators start at +0 and take one VMULPS and one VADDPS per term, in
 // term order, so each lane is the scalar chain of the Go reference loop
-// (schedRowGo). No fused multiply-add is used, on either tier.
+// (schedRowGo). No fused multiply-add is used.
 //
 // Every instruction is VEX-encoded, the scalar tail included: a legacy-SSE
 // MOVSS/MULSS/ADDSS tail after YMM use pays an SSE/AVX transition on each

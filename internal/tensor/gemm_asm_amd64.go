@@ -16,16 +16,12 @@ import "strings"
 func kernel4x8(dst *float32, ldd, kc int, as, bs *float32)
 
 // kernel8x8avx2 is the 8×8 AVX2 tile kernel (vmulps+vaddps lane chains,
-// bit-identical to kernel4x8/naive); kernel8x8fma is its fused twin
-// (vfmadd231ps, FMA32 reference semantics). See gemm_amd64.s.
+// bit-identical to kernel4x8/naive). See gemm_amd64.s.
 //
 //go:noescape
 func kernel8x8avx2(dst *float32, ldd, kc int, as, bs *float32)
 
-//go:noescape
-func kernel8x8fma(dst *float32, ldd, kc int, as, bs *float32)
-
-// schedRowAVX2 is the schedule-row kernel of the avx2 and fma tiers: it
+// schedRowAVX2 is the schedule-row kernel of the avx2 tier: it
 // writes dst[j] = +0 + Σ c·x[k·xc+j] for the n lanes from the nt terms,
 // each lane one VMULPS+VADDPS chain in term order (never fused). It needs
 // n ≥ 1 and nt ≥ 1; SchedRowInto bounds-checks every operand row first.
@@ -38,39 +34,36 @@ func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvRaw() (eax, edx uint32)
 
-// cpuHasAVX2 and cpuHasFMA report *usable* features: the CPUID capability
-// bits AND the OSXSAVE/XGETBV confirmation that the OS preserves YMM state
-// (leaf 1 ECX bits 27/28/12, XCR0&6==6, leaf 7.0 EBX bit 5).
-var cpuHasAVX2, cpuHasFMA = detectCPU()
+// cpuHasAVX2 reports *usable* AVX2: the CPUID capability bit AND the
+// OSXSAVE/XGETBV confirmation that the OS preserves YMM state (leaf 1 ECX
+// bits 27/28, XCR0&6==6, leaf 7.0 EBX bit 5).
+var cpuHasAVX2 = detectAVX2()
 
-func detectCPU() (avx2, fma bool) {
+func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuidRaw(0, 0)
 	if maxLeaf < 7 {
-		return false, false
+		return false
 	}
 	_, _, ecx1, _ := cpuidRaw(1, 0)
 	const (
-		bitFMA     = 1 << 12
 		bitOSXSAVE = 1 << 27
 		bitAVX     = 1 << 28
 	)
 	if ecx1&bitOSXSAVE == 0 || ecx1&bitAVX == 0 {
-		return false, false
+		return false
 	}
 	if xeax, _ := xgetbvRaw(); xeax&6 != 6 { // XMM (bit 1) + YMM (bit 2)
-		return false, false
+		return false
 	}
 	_, ebx7, _, _ := cpuidRaw(7, 0)
-	avx2 = ebx7&(1<<5) != 0
-	fma = avx2 && ecx1&bitFMA != 0 // the fma kernel also uses AVX2 loads
-	return avx2, fma
+	return ebx7&(1<<5) != 0
 }
 
 // gemmKernels lists the dispatch tiers this CPU can run, portable first and
-// preferred-auto-choice last among the unfused entries. The sse2 tier keeps
-// the historical 4×8 geometry (tuned constants in gemm.go); the 8×8 YMM
-// tiers widen MC/NC so the packed A panel still fits L2 (192·256·4 B =
-// 192 KB) while each B strip stays one 8 KB L1 page (256·8·4 B).
+// the auto-dispatch choice last. The sse2 tier keeps the historical 4×8
+// geometry (tuned constants in gemm.go); the 8×8 avx2 tier widens MC/NC so
+// the packed A panel still fits L2 (192·256·4 B = 192 KB) while each B
+// strip stays one 8 KB L1 page (256·8·4 B).
 var gemmKernels = buildGemmKernels()
 
 func buildGemmKernels() []*gemmKernel {
@@ -80,11 +73,6 @@ func buildGemmKernels() []*gemmKernel {
 	}
 	if cpuHasAVX2 {
 		ks = append(ks, &gemmKernel{name: "avx2", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8avx2, row: schedRowAVX2})
-	}
-	if cpuHasFMA {
-		// The fused GEMM tier keeps the unfused row kernel: the tile
-		// transforms and the predictor give the same bits on every tier.
-		ks = append(ks, &gemmKernel{name: "fma", mr: 8, nr: 8, mc: 192, kc: 256, nc: 1024, kern: kernel8x8fma, row: schedRowAVX2, fused: true})
 	}
 	return ks
 }
@@ -96,9 +84,6 @@ func CPUFeatures() string {
 	fs := []string{"sse2"}
 	if cpuHasAVX2 {
 		fs = append(fs, "avx2")
-	}
-	if cpuHasFMA {
-		fs = append(fs, "fma")
 	}
 	return strings.Join(fs, "+")
 }

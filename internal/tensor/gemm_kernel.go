@@ -11,36 +11,31 @@ import (
 // a gemmKernel — one register-tiled micro-kernel plus the cache-panel
 // geometry tuned for it — and the process selects the fastest tier the CPU
 // supports at init (raw CPUID on amd64, no third-party modules). The
-// determinism contract stays per-element: every unfused tier computes the
-// same ascending-k float32 chain as MatMulNaiveInto, lane-parallel across
+// determinism contract stays per-element: every tier computes the same
+// ascending-k float32 chain as MatMulNaiveInto, lane-parallel across
 // output columns only, and keeps the products where the reference's
 // zero-operand skip matters (a non-finite B) on the reference loops, so
 // switching tiers (or machines) never changes a result, for any input
 // (nor a bit of one, up to the sign and payload of a NaN; see gemm.go).
-// The one exception is the explicit `fma` tier: fused
-// multiply-adds round once per update, so it is bit-identical to the
-// FMA32 scalar reference instead, and the auto-dispatch never selects it —
-// it must be forced via MPTWINO_GEMM_KERNEL=fma or SelectGemmKernel.
 //
 // Tier geometry (per micro-kernel, amd64):
 //
 //	sse2  4×8  MC=128 KC=256 NC=512   A panel 128 KB (L2), B strip 8 KB (L1)
 //	avx2  8×8  MC=192 KC=256 NC=1024  A panel 192 KB (L2), B strip 8 KB (L1)
-//	fma   8×8  same panels as avx2, VFMADD231PS inner loop
 //
 // The portable tier has no assembly micro-kernel and keeps every product on
 // the reference loops — the exact behavior of a -tags purego or non-amd64
 // build.
 //
 // Each tier also picks the schedule-row kernel under the Winograd tile
-// transforms and activation prediction (SchedRowInto): avx2 and fma run
-// one AVX2 assembly kernel, unfused on both, and portable and sse2 the Go
-// reference loop. The activation-prediction quantizer's lane kernel
+// transforms and activation prediction (SchedRowInto): avx2 runs an AVX2
+// assembly kernel, and portable and sse2 the Go reference loop. The
+// activation-prediction quantizer's lane kernel
 // (internal/quant) follows the same choice through RowKernelAVX2.
 
 // EnvGemmKernel is the environment variable that forces a dispatch tier
-// (portable|sse2|avx2|fma); empty or "auto" selects the best unfused tier
-// the CPU supports. An unsupported forced tier panics at init with the
+// (portable|sse2|avx2); empty or "auto" selects the fastest tier the CPU
+// supports. An unsupported forced tier panics at init with the
 // available list — CI legs probe availability first (cmd/gemmprobe).
 const EnvGemmKernel = "MPTWINO_GEMM_KERNEL"
 
@@ -57,15 +52,9 @@ type gemmKernel struct {
 	kern func(dst *float32, ldd, kc int, as, bs *float32)
 
 	// row is the tier's schedule-row kernel (SchedRowInto): it writes the
-	// n lanes at dst from the nt ≥ 1 terms, n ≥ 1. Every tier that has one
-	// runs it unfused, so it gives the Go loop's bits on every tier, fma
-	// included. nil runs the Go reference loop (portable and sse2).
+	// n lanes at dst from the nt ≥ 1 terms, n ≥ 1, with the Go loop's bits.
+	// nil runs the Go reference loop (portable and sse2).
 	row func(dst *float32, n int, terms *RowTerm, nt int, x *float32, xc int)
-
-	// fused marks tiers whose accumulation chain is fused multiply-add
-	// (single rounding per update, FMA32 reference semantics). Never
-	// auto-selected.
-	fused bool
 }
 
 // activeGemm is the tier every MatMul* entry point reads (atomically, so
@@ -82,11 +71,12 @@ func init() {
 }
 
 // SelectGemmKernel forces the GEMM dispatch tier by name ("" or "auto"
-// restores the CPU-probed default). It errors — without changing the
-// active tier — when the name is unknown or the CPU lacks the tier.
+// restores the CPU-probed default, the last tier listed). It errors —
+// without changing the active tier — when the name is unknown or the CPU
+// lacks the tier.
 func SelectGemmKernel(name string) error {
 	if name == "" || name == "auto" {
-		activeGemm.Store(autoGemmKernel())
+		activeGemm.Store(gemmKernels[len(gemmKernels)-1])
 		return nil
 	}
 	for _, g := range gemmKernels {
@@ -99,31 +89,18 @@ func SelectGemmKernel(name string) error {
 		EnvGemmKernel, name, strings.Join(GemmKernels(), "|"))
 }
 
-// autoGemmKernel returns the fastest unfused tier the CPU supports; the
-// tier list is ordered portable-first, fastest-last, with fused tiers
-// (result-changing, explicit-only) never eligible.
-func autoGemmKernel() *gemmKernel {
-	best := gemmKernels[0]
-	for _, g := range gemmKernels[1:] {
-		if !g.fused {
-			best = g
-		}
-	}
-	return best
-}
-
 // GemmKernel returns the active dispatch tier's name — the value benchdiff
 // records in baseline metadata.
 func GemmKernel() string { return activeGemm.Load().name }
 
 // RowKernelAVX2 reports whether the active tier runs the AVX2 schedule-row
-// kernel (avx2 and fma). Lane kernels outside this package, such as the
+// kernel (avx2). Lane kernels outside this package, such as the
 // activation-prediction quantizer's, follow it, so SelectGemmKernel and
 // MPTWINO_GEMM_KERNEL switch every lane kernel together.
 func RowKernelAVX2() bool { return activeGemm.Load().row != nil }
 
-// GemmKernels lists the tiers this CPU can run, in dispatch-preference
-// order (portable first, fused tiers last).
+// GemmKernels lists the tiers this CPU can run, portable first and the
+// auto-dispatch choice last.
 func GemmKernels() []string {
 	out := make([]string, len(gemmKernels))
 	for i, g := range gemmKernels {

@@ -3,9 +3,9 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +27,9 @@ func TestGemmKernelSelection(t *testing.T) {
 		t.Fatalf("tier list must start with portable, got %v", names)
 	}
 	for _, name := range names {
+		if name != "portable" && name != "sse2" && name != "avx2" {
+			t.Fatalf("tier list %v holds %q, want names from portable, sse2, avx2", names, name)
+		}
 		if err := SelectGemmKernel(name); err != nil {
 			t.Fatalf("selecting listed tier %q: %v", name, err)
 		}
@@ -35,28 +38,31 @@ func TestGemmKernelSelection(t *testing.T) {
 		}
 	}
 
-	// Unknown tiers must fail without clobbering the active one.
+	// Unknown tiers, "fma" among them (no tier fuses its multiply-adds),
+	// must fail without clobbering the active one.
 	before := GemmKernel()
-	if err := SelectGemmKernel("avx512-unobtainium"); err == nil {
-		t.Fatal("expected error for unknown tier")
-	}
-	if got := GemmKernel(); got != before {
-		t.Fatalf("failed selection changed the active tier: %q -> %q", before, got)
+	for _, name := range []string{"avx512-unobtainium", "fma"} {
+		if err := SelectGemmKernel(name); err == nil || !strings.Contains(err.Error(), "not available") {
+			t.Fatalf("selecting %q: error %v, want the not-available error", name, err)
+		}
+		if got := GemmKernel(); got != before {
+			t.Fatalf("failed selection of %q changed the active tier: %q -> %q", name, before, got)
+		}
 	}
 
-	// Auto dispatch never picks a fused (result-changing) tier.
+	// Auto dispatch picks the last tier listed.
 	if err := SelectGemmKernel("auto"); err != nil {
 		t.Fatal(err)
 	}
-	if activeGemm.Load().fused {
-		t.Fatalf("auto dispatch selected fused tier %q", GemmKernel())
+	if got := GemmKernel(); got != names[len(names)-1] {
+		t.Fatalf("auto dispatch selected %q, want the last tier of %v", got, names)
 	}
 }
 
 // TestGemmAllTiersTailShapes forces every tier this CPU supports and runs
 // the full NN/NT/TN entry-point set over shapes straddling each tier's own
 // register-tile boundaries (m,n,k ∈ {1, MR−1, MR, MR+1, 2·MR+1, …}),
-// requiring bit-identity with the tier's reference chain. Together with the
+// requiring bit-identity with the reference loops. Together with the
 // CI tier matrix (which forces tiers via MPTWINO_GEMM_KERNEL at the process
 // level) this pins the per-tier determinism contract.
 func TestGemmAllTiersTailShapes(t *testing.T) {
@@ -67,7 +73,6 @@ func TestGemmAllTiersTailShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := activeGemm.Load()
-		refNN, refNT, refTN := gemmRefs(g)
 		dims := []int{1, g.mr - 1, g.mr, g.mr + 1, 2*g.mr + 1, g.nr - 1, g.nr, g.nr + 1, 2*g.nr + 1, 3 * g.nr}
 		ks := []int{1, 2, g.kc - 1, g.kc, g.kc + 1, 37}
 		for _, m := range dims {
@@ -82,21 +87,21 @@ func TestGemmAllTiersTailShapes(t *testing.T) {
 					a := randMat(rng, m, k, 0.15)
 					b := randMat(rng, k, n, 0.15)
 					want := NewMat(m, n)
-					refNN(want, a, b)
+					MatMulNaiveInto(want, a, b)
 					got := NewMat(m, n)
 					MatMulInto(got, a, b)
 					requireBitIdentical(t, name+" NN", want, got)
 
 					bt := b.T()
 					wantNT := NewMat(m, n)
-					refNT(wantNT, a, bt)
+					MatMulNTNaiveInto(wantNT, a, bt)
 					got.Zero()
 					MatMulNTInto(got, a, bt)
 					requireBitIdentical(t, name+" NT", wantNT, got)
 
 					at := a.T()
 					wantTN := NewMat(m, n)
-					refTN(wantTN, at, b)
+					MatMulTNNaiveInto(wantTN, at, b)
 					got.Zero()
 					MatMulTNInto(got, at, b)
 					requireBitIdentical(t, name+" TN", wantTN, got)
@@ -107,8 +112,9 @@ func TestGemmAllTiersTailShapes(t *testing.T) {
 }
 
 // TestGemmUnfusedTiersBitIdentical locks the headline dispatch guarantee:
-// all unfused tiers produce the same bits for the same inputs, so the auto
-// choice (which varies by CPU) never changes results.
+// every tier, each an unfused mul+add chain, produces the same bits for
+// the same inputs, so the auto choice (which varies by CPU) never changes
+// results.
 func TestGemmUnfusedTiersBitIdentical(t *testing.T) {
 	defer restoreGemmKernel(t)
 	rng := rand.New(rand.NewSource(1234))
@@ -121,9 +127,6 @@ func TestGemmUnfusedTiersBitIdentical(t *testing.T) {
 		if err := SelectGemmKernel(name); err != nil {
 			t.Fatal(err)
 		}
-		if activeGemm.Load().fused {
-			continue
-		}
 		got := NewMat(m, n)
 		MatMulInto(got, a, b)
 		if ref == nil {
@@ -131,68 +134,6 @@ func TestGemmUnfusedTiersBitIdentical(t *testing.T) {
 			continue
 		}
 		requireBitIdentical(t, refName+" vs "+name, ref, got)
-	}
-}
-
-// TestFMA32MatchesExact proves the round-to-odd emulation: FMA32 must equal
-// the exact x·y+z rounded once to float32, computed here in high-precision
-// big.Float arithmetic (the products and sums below are exact at 200 bits;
-// Float32() then performs the single round-to-nearest-even).
-func TestFMA32MatchesExact(t *testing.T) {
-	check := func(x, y, z float32) {
-		t.Helper()
-		bx := new(big.Float).SetPrec(200).SetFloat64(float64(x))
-		by := new(big.Float).SetPrec(200).SetFloat64(float64(y))
-		bz := new(big.Float).SetPrec(200).SetFloat64(float64(z))
-		exact := new(big.Float).SetPrec(200).Mul(bx, by)
-		exact.Add(exact, bz)
-		want, _ := exact.Float32()
-		got := FMA32(x, y, z)
-		if math.Float32bits(want) != math.Float32bits(got) {
-			t.Fatalf("FMA32(%v, %v, %v) = %v (bits %08x), want %v (bits %08x)",
-				x, y, z, got, math.Float32bits(got), want, math.Float32bits(want))
-		}
-	}
-
-	// Adversarial double-rounding cases: products that land near the
-	// midpoint between adjacent float32 values once z is added.
-	adversarial := [][3]float32{
-		{1 + 0x1p-23, 1 + 0x1p-23, -1},
-		{1 + 0x1p-23, 1 - 0x1p-23, -1},
-		{0x1p-120, 0x1p-120, 0x1p-126},
-		{0x1.fffffep+0, 0x1.fffffep+0, -0x1.fffffcp+1},
-		{3, 0x1p-23, 1},
-		{-3, 0x1p-23, 1},
-		{0x1.000002p0, 0x1.000002p0, 0x1p-45},
-		{0x1.000002p0, 0x1.000002p0, -0x1p-45},
-	}
-	for _, c := range adversarial {
-		check(c[0], c[1], c[2])
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200000; i++ {
-		x := float32(rng.NormFloat64())
-		y := float32(rng.NormFloat64())
-		z := float32(rng.NormFloat64())
-		// Mix in magnitude spreads that exercise the sticky-bit region.
-		switch i % 4 {
-		case 1:
-			z *= 0x1p-40
-		case 2:
-			z *= 0x1p+30
-		case 3:
-			x *= 0x1p-60
-		}
-		check(x, y, z)
-	}
-
-	// Specials pass through the widened arithmetic untouched.
-	if got := FMA32(float32(math.Inf(1)), 1, 1); !math.IsInf(float64(got), 1) {
-		t.Fatalf("FMA32(+Inf,1,1) = %v", got)
-	}
-	if got := FMA32(1, 1, float32(math.NaN())); !math.IsNaN(float64(got)) {
-		t.Fatalf("FMA32(1,1,NaN) = %v", got)
 	}
 }
 
@@ -251,12 +192,11 @@ func TestGemmScratchPanelsPerTier(t *testing.T) {
 
 // TestGemmNonFiniteOperandsMatchReference: with ±0 in A and ±Inf and NaN
 // in B, NN, NT and TN products through the public entry points equal the
-// tier's reference loops on every tier — the unfused loops' zero-operand
-// skip included, which drops the 0·Inf and 0·NaN addends the blocked
-// kernel would compute — bit for bit except for which NaN a NaN result
-// is (requireSameValues). Shapes lie on both sides of the crossover; the
-// last spans two depth panels and holds its non-finite values in the
-// second only.
+// reference loops on every tier — their zero-operand skip included, which
+// drops the 0·Inf and 0·NaN addends the blocked kernel would compute — bit
+// for bit except for which NaN a NaN result is (requireSameValues). Shapes
+// lie on both sides of the crossover; the last spans two depth panels and
+// holds its non-finite values in the second only.
 func TestGemmNonFiniteOperandsMatchReference(t *testing.T) {
 	defer restoreGemmKernel(t)
 	specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
@@ -265,7 +205,6 @@ func TestGemmNonFiniteOperandsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := activeGemm.Load()
-		refNN, refNT, refTN := gemmRefs(g)
 		rng := rand.New(rand.NewSource(5))
 		for _, sh := range [][4]int{ // {m, n, k, first depth row holding a non-finite value}
 			{5, 7, 3, 0}, {16, 32, 8, 0}, {16, 48, 32, 0}, {64, 64, 64, 0}, {40, 24, g.kc + 37, g.kc},
@@ -284,7 +223,7 @@ func TestGemmNonFiniteOperandsMatchReference(t *testing.T) {
 			ctx := func(op string) string { return fmt.Sprintf("%s %s %dx%dx%d", name, op, m, n, k) }
 
 			want, got := NewMat(m, n), NewMat(m, n)
-			refNN(want, a, b)
+			MatMulNaiveInto(want, a, b)
 			MatMulInto(got, a, b)
 			requireSameValues(t, ctx("MatMulInto"), want, got)
 			var s GemmScratch
@@ -293,13 +232,13 @@ func TestGemmNonFiniteOperandsMatchReference(t *testing.T) {
 			requireSameValues(t, ctx("MatMulIntoScratch"), want, got)
 
 			bt := b.T()
-			refNT(want, a, bt)
+			MatMulNTNaiveInto(want, a, bt)
 			got.Zero()
 			MatMulNTInto(got, a, bt)
 			requireSameValues(t, ctx("MatMulNTInto"), want, got)
 
 			at := a.T()
-			refTN(want, at, b)
+			MatMulTNNaiveInto(want, at, b)
 			got.Zero()
 			MatMulTNInto(got, at, b)
 			requireSameValues(t, ctx("MatMulTNInto"), want, got)

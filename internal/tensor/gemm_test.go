@@ -72,16 +72,6 @@ func ulpClose(want, got float32, maxUlps int32) bool {
 	return d <= maxUlps
 }
 
-// gemmRefs returns the reference loops matching tier g's accumulation
-// semantics: the plain ascending-k mul+add chains for unfused tiers, the
-// single-rounded FMA32 chains for fused ones.
-func gemmRefs(g *gemmKernel) (nn, nt, tn func(dst, a, b *Mat)) {
-	if g.fused {
-		return fmaNaiveInto, fmaNTNaiveInto, fmaTNNaiveInto
-	}
-	return MatMulNaiveInto, MatMulNTNaiveInto, MatMulTNNaiveInto
-}
-
 // The blocked kernel must be bit-identical to the naive reference for
 // finite inputs: every output element's float32 accumulation chain is the
 // same ascending-k chain, and the reference's zero-skip only elides ±0
@@ -100,13 +90,12 @@ func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 		{40, gemmNC + 3, 19}, {97, 101, 103},
 	}
 	g := activeGemm.Load()
-	refNN, refNT, refTN := gemmRefs(g)
 	for _, sh := range shapes {
 		m, n, k := sh[0], sh[1], sh[2]
 		a := randMat(rng, m, k, 0.15)
 		b := randMat(rng, k, n, 0.15)
 		want := NewMat(m, n)
-		refNN(want, a, b)
+		MatMulNaiveInto(want, a, b)
 
 		got := NewMat(m, n)
 		var s GemmScratch
@@ -123,7 +112,7 @@ func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 		bt := b.T()
 		gotNT := NewMat(m, n)
 		wantNT := NewMat(m, n)
-		refNT(wantNT, a, bt)
+		MatMulNTNaiveInto(wantNT, a, bt)
 		gemmBlocked(gotNT, a.Data, a.Cols, bt.Data, bt.Cols, m, n, k, false, true, &s, g)
 		requireBitIdentical(t, "blocked NT", wantNT, gotNT)
 		gotNT.Zero()
@@ -135,7 +124,7 @@ func TestBlockedGemmBitIdenticalToNaive(t *testing.T) {
 		gotTN := NewMat(m, n)
 		gemmBlocked(gotTN, at.Data, at.Cols, b.Data, b.Cols, m, n, k, true, false, &s, g)
 		wantTN := NewMat(m, n)
-		refTN(wantTN, at, b)
+		MatMulTNNaiveInto(wantTN, at, b)
 		requireBitIdentical(t, "blocked TN", wantTN, gotTN)
 		gotTN.Zero()
 		MatMulTNInto(gotTN, at, b)
@@ -176,9 +165,8 @@ func TestBlockedGemmOverwritesDst(t *testing.T) {
 	m, n, k := 70, 40, 2*gemmKC+17
 	a := randMat(rng, m, k, 0)
 	b := randMat(rng, k, n, 0)
-	refNN, _, _ := gemmRefs(activeGemm.Load())
 	want := NewMat(m, n)
-	refNN(want, a, b)
+	MatMulNaiveInto(want, a, b)
 	got := NewMat(m, n)
 	for i := range got.Data {
 		got.Data[i] = float32(math.NaN())
@@ -219,17 +207,16 @@ func FuzzBlockedGemmMatchesNaive(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randMat(rng, m, k, 0.2)
 		b := randMat(rng, k, n, 0.2)
-		// Every tier this CPU can run must match its own reference chain;
-		// the active tier is restored by the caller-level cleanup below.
+		// Every tier this CPU can run must match the reference loops; the
+		// active tier is restored by the caller-level cleanup below.
 		defer restoreGemmKernel(t)
 		for _, name := range GemmKernels() {
 			if err := SelectGemmKernel(name); err != nil {
 				t.Fatal(err)
 			}
 			g := activeGemm.Load()
-			refNN, refNT, refTN := gemmRefs(g)
 			want := NewMat(m, n)
-			refNN(want, a, b)
+			MatMulNaiveInto(want, a, b)
 			var s GemmScratch
 			got := NewMat(m, n)
 			gemmBlocked(got, a.Data, a.Cols, b.Data, b.Cols, m, n, k, false, false, &s, g)
@@ -237,12 +224,12 @@ func FuzzBlockedGemmMatchesNaive(f *testing.F) {
 			bt := b.T()
 			gemmBlocked(got, a.Data, a.Cols, bt.Data, bt.Cols, m, n, k, false, true, &s, g)
 			wantNT := NewMat(m, n)
-			refNT(wantNT, a, bt)
+			MatMulNTNaiveInto(wantNT, a, bt)
 			requireBitIdentical(t, "fuzz NT "+name, wantNT, got)
 			at := a.T()
 			gemmBlocked(got, at.Data, at.Cols, b.Data, b.Cols, m, n, k, true, false, &s, g)
 			wantTN := NewMat(m, n)
-			refTN(wantTN, at, b)
+			MatMulTNNaiveInto(wantTN, at, b)
 			requireBitIdentical(t, "fuzz TN "+name, wantTN, got)
 		}
 	})

@@ -20,8 +20,8 @@ type RowTerm struct {
 //
 // Every lane is one output value, and every tier computes it by the same
 // chain: from +0, one float32 multiply and one float32 add per term, in
-// term order, never fused. The avx2 and fma tiers run the chain in AVX2
-// assembly (the tier's row kernel), the others in the Go reference loop
+// term order, never fused. The avx2 tier runs the chain in AVX2 assembly
+// (the tier's row kernel), the others in the Go reference loop
 // (schedRowGo), which turns c = ±1 into a plain add or subtract. 1·v and
 // (−1)·v are exact and x + (−v) is x − v, so the two round alike and every
 // tier gives the same bits, up to the sign and payload of a NaN.

@@ -298,7 +298,7 @@ func FuzzSchedRowMatchesGoLoop(f *testing.F) {
 // per tier, over the row shapes (lanes × terms) the perfbench workloads
 // run, 12 to 864 lanes of 3 to 5 terms, and the weight transform's 3 × 3
 // rows. The coefficients are F(4×4,3×3) Aᵀ, Bᵀ and G rows. portable and
-// sse2 time the Go loop, avx2 and fma the AVX2 kernel.
+// sse2 time the Go loop, avx2 the AVX2 kernel.
 //
 //	go test -run '^$' -bench SchedRow -count 5 ./internal/tensor/
 func BenchmarkSchedRow(b *testing.B) {

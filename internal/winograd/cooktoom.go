@@ -24,6 +24,8 @@ import (
 // algorithm F(m×m, r×r) nests it (applied to rows then columns). All
 // matrices are produced by the exact rational Cook–Toom construction in
 // MakeTransform, so round-off enters only at the final float32 conversion.
+// Build Transforms with MakeTransform: it also compiles the term schedules
+// every transform method runs on.
 type Transform struct {
 	M int // outputs per tile per dimension
 	R int // filter size per dimension
@@ -38,9 +40,7 @@ type Transform struct {
 	GT *tensor.Mat // R×T, transpose of G (cached)
 
 	// fused holds the compiled sparse term schedules of the transform
-	// matrices (nil for tile sizes past fusedMaxT, or for Transforms built
-	// outside MakeTransform; the Into methods then use the generic
-	// allocation-free fallback — see fused.go).
+	// matrices (see fused.go).
 	fused *fusedOps
 }
 
@@ -167,9 +167,7 @@ func MakeTransform(m, r int) (*Transform, error) {
 	tr.B = tr.BT.T()
 	tr.A = tr.AT.T()
 	tr.GT = tr.G.T()
-	if t <= fusedMaxT {
-		tr.fused = compileFused(tr)
-	}
+	tr.fused = compileFused(tr)
 	return tr, nil
 }
 

@@ -85,11 +85,7 @@ func (d *Domain) row(b, th, tw int) int {
 // the oracle's stage-2 MulTInto multiplies by c. These round identically:
 // 1·v and −1·v are exact, and x − v is x + (−v). Zero taps are +0 in both
 // (padding, partial edge tiles), and dx slots receive their tile
-// contributions in the oracle's (th, tw) order starting from +0. For
-// transforms without compiled schedules the oracle runs the generic
-// fallback, whose stage 2 skips zero data instead of zero coefficients;
-// the term sets then differ only in ±0 addends, which cannot change a
-// +0-started chain of finite values.
+// contributions in the oracle's (th, tw) order starting from +0.
 
 // TransformInput lifts a spatial input tensor x (B,C,H,W matching the
 // tiling's layer geometry) into the Winograd domain: X = Bᵀ·x·B per tile.
@@ -186,7 +182,7 @@ func (tl *Tiling) transformInputImage(d *Domain, x *tensor.Tensor, sl *scratchSl
 	pad := a.Floats(hp * rs)
 	stage := a.Floats(tl.Tr.T * rs)
 	packImage(pad, x, b, tl.P.Pad, wp)
-	tl.forwardImage(d, tl.bt, pad, stage, rs, b)
+	tl.forwardImage(d, tl.Tr.fused.bt, pad, stage, rs, b)
 }
 
 // TransformOutputGrad lifts a spatial output-gradient tensor dy into the
@@ -228,7 +224,7 @@ func (tl *Tiling) transformOutputGradImage(d *Domain, dy *tensor.Tensor, sl *scr
 	pad := a.Floats(hq * rs)
 	stage := a.Floats(tl.Tr.T * rs)
 	packImage(pad, dy, b, 0, wq)
-	tl.forwardImage(d, tl.a, pad, stage, rs, b)
+	tl.forwardImage(d, tl.Tr.fused.a, pad, stage, rs, b)
 }
 
 // inverseTile runs an inverse tile transform with schedule s (of S, r×T)
@@ -291,7 +287,7 @@ func (tl *Tiling) inverseOutputImage(y *tensor.Tensor, d *Domain, sl *scratchSlo
 	img := y.Data[b*c*plane : (b+1)*c*plane]
 	for th := 0; th < tl.TilesH; th++ {
 		for tw := 0; tw < tl.TilesW; tw++ {
-			inverseTile(d, tl.at, d.row(b, th, tw), tile, stage, out)
+			inverseTile(d, tl.Tr.fused.at, d.row(b, th, tw), tile, stage, out)
 			for i := 0; i < m && th*m+i < oh; i++ {
 				for j := 0; j < m && tw*m+j < ow; j++ {
 					p := (th*m+i)*ow + tw*m + j
@@ -351,7 +347,7 @@ func (tl *Tiling) inverseInputGradImage(dx *tensor.Tensor, d *Domain, sl *scratc
 	}
 	for th := 0; th < tl.TilesH; th++ {
 		for tw := 0; tw < tl.TilesW; tw++ {
-			inverseTile(d, tl.b, d.row(b, th, tw), tile, stage, out)
+			inverseTile(d, tl.Tr.fused.b, d.row(b, th, tw), tile, stage, out)
 			for i := 0; i < t; i++ {
 				dst := acc[(th*m+i)*rs+tw*m*c : (th*m+i)*rs+(tw*m+t)*c]
 				for k, v := range out[i*t*c : (i+1)*t*c] {

@@ -12,7 +12,7 @@ import (
 // time, into a sparse per-row/per-column term schedule, without the dense
 // inner products (or the two temporary matrices) of tensor.Sandwich. Stage
 // 1 runs each schedule row as one tensor.SchedRowInto call over the x
-// columns as lanes: the tier's row kernel (AVX2 on avx2/fma) multiplies by
+// columns as lanes: the tier's row kernel (AVX2 on avx2) multiplies by
 // every coefficient, ±1 included, and the Go reference loop of the other
 // tiers turns c = ±1 into an add or subtract. Stage 2 (MulTInto) is a
 // scalar multiply-add chain per output.
@@ -27,13 +27,6 @@ import (
 // under round-to-nearest). 1·v and (−1)·v are exact, and x − v is
 // bit-equal to x + (−v), so a multiply by ±1 and the Go loop's add/sub
 // round identically to the reference's c·v multiply-adds.
-//
-// Transforms with T beyond fusedMaxT (far past every size the paper uses)
-// skip compilation and take the allocation-free generic sandwichInto path,
-// which replicates the reference loops directly.
-
-// fusedMaxT bounds the tile sizes that get compiled schedules.
-const fusedMaxT = 8
 
 // Sched is the compiled sparse structure of a transform matrix S: row i
 // lists the nonzero (k, c) of S's row i as tensor.RowTerms in ascending k.
@@ -98,16 +91,9 @@ func compileFused(tr *Transform) *fusedOps {
 }
 
 // OutputScheds returns the compiled schedules of the output transform Aᵀ
-// and of its sign split Aᵀ⁺/Aᵀ⁻. Transforms without compiled schedules
-// (T past fusedMaxT, or built outside MakeTransform) compile them on each
-// call, so callers fetch them once, at construction.
+// and of its sign split Aᵀ⁺/Aᵀ⁻.
 func (tr *Transform) OutputScheds() (at, atPos, atNeg *Sched) {
-	if tr.fused != nil {
-		return tr.fused.at, tr.fused.atPos, tr.fused.atNeg
-	}
-	at = compileSched(tr.AT)
-	atPos, atNeg = at.signSplit()
-	return at, atPos, atNeg
+	return tr.fused.at, tr.fused.atPos, tr.fused.atNeg
 }
 
 // MulInto computes dst = S·x, where x is row-major with S's column count
@@ -152,133 +138,55 @@ func (s *Sched) MulTInto(dst, x []float32, xr int) {
 	}
 }
 
-// fusedSandwichInto computes dst = L·x·R where ls is the schedule of L and
-// rts the schedule of Rᵀ. tmp must hold at least len(ls.rows)·x.Cols
-// floats; it carries the stage-1 product L·x.
-func fusedSandwichInto(dst *tensor.Mat, ls, rts *Sched, x *tensor.Mat, tmp []float32) {
-	lr, xc := len(ls.rows), x.Cols
-	if x.Rows != ls.cols || dst.Rows != lr || dst.Cols != len(rts.rows) || rts.cols != xc {
-		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, L %dx%d, x %dx%d, Rᵀ %dx%d",
-			dst.Rows, dst.Cols, lr, ls.cols, x.Rows, x.Cols, len(rts.rows), rts.cols))
+// fusedSandwichInto computes dst = S·x·Sᵀ where s is the schedule of S:
+// every transform here has that form, so one schedule drives both stages.
+// tmp must hold at least len(s.rows)·x.Cols floats; it carries the stage-1
+// product S·x.
+func fusedSandwichInto(dst *tensor.Mat, s *Sched, x *tensor.Mat, tmp []float32) {
+	sr, xc := len(s.rows), x.Cols
+	if x.Rows != s.cols || dst.Rows != sr || dst.Cols != sr || s.cols != xc {
+		panic(fmt.Sprintf("winograd: fused sandwich shape error dst %dx%d, S %dx%d, x %dx%d",
+			dst.Rows, dst.Cols, sr, s.cols, x.Rows, x.Cols))
 	}
-	t1 := tmp[: lr*xc : lr*xc]
-	ls.MulInto(t1, x.Data, xc)
-	rts.MulTInto(dst.Data, t1, lr)
-}
-
-// sandwichInto is the generic allocation-free fallback: dst = l·x·r with
-// the exact reference semantics of tensor.Sandwich (two naive multiplies,
-// zero-skip on the left operand), staging l·x in tmp.
-func sandwichInto(dst *tensor.Mat, l, x, r *tensor.Mat, tmp []float32) {
-	if l.Cols != x.Rows || x.Cols != r.Rows || dst.Rows != l.Rows || dst.Cols != r.Cols {
-		panic(fmt.Sprintf("winograd: sandwich shape error dst %dx%d = %dx%d · %dx%d · %dx%d",
-			dst.Rows, dst.Cols, l.Rows, l.Cols, x.Rows, x.Cols, r.Rows, r.Cols))
-	}
-	lr, xc := l.Rows, x.Cols
-	t1 := tmp[: lr*xc : lr*xc]
-	for i := range t1 {
-		t1[i] = 0
-	}
-	for i := 0; i < lr; i++ {
-		lrow := l.Data[i*l.Cols : (i+1)*l.Cols]
-		drow := t1[i*xc : i*xc+xc]
-		for k, lv := range lrow {
-			if lv == 0 {
-				continue
-			}
-			xrow := x.Data[k*xc : k*xc+xc]
-			for j, xv := range xrow {
-				drow[j] += lv * xv
-			}
-		}
-	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < lr; i++ {
-		trow := t1[i*xc : i*xc+xc]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k, tv := range trow {
-			if tv == 0 {
-				continue
-			}
-			rrow := r.Data[k*r.Cols : (k+1)*r.Cols]
-			for j, rv := range rrow {
-				drow[j] += tv * rv
-			}
-		}
-	}
+	t1 := tmp[: sr*xc : sr*xc]
+	s.MulInto(t1, x.Data, xc)
+	s.MulTInto(dst.Data, t1, sr)
 }
 
 // TmpLen returns the scratch length the Into transform methods need.
 func (tr *Transform) TmpLen() int { return tr.T * tr.T }
 
-// sandwich dispatches one transform step. Every transform here has the
-// form S·x·Sᵀ, so a single schedule s (of S) drives both stages of the
-// fused path; l/x/r feed the generic fallback when s is nil.
-func (tr *Transform) sandwich(dst *tensor.Mat, s *Sched, l, x, r *tensor.Mat, tmp []float32) {
-	if s != nil {
-		fusedSandwichInto(dst, s, s, x, tmp)
-		return
-	}
-	sandwichInto(dst, l, x, r, tmp)
-}
-
 // FilterToWinogradInto computes dst = G·w·Gᵀ (shape T×T) without
 // allocating; tmp needs TmpLen() floats.
 func (tr *Transform) FilterToWinogradInto(dst, w *tensor.Mat, tmp []float32) {
-	var s *Sched
-	if tr.fused != nil {
-		s = tr.fused.g
-	}
-	tr.sandwich(dst, s, tr.G, w, tr.GT, tmp)
+	fusedSandwichInto(dst, tr.fused.g, w, tmp)
 }
 
 // InputToWinogradInto computes dst = Bᵀ·x·B (shape T×T) without allocating.
 func (tr *Transform) InputToWinogradInto(dst, x *tensor.Mat, tmp []float32) {
-	var s *Sched
-	if tr.fused != nil {
-		s = tr.fused.bt
-	}
-	tr.sandwich(dst, s, tr.BT, x, tr.B, tmp)
+	fusedSandwichInto(dst, tr.fused.bt, x, tmp)
 }
 
 // OutputFromWinogradInto computes dst = Aᵀ·y·A (shape M×M) without
 // allocating.
 func (tr *Transform) OutputFromWinogradInto(dst, y *tensor.Mat, tmp []float32) {
-	var s *Sched
-	if tr.fused != nil {
-		s = tr.fused.at
-	}
-	tr.sandwich(dst, s, tr.AT, y, tr.A, tmp)
+	fusedSandwichInto(dst, tr.fused.at, y, tmp)
 }
 
 // OutputToWinogradInto computes dst = A·dy·Aᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) OutputToWinogradInto(dst, dy *tensor.Mat, tmp []float32) {
-	var s *Sched
-	if tr.fused != nil {
-		s = tr.fused.a
-	}
-	tr.sandwich(dst, s, tr.A, dy, tr.AT, tmp)
+	fusedSandwichInto(dst, tr.fused.a, dy, tmp)
 }
 
 // InputFromWinogradInto computes dst = B·dX·Bᵀ (shape T×T) without
 // allocating.
 func (tr *Transform) InputFromWinogradInto(dst, dx *tensor.Mat, tmp []float32) {
-	var s *Sched
-	if tr.fused != nil {
-		s = tr.fused.b
-	}
-	tr.sandwich(dst, s, tr.B, dx, tr.BT, tmp)
+	fusedSandwichInto(dst, tr.fused.b, dx, tmp)
 }
 
 // FilterFromWinogradInto computes dst = Gᵀ·dW·G (shape R×R) without
 // allocating.
 func (tr *Transform) FilterFromWinogradInto(dst, dw *tensor.Mat, tmp []float32) {
-	var s *Sched
-	if tr.fused != nil {
-		s = tr.fused.gt
-	}
-	tr.sandwich(dst, s, tr.GT, dw, tr.G, tmp)
+	fusedSandwichInto(dst, tr.fused.gt, dw, tmp)
 }

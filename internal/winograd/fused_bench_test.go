@@ -6,7 +6,7 @@ import (
 	"mptwino/internal/tensor"
 )
 
-func benchSandwich(b *testing.B, fused bool) {
+func BenchmarkSandwichFused(b *testing.B) {
 	tr := F4x4_3x3
 	rng := tensor.NewRNG(6)
 	x := tensor.NewMat(tr.T, tr.T)
@@ -16,16 +16,7 @@ func benchSandwich(b *testing.B, fused bool) {
 	dst := tensor.NewMat(tr.T, tr.T)
 	tmp := make([]float32, tr.TmpLen())
 	b.ResetTimer()
-	if fused {
-		for i := 0; i < b.N; i++ {
-			fusedSandwichInto(dst, tr.fused.bt, tr.fused.bt, x, tmp)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			sandwichInto(dst, tr.BT, x, tr.B, tmp)
-		}
+	for i := 0; i < b.N; i++ {
+		fusedSandwichInto(dst, tr.fused.bt, x, tmp)
 	}
 }
-
-func BenchmarkSandwichFused(b *testing.B)   { benchSandwich(b, true) }
-func BenchmarkSandwichGeneric(b *testing.B) { benchSandwich(b, false) }

@@ -9,11 +9,8 @@ import (
 )
 
 // sandwichRef is the reference the fused paths must match bit-exactly: the
-// naive mul+add sandwich pipeline the transforms used previously. It pins
-// the unfused reference loops directly rather than tensor.Sandwich because
-// the transform schedules are plain mul+add chains by contract — they do
-// not follow the GEMM dispatch tier, so a forced fused tier
-// (MPTWINO_GEMM_KERNEL=fma) must not change this reference either.
+// naive mul+add sandwich pipeline the transforms used previously, on the
+// reference loops directly rather than through the GEMM dispatch.
 func sandwichRef(l, x, r *tensor.Mat) *tensor.Mat {
 	lx := tensor.NewMat(l.Rows, x.Cols)
 	tensor.MatMulNaiveInto(lx, l, x)
@@ -80,10 +77,14 @@ func checkTransformOps(t *testing.T, tr *Transform, zeroFrac float64) {
 	}
 }
 
+// f6x6_5x5 (T = 10) is past every tile size the paper and the planner use;
+// MakeTransform compiles its schedules like those of every other size.
+var f6x6_5x5 = MustTransform(6, 5)
+
 // The compiled fused schedules must be bit-identical to the generic
 // Cook–Toom sandwich for every transform the paper uses, plus the wide
-// F(6×6,3×3) (T=8, at the fusedMaxT boundary) the planner's tile axis can
-// select behind AllowWideTiles.
+// F(6×6,3×3) (T=8) the planner's tile axis can select behind
+// AllowWideTiles.
 func TestFusedTransformsBitIdentical(t *testing.T) {
 	for _, tr := range []*Transform{F2x2_3x3, F4x4_3x3, F2x2_5x5, F6x6_3x3} {
 		if tr.fused == nil {
@@ -91,6 +92,22 @@ func TestFusedTransformsBitIdentical(t *testing.T) {
 		}
 		checkTransformOps(t, tr, 0.0)
 		checkTransformOps(t, tr, 0.4) // zero-heavy data (padding tiles)
+	}
+}
+
+// F(6×6,5×5) (T = 10) is the size that once took a generic, schedule-less
+// fallback. MakeTransform now compiles its schedules like those of every
+// other size, and they must match the reference bit-exactly too.
+func TestGenericFallbackBitIdentical(t *testing.T) {
+	tr, err := MakeTransform(6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.fused == nil {
+		t.Fatalf("%s: expected compiled fused schedules", tr)
+	}
+	for _, zeroFrac := range []float64{0.0, 0.2, 0.4} {
+		checkTransformOps(t, tr, zeroFrac)
 	}
 }
 
@@ -115,28 +132,6 @@ func TestWideTileTransformsZeroAlloc(t *testing.T) {
 			t.Fatalf("%s: compiled transforms allocate %v/op", tr, n)
 		}
 	}
-}
-
-// Transforms past the fusion size gate fall back to the generic
-// allocation-free path, which must also match the reference bit-exactly.
-func TestGenericFallbackBitIdentical(t *testing.T) {
-	tr, err := MakeTransform(6, 5) // T = 10 > fusedMaxT
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.fused != nil {
-		t.Fatalf("F(6,5) with T=%d should not compile fused schedules", tr.T)
-	}
-	checkTransformOps(t, tr, 0.2)
-}
-
-// A Transform assembled outside MakeTransform has no schedules; the Into
-// methods must still work via the fallback.
-func TestHandAssembledTransformUsesFallback(t *testing.T) {
-	src := F2x2_3x3
-	tr := &Transform{M: src.M, R: src.R, T: src.T,
-		G: src.G, BT: src.BT, AT: src.AT, B: src.B, A: src.A, GT: src.GT}
-	checkTransformOps(t, tr, 0.1)
 }
 
 func TestMatVecInto(t *testing.T) {

@@ -127,10 +127,8 @@ func TestWinogradKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 // TestWinogradKernelsBitIdenticalAcrossWorkersPerTier is the dispatch-tier
 // sweep of the worker-count contract: for every GEMM tier this CPU offers,
 // the layer pipeline (forward, backward, weight gradient) is bitwise
-// identical at worker counts {1, 2, 8}, and every unfused tier reproduces
-// the portable tier's bits exactly. The fused `fma` tier is only required
-// to be self-consistent across worker counts — its accumulation chain
-// rounds once per update by design. Geometry is sized so the T² element
+// identical at worker counts {1, 2, 8}, and every tier reproduces the
+// portable tier's bits exactly. Geometry is sized so the T² element
 // GEMMs cross the blocked-kernel threshold and actually exercise the
 // assembly micro-kernels.
 func TestWinogradKernelsBitIdenticalAcrossWorkersPerTier(t *testing.T) {
@@ -187,15 +185,10 @@ func TestWinogradKernelsBitIdenticalAcrossWorkersPerTier(t *testing.T) {
 				t.Errorf("tier=%s workers=%d: weight grad differs from workers=1", tier, workers)
 			}
 		}
-		switch tier {
-		case "portable":
+		if tier == "portable" {
 			portable = ref
-		case "fma":
-			// Fused chains round differently; cross-tier identity not required.
-		default:
-			if !tensorsEqual(portable.y, ref.y) || !tensorsEqual(portable.dx, ref.dx) || !weightsEqual(portable.dw, ref.dw) {
-				t.Errorf("tier=%s: unfused tier differs from portable bits", tier)
-			}
+		} else if !tensorsEqual(portable.y, ref.y) || !tensorsEqual(portable.dx, ref.dx) || !weightsEqual(portable.dw, ref.dw) {
+			t.Errorf("tier=%s: differs from portable bits", tier)
 		}
 	}
 }

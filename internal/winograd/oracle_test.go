@@ -11,7 +11,7 @@ import (
 
 // The per-tile oracle: every tile of every (image, channel) is extracted
 // into its own T×T (or m×m) matrix, run through the single-tile sandwich
-// (Transform.*Into, fused schedule or generic fallback), and stored back.
+// (Transform.*Into on the compiled schedules), and stored back.
 // This is the textbook formulation of the tile transforms, and it was the
 // production path before the channel-batched transforms of domain.go,
 // which must reproduce it bit for bit.
@@ -188,9 +188,8 @@ func (tl *Tiling) ScatterOutputTile(y *tensor.Tensor, src *tensor.Mat, b, c, th,
 	}
 }
 
-// fillOracleData fills data with normal values, a share of exact +0 and
-// −0 (the addends the schedules and the generic fallback treat
-// differently, which must not change a bit).
+// fillOracleData fills data with normal values and a share of exact +0
+// and −0 (the zero addends a chain must absorb without changing a bit).
 func fillOracleData(r *tensor.RNG, data []float32) {
 	for i := range data {
 		switch u := r.Float64(); {
@@ -240,19 +239,15 @@ func requireBitEqualTensor(t *testing.T, ctx string, want, got *tensor.Tensor) {
 
 // TestTilingTransformsMatchPerTileOracle: the four Tiling transforms
 // reproduce the per-tile oracle bit for bit — over F(2×2,3×3),
-// F(4×4,3×3), F(6×6,3×3), F(2×2,5×5) and a schedule-less F(4×4,3×3)
-// (finite inputs, where the generic fallback's data zero-skip only elides
-// ±0 addends), with partial edge tiles, pad ∈ {0,1,2} and C ∈ {1,3,48}.
+// F(4×4,3×3), F(6×6,3×3), F(2×2,5×5) and F(6×6,5×5), with partial edge
+// tiles, pad ∈ {0,1,2} and C ∈ {1,3,48}.
 func TestTilingTransformsMatchPerTileOracle(t *testing.T) {
-	src := F4x4_3x3
-	bare := &Transform{M: src.M, R: src.R, T: src.T,
-		G: src.G, BT: src.BT, AT: src.AT, B: src.B, A: src.A, GT: src.GT}
 	for _, tc := range []struct {
 		name string
 		tr   *Transform
 	}{
 		{"F2x2_3x3", F2x2_3x3}, {"F4x4_3x3", F4x4_3x3}, {"F6x6_3x3", F6x6_3x3},
-		{"F2x2_5x5", F2x2_5x5}, {"F4x4_3x3/no-schedule", bare},
+		{"F2x2_5x5", F2x2_5x5}, {"F6x6_5x5", f6x6_5x5},
 	} {
 		for _, pad := range []int{0, 1, 2} {
 			for _, ch := range []int{1, 3, 48} {

@@ -15,10 +15,6 @@ type Tiling struct {
 	P  conv.Params
 
 	TilesH, TilesW int // tile grid dimensions
-
-	// Row schedules of Bᵀ, A, Aᵀ and B. Every tile transform has the form
-	// S·x·Sᵀ, so one schedule drives both of its stages (see domain.go).
-	bt, a, at, b *Sched
 }
 
 // NewTiling validates the layer geometry against the transform and returns
@@ -31,21 +27,11 @@ func NewTiling(tr *Transform, p conv.Params) (*Tiling, error) {
 		return nil, fmt.Errorf("winograd: kernel %dx%d does not match transform %s", p.K, p.K, tr)
 	}
 	m := tr.M
-	// Transforms built outside MakeTransform (or past fusedMaxT) carry no
-	// schedules; compile them here, once per layer.
-	f := tr.fused
-	if f == nil {
-		f = compileFused(tr)
-	}
 	return &Tiling{
 		Tr:     tr,
 		P:      p,
 		TilesH: (p.OutH() + m - 1) / m,
 		TilesW: (p.OutW() + m - 1) / m,
-		bt:     f.bt,
-		a:      f.a,
-		at:     f.at,
-		b:      f.b,
 	}, nil
 }
 

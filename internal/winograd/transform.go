@@ -2,12 +2,6 @@ package winograd
 
 import "mptwino/internal/tensor"
 
-// FilterToWinograd computes W = G·w·Gᵀ for one r×r filter, returning the
-// T×T Winograd-domain weight tile.
-func (tr *Transform) FilterToWinograd(w *tensor.Mat) *tensor.Mat {
-	return tensor.Sandwich(tr.G, w, tr.GT)
-}
-
 // InputToWinograd computes X = Bᵀ·x·B for one T×T input tile.
 func (tr *Transform) InputToWinograd(x *tensor.Mat) *tensor.Mat {
 	return tensor.Sandwich(tr.BT, x, tr.B)
@@ -17,27 +11,6 @@ func (tr *Transform) InputToWinograd(x *tensor.Mat) *tensor.Mat {
 // Winograd-domain output tile to the m×m spatial output tile.
 func (tr *Transform) OutputFromWinograd(y *tensor.Mat) *tensor.Mat {
 	return tensor.Sandwich(tr.AT, y, tr.A)
-}
-
-// OutputToWinograd computes dY = A·dy·Aᵀ, the adjoint of
-// OutputFromWinograd; it carries spatial output gradients into the Winograd
-// domain during bprop/updateGrad.
-func (tr *Transform) OutputToWinograd(dy *tensor.Mat) *tensor.Mat {
-	return tensor.Sandwich(tr.A, dy, tr.AT)
-}
-
-// InputFromWinograd computes dx = B·dX·Bᵀ, the adjoint of InputToWinograd;
-// it carries Winograd-domain input gradients back to the spatial domain.
-func (tr *Transform) InputFromWinograd(dx *tensor.Mat) *tensor.Mat {
-	return tensor.Sandwich(tr.B, dx, tr.BT)
-}
-
-// FilterFromWinograd computes dw = Gᵀ·dW·G, the adjoint of
-// FilterToWinograd; it maps Winograd-domain weight gradients back to
-// spatial weight gradients (used by the non-Winograd-layer training mode
-// that keeps spatial weights, Fig. 2(a)).
-func (tr *Transform) FilterFromWinograd(dw *tensor.Mat) *tensor.Mat {
-	return tensor.Sandwich(tr.GT, dw, tr.G)
 }
 
 // Transform1DInput applies the first 1-D stage of the input transform to a
