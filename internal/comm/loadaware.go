@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"math"
+
 	"mptwino/internal/conv"
 	"mptwino/internal/winograd"
 )
@@ -62,7 +64,9 @@ func ClusterSpeeds(speeds []float64, modules []int, ng, nc int) []float64 {
 // and sums exactly to batch.
 //
 // With all speeds equal it reproduces a balanced split (shares differ by
-// at most one), so homogeneous fleets are unaffected.
+// at most one), so homogeneous fleets are unaffected. A speed that is not
+// positive, or not finite (NaN, +Inf), counts as 0: it has no share to
+// apportion, and every other speed's share of an infinite total is NaN.
 func LoadAwareShards(batch int, speeds []float64) []int {
 	nc := len(speeds)
 	if nc == 0 {
@@ -70,9 +74,7 @@ func LoadAwareShards(batch int, speeds []float64) []int {
 	}
 	total := 0.0
 	for _, s := range speeds {
-		if s > 0 {
-			total += s
-		}
+		total += usableSpeed(s)
 	}
 	shares := make([]int, nc)
 	if total <= 0 {
@@ -85,10 +87,7 @@ func LoadAwareShards(batch int, speeds []float64) []int {
 	rems := make([]rem, nc)
 	assigned := 0
 	for c, s := range speeds {
-		if s < 0 {
-			s = 0
-		}
-		ideal := float64(batch) * s / total
+		ideal := float64(batch) * usableSpeed(s) / total
 		shares[c] = int(ideal)
 		rems[c] = rem{frac: ideal - float64(shares[c]), idx: c}
 		assigned += shares[c]
@@ -121,7 +120,10 @@ func LoadAwareShards(batch int, speeds []float64) []int {
 			}
 			if spent {
 				for c, s := range speeds {
-					rems[c] = rem{frac: s, idx: c}
+					// A NaN or +Inf speed stays spent, as a negative one does.
+					if !math.IsNaN(s) && !math.IsInf(s, 1) {
+						rems[c] = rem{frac: s, idx: c}
+					}
 				}
 			}
 		}
@@ -146,6 +148,14 @@ func LoadAwareShards(batch int, speeds []float64) []int {
 		}
 	}
 	return shares
+}
+
+// usableSpeed returns s where it is a positive finite speed, else 0.
+func usableSpeed(s float64) float64 {
+	if s > 0 && !math.IsInf(s, 1) {
+		return s
+	}
+	return 0
 }
 
 // ShardStretch returns the synchronous-step stretch factor of a sharding:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"mptwino/internal/model"
 )
@@ -66,6 +67,42 @@ func TestLoadAwareShardsProportionalAndExact(t *testing.T) {
 	for c, s := range ext {
 		if s < 1 {
 			t.Fatalf("cluster %d starved: shares %v", c, ext)
+		}
+	}
+}
+
+// TestLoadAwareShardsNonFiniteSpeeds: a NaN or infinite speed counts as a
+// zero speed, so the apportionment returns — int(NaN) would seed the
+// leftover loop with about 2⁶³ samples to hand out — with shares that sum
+// to the batch and match the zero-speed profile.
+func TestLoadAwareShardsNonFiniteSpeeds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		speeds, zeroed []float64
+	}{
+		{[]float64{1, nan}, []float64{1, 0}},
+		{[]float64{1, inf}, []float64{1, 0}},
+		{[]float64{1, -inf, 0.5}, []float64{1, 0, 0.5}},
+		{[]float64{inf, 0.5, nan, 2}, []float64{0, 0.5, 0, 2}},
+		{[]float64{nan, inf}, []float64{0, 0}},
+	} {
+		done := make(chan []int, 1)
+		go func() { done <- LoadAwareShards(13, tc.speeds) }()
+		var shares []int
+		select {
+		case shares = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("LoadAwareShards(13, %v) did not return", tc.speeds)
+		}
+		sum := 0
+		for _, s := range shares {
+			sum += s
+		}
+		if sum != 13 {
+			t.Errorf("LoadAwareShards(13, %v) = %v, sums to %d", tc.speeds, shares, sum)
+		}
+		if want := LoadAwareShards(13, tc.zeroed); !reflect.DeepEqual(shares, want) {
+			t.Errorf("LoadAwareShards(13, %v) = %v, want the zero-speed shares %v", tc.speeds, shares, want)
 		}
 	}
 }

@@ -51,6 +51,13 @@ var sanctionedCallees = map[string]string{
 	"mptwino/internal/parallel.ForEachErr":    "amortized pool fan-out; 1-worker path is allocation-free",
 	"(*mptwino/internal/parallel.Pool).Run":   "amortized pool fan-out; pool goroutines are pre-spawned",
 
+	// The phased fan-out under every mpt engine pass: one call per pass
+	// whatever its phase and item counts (TestForEachPhaseAllocationsDoNotGrow,
+	// which also pins its 1-worker path at 0 allocs); the engine's own
+	// 1-worker branch never calls it, and TestTrainStepAllocationFree and
+	// BenchmarkTrainStep read 0 allocs there.
+	"mptwino/internal/parallel.ForEachPhase": "amortized pool fan-out, one per engine pass; 1-worker path is allocation-free",
+
 	// Grow-only scratch: these allocate only while a buffer slot is still
 	// smaller than the request, then replay the same storage forever. The
 	// 0 allocs/op benchmarks (BenchmarkFpropInto etc., gated by benchdiff

@@ -43,10 +43,19 @@ var SharedWrite = &Analyzer{
 var parallelClosureFuncs = map[string]bool{
 	"ForEach":       true,
 	"ForEachWorker": true,
+	"ForEachPhase":  true,
 	"ForEachErr":    true,
 	"Map":           true,
 	"MapErr":        true,
 	"Run":           true, // (*Pool).Run
+}
+
+// unseededParams counts, per fan-out entry point, the leading integer
+// closure parameters that are not work indices: ForEachPhase's phase is
+// the same for every item running at once, so a write indexed by it
+// alone is shared by every worker.
+var unseededParams = map[string]int{
+	"ForEachPhase": 1,
 }
 
 func runSharedWrite(pass *Pass) {
@@ -84,16 +93,20 @@ const (
 
 func checkSharedWrites(pass *Pass, funcName string, lit *ast.FuncLit) {
 	// Seeds: the closure's integer parameters — the worker/item indices
-	// the fan-out primitive feeds it.
+	// the fan-out primitive feeds it — past the ones that are not
+	// (unseededParams).
 	seeds := map[types.Object]bool{}
 	var params []types.Object
+	skip := unseededParams[funcName]
 	if lit.Type.Params != nil {
 		for _, f := range lit.Type.Params.List {
 			for _, name := range f.Names {
 				if obj := pass.Info.Defs[name]; obj != nil {
 					params = append(params, obj)
 					if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-						seeds[obj] = true
+						if len(params) > skip {
+							seeds[obj] = true
+						}
 					}
 				}
 			}

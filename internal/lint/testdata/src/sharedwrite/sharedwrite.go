@@ -60,6 +60,27 @@ func perWorkerPartials(xs []float64, workers int) float64 {
 	return sum
 }
 
+// ForEachPhase seeds its worker and item parameters like ForEachWorker:
+// per-worker partials and per-item slots stay partitioned inside a phase.
+func phasedPartials(xs, out []float64, workers int) {
+	partials := make([]float64, workers)
+	parallel.ForEachPhase(workers, []int{len(xs), len(xs)}, func(phase, worker, i int) {
+		if phase == 0 {
+			partials[worker] += xs[i]
+		} else {
+			out[i] = xs[i] * 2
+		}
+	})
+}
+
+// ForEachPhase's phase is not a work index: every item running at once
+// shares it, so a slot indexed by the phase alone is shared state.
+func phaseIndexedSlot(xs, perPhase []float64) {
+	parallel.ForEachPhase(0, []int{len(xs), len(xs)}, func(phase, _, i int) {
+		perPhase[phase] = xs[i] // want `write to captured "perPhase" inside a parallel.ForEachPhase closure is not provably partitioned`
+	})
+}
+
 // A captured slot indexed by a constant is still shared state.
 func constantSlot(xs []float64) float64 {
 	partials := make([]float64, 1)

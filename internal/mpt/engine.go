@@ -78,10 +78,11 @@ func (t *Traffic) add(o Traffic) {
 	t.TotalTiles += o.TotalTiles
 }
 
-// Engine is one MPT-organized layer instance. Every pass fans its Nc
-// cluster shards out over the host's pool workers (DESIGN.md §7); an
-// Engine is not safe for concurrent use, and neither are the engines of
-// one Net, which share a workspace.
+// Engine is one MPT-organized layer instance. Every pass runs as one
+// phased fan-out over the host's pool workers (DESIGN.md §7): per-cluster
+// transforms, one product per tile element over every cluster's rows, and
+// per-cluster gathers. An Engine is not safe for concurrent use, and
+// neither are the engines of one Net, which share a workspace.
 type Engine struct {
 	Tr  *winograd.Transform
 	P   conv.Params
@@ -90,9 +91,11 @@ type Engine struct {
 	tiling *winograd.Tiling
 	// W is the full Winograd-domain weight set; group g only ever touches
 	// the element matrices in groupEls[g], preserving the paper's
-	// invariant that each weight part stays within its group.
+	// invariant that each weight part stays within its group. elems lists
+	// every tile element, so elems[el:el+1] selects element el alone.
 	W        *winograd.Weights
 	groupEls [][]int
+	elems    []int
 
 	// Activation prediction (nil unless Cfg.Predict): the configured
 	// quantizer, and one predictor per cluster worker, each calibrating
@@ -106,17 +109,18 @@ type Engine struct {
 	ws *workspace // shared with the Net's other engines
 
 	// Pass state, sized by size for sizedBatch images under the grid and
-	// speeds recorded beside it: the clusters' shard bounds, their cached
-	// forward inputs (for UpdateGrad), tensor views of their shards, and
+	// speeds recorded beside it: the clusters' shard bounds, the cached
+	// whole-batch forward input (for the weight gradient) with its
+	// per-cluster row views, tensor views of the clusters' shards, and
 	// their traffic tallies (folded into Traffic in cluster order).
 	sizedBatch  int
 	sizedSpeeds []float64
 	bounds      [][2]int
-	xd          []domainView
+	xd          batchDomain
 	inView      []tensor.Tensor
 	outView     []tensor.Tensor
 	tally       []Traffic
-	// fwdBatch is the batch of the cached forward inputs (0: none).
+	// fwdBatch is the batch of the cached forward input (0: none).
 	fwdBatch int
 }
 
@@ -137,8 +141,10 @@ func NewEngine(tr *winograd.Transform, p conv.Params, cfg Config, rng *tensor.RN
 	if cfg.Ng > t2 {
 		return nil, fmt.Errorf("mpt: %d groups exceed %d tile elements", cfg.Ng, t2)
 	}
-	if len(cfg.Speeds) > 0 && len(cfg.Speeds) != cfg.Nc {
-		return nil, fmt.Errorf("mpt: %d cluster speeds for Nc=%d", len(cfg.Speeds), cfg.Nc)
+	if len(cfg.Speeds) > 0 {
+		if err := checkSpeeds(cfg.Nc, cfg.Speeds); err != nil {
+			return nil, err
+		}
 	}
 	tl, err := winograd.NewTiling(tr, p)
 	if err != nil {
@@ -152,6 +158,7 @@ func NewEngine(tr *winograd.Transform, p conv.Params, cfg Config, rng *tensor.RN
 		Cfg:    cfg,
 		tiling: tl,
 		W:      winograd.TransformWeights(tr, ws),
+		elems:  winograd.GroupElements(tr.T, 1, 0),
 		ws:     &workspace{},
 	}
 	e.setGroups(cfg.Ng)
@@ -207,8 +214,8 @@ func shardBoundsFor(batch, nc int, speeds []float64) ([][2]int, error) {
 	}
 	out := make([][2]int, nc)
 	if len(speeds) > 0 {
-		if len(speeds) != nc {
-			return nil, fmt.Errorf("mpt: %d cluster speeds for Nc=%d", len(speeds), nc)
+		if err := checkSpeeds(nc, speeds); err != nil {
+			return nil, err
 		}
 		lo := 0
 		for c, share := range comm.LoadAwareShards(batch, speeds) {
@@ -221,6 +228,21 @@ func shardBoundsFor(batch, nc int, speeds []float64) ([][2]int, error) {
 		out[c] = [2]int{c * batch / nc, (c + 1) * batch / nc}
 	}
 	return out, nil
+}
+
+// checkSpeeds rejects a speed profile that does not give each of nc
+// clusters one finite speed. A NaN or infinite speed has no share to
+// apportion.
+func checkSpeeds(nc int, speeds []float64) error {
+	if len(speeds) != nc {
+		return fmt.Errorf("mpt: %d cluster speeds for Nc=%d", len(speeds), nc)
+	}
+	for c, s := range speeds {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return fmt.Errorf("mpt: cluster %d speed %v is not finite", c, s)
+		}
+	}
+	return nil
 }
 
 // sized reports whether the pass state fits batch under the current grid
@@ -238,10 +260,10 @@ func (e *Engine) sized(batch int) bool {
 }
 
 // size readies the pass state for batch images: the shard bounds, the
-// per-cluster views and forward caches, one predictor per cluster worker
+// per-cluster views and forward cache, one predictor per cluster worker
 // and the workspace's reservations. It allocates only when the batch, grid
 // or speed profile differs from the last sizing, and drops the cached
-// forward inputs then.
+// forward input then.
 func (e *Engine) size(batch int) error {
 	if e.sized(batch) {
 		return nil
@@ -258,13 +280,9 @@ func (e *Engine) size(batch int) error {
 	e.inView = make([]tensor.Tensor, nc)
 	e.outView = make([]tensor.Tensor, nc)
 	e.tally = make([]Traffic, nc)
-	e.xd = make([]domainView, nc)
-	t2, maxShard := e.Tr.T*e.Tr.T, 0
-	for c, b := range bounds {
-		e.xd[c].reserve(t2, (b[1]-b[0])*e.tiling.Tiles()*e.P.In)
-		maxShard = max(maxShard, b[1]-b[0])
-	}
-	e.ws.reserve(e, maxShard)
+	t2 := e.Tr.T * e.Tr.T
+	e.xd.reserve(t2, batch*e.tiling.Tiles()*e.P.In, nc)
+	e.ws.reserve(e, batch)
 	if e.quantizer != nil {
 		for len(e.preds) < e.ws.clusterWorkers(nc) {
 			q := *e.quantizer
@@ -387,45 +405,75 @@ func (e *Engine) forward(x *tensor.Tensor, relu bool) (*tensor.Tensor, error) {
 }
 
 // fpropInto runs the forward pass into y (ReLU'd and predicted when relu
-// is set) and caches every cluster's Winograd-domain input for
-// updateGradInto. The pass state must be sized for x.N.
+// is set) and caches the Winograd-domain input for backwardInto. The pass
+// state must be sized for x.N. Its three phases run in one fan-out:
+// scatterInput per cluster, productForward per tile element, gatherOutput
+// per cluster. With one pool worker they run as plain loops, which create
+// no closure (winograd/scratch.go).
 func (e *Engine) fpropInto(y, x *tensor.Tensor, relu bool) {
-	if parts := e.ws.split(len(e.bounds)); len(parts) == 1 {
-		for c := range e.bounds {
-			e.fpropCluster(parts[0], 0, c, y, x, relu)
+	e.xd.fit(e.tiling, e.bounds, e.P.In)
+	e.ws.out.fit(e.tiling, e.bounds, e.P.Out)
+	n := [3]int{len(e.bounds), len(e.elems), len(e.bounds)}
+	if e.ws.workers == 1 {
+		for phase, k := range n {
+			for i := 0; i < k; i++ {
+				e.forwardItem(phase, 0, i, y, x, relu)
+			}
 		}
 	} else {
-		parallel.ForEachWorker(len(parts), len(e.bounds), func(w, c int) {
-			e.fpropCluster(parts[w], w, c, y, x, relu)
+		parallel.ForEachPhase(e.ws.workers, n[:], func(phase, w, i int) {
+			e.forwardItem(phase, w, i, y, x, relu)
 		})
 	}
 	e.fold()
 	e.fwdBatch = x.N
 }
 
-// fpropCluster runs cluster c's shard on pool worker w: the input
-// transform into the cluster's cached Domain, every group's element GEMMs
-// into the worker's staging Domain (each group on its own disjoint
-// elements, exactly as Ng separate workers writing their own partitions
-// would), prediction, and the inverse transform straight into the shard's
-// rows of y.
-func (e *Engine) fpropCluster(sc *winograd.Scratch, w, c int, y, x *tensor.Tensor, relu bool) {
+// forwardItem runs item i of the forward pass's phase on pool worker w.
+func (e *Engine) forwardItem(phase, w, i int, y, x *tensor.Tensor, relu bool) {
+	switch phase {
+	case 0:
+		e.scatterInput(w, i, x)
+	case 1:
+		e.productForward(w, i)
+	default:
+		e.gatherOutput(w, i, y, relu)
+	}
+}
+
+// scatterInput runs cluster c's input transform on pool worker w, into
+// the cluster's rows of the cached whole-batch Domain, and charges its
+// scatter.
+func (e *Engine) scatterInput(w, c int, x *tensor.Tensor) {
+	lo, hi := e.bounds[c][0], e.bounds[c][1]
+	xd := e.xd.cluster(c)
+	e.tiling.TransformInputInto(xd, shardView(&e.inView[c], x, lo, hi), e.ws.clusterPart(len(e.bounds), w, c))
+	e.countScatter(&e.tally[c], xd)
+}
+
+// productForward runs tile element el's product on pool worker w: Y = X·W
+// over every cluster's rows at once, the owning group's GEMM for all Nc
+// clusters. Each output row keeps its own ascending-k chain, so the result
+// is the clusters' own products stacked by rows.
+func (e *Engine) productForward(w, el int) {
+	winograd.MulForwardInto(e.ws.out.all(), e.xd.all(), e.W, e.elems[el:el+1],
+		e.ws.elementPart(len(e.bounds), len(e.elems), w))
+}
+
+// gatherOutput finishes cluster c's shard on pool worker w: prediction,
+// the gather charge, and the inverse transform straight into the shard's
+// rows of y, ReLU'd when relu is set.
+func (e *Engine) gatherOutput(w, c int, y *tensor.Tensor, relu bool) {
 	lo, hi := e.bounds[c][0], e.bounds[c][1]
 	t := &e.tally[c]
-	xd := e.xd[c].fit(e.tiling, hi-lo, e.P.In)
-	e.tiling.TransformInputInto(xd, shardView(&e.inView[c], x, lo, hi), sc)
-	e.countScatter(t, xd)
-	yd := e.ws.stage[w].a.fit(e.tiling, hi-lo, e.P.Out)
-	for _, els := range e.groupEls {
-		winograd.MulForwardInto(yd, xd, e.W, els, sc)
-	}
+	yd := e.ws.out.cluster(c)
 	var skipped int64
 	if relu && e.Cfg.Predict {
-		skipped = e.predictSkips(t, &e.preds[w], yd)
+		skipped = e.predictSkips(t, &e.preds[e.ws.clusterSlot(len(e.bounds), w, c)], yd)
 	}
 	e.countGather(t, yd, skipped)
 	ys := shardView(&e.outView[c], y, lo, hi)
-	e.tiling.InverseOutputInto(ys, yd, sc)
+	e.tiling.InverseOutputInto(ys, yd, e.ws.clusterPart(len(e.bounds), w, c))
 	if relu {
 		// Skipped tiles are provably non-activated, so their zeros are
 		// already correct (the inverse transform computed them, but a real
@@ -479,39 +527,10 @@ func (e *Engine) Bprop(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := e.size(dy.N); err != nil {
 		return nil, err
 	}
+	e.ws.reserveBprop(e)
 	dx := tensor.New(dy.N, e.P.In, e.P.H, e.P.W)
-	e.bpropInto(dx, dy)
+	e.backwardInto(nil, dx, dy)
 	return dx, nil
-}
-
-// bpropInto runs the backward pass into dx; the pass state must be sized
-// for dy.N.
-func (e *Engine) bpropInto(dx, dy *tensor.Tensor) {
-	if parts := e.ws.split(len(e.bounds)); len(parts) == 1 {
-		for c := range e.bounds {
-			e.bpropCluster(parts[0], 0, c, dx, dy)
-		}
-	} else {
-		parallel.ForEachWorker(len(parts), len(e.bounds), func(w, c int) {
-			e.bpropCluster(parts[w], w, c, dx, dy)
-		})
-	}
-	e.fold()
-}
-
-func (e *Engine) bpropCluster(sc *winograd.Scratch, w, c int, dx, dy *tensor.Tensor) {
-	lo, hi := e.bounds[c][0], e.bounds[c][1]
-	t := &e.tally[c]
-	st := &e.ws.stage[w]
-	dyd := st.a.fit(e.tiling, hi-lo, e.P.Out)
-	e.tiling.TransformOutputGradInto(dyd, shardView(&e.outView[c], dy, lo, hi), sc)
-	e.countScatter(t, dyd)
-	dxd := st.b.fit(e.tiling, hi-lo, e.P.In)
-	for _, els := range e.groupEls {
-		winograd.MulBackwardInto(dxd, dyd, e.W, els, sc)
-	}
-	e.countGather(t, dxd, 0)
-	e.tiling.InverseInputGradInto(shardView(&e.inView[c], dx, lo, hi), dxd, sc)
 }
 
 // UpdateGrad computes the Winograd-domain weight gradient distributed
@@ -533,44 +552,103 @@ func (e *Engine) UpdateGrad(dy *tensor.Tensor) (*winograd.Weights, error) {
 	}
 	e.ws.reserveUpdate(e)
 	dw := winograd.NewWeights(e.Tr, e.P.In, e.P.Out)
-	e.updateGradInto(dw, dy)
+	e.backwardInto(dw, nil, dy)
 	return dw, nil
 }
 
-// updateGradInto writes the reduced weight gradient into dw. Each
-// cluster's partials land straight in its region of the workspace's ring
-// buffers (reserveUpdate must have sized them), which the per-group
-// all-reduce then combines in ring order.
-func (e *Engine) updateGradInto(dw *winograd.Weights, dy *tensor.Tensor) {
-	if parts := e.ws.split(len(e.bounds)); len(parts) == 1 {
-		for c := range e.bounds {
-			e.updateCluster(parts[0], 0, c, dy)
+// backwardInto runs the backward pass from dy: the reduced weight gradient
+// into dw and the input gradient into dx, either of which may be nil
+// (UpdateGrad computes dw, Bprop dx, Net.backward both). The halves share
+// one dY transform per cluster and one phased fan-out:
+//   - scatterGrad per cluster: the dY transform, the scatter charge (only
+//     when dx is computed) and, for dw, the cluster's partial dW straight
+//     into its region of the ring buffers;
+//   - for dx, productBackward per tile element and gatherGrad per cluster.
+//
+// The per-group ring all-reduce then combines the partials in ring order,
+// after the fan-out. The pass state must be sized for dy.N, the forward
+// input cached for dw (reserveUpdate) and the dX staging reserved for dx
+// (reserveBprop).
+func (e *Engine) backwardInto(dw *winograd.Weights, dx, dy *tensor.Tensor) {
+	e.ws.out.fit(e.tiling, e.bounds, e.P.Out)
+	n, phases := [3]int{len(e.bounds), len(e.elems), len(e.bounds)}, 1
+	if dx != nil {
+		e.ws.dx.fit(e.tiling, e.bounds, e.P.In)
+		phases = 3
+	}
+	if e.ws.workers == 1 {
+		for phase, k := range n[:phases] {
+			for i := 0; i < k; i++ {
+				e.backwardItem(phase, 0, i, dw, dx, dy)
+			}
 		}
 	} else {
-		parallel.ForEachWorker(len(parts), len(e.bounds), func(w, c int) {
-			e.updateCluster(parts[w], w, c, dy)
+		parallel.ForEachPhase(e.ws.workers, n[:phases], func(phase, w, i int) {
+			e.backwardItem(phase, w, i, dw, dx, dy)
 		})
 	}
-	for _, els := range e.groupEls {
-		e.ringAllReduce(els, dw)
+	if dw != nil {
+		for _, els := range e.groupEls {
+			e.ringAllReduce(els, dw)
+		}
 	}
+	e.fold()
+}
+
+// backwardItem runs item i of the backward pass's phase on pool worker w.
+func (e *Engine) backwardItem(phase, w, i int, dw *winograd.Weights, dx, dy *tensor.Tensor) {
+	switch phase {
+	case 0:
+		e.scatterGrad(w, i, dw, dx, dy)
+	case 1:
+		e.productBackward(w, i)
+	default:
+		e.gatherGrad(w, i, dx)
+	}
+}
+
+// scatterGrad runs cluster c's dY transform on pool worker w, into the
+// cluster's rows of the whole-batch staging. With dx set it charges the
+// scatter; with dw set it multiplies the cluster's cached input by its dY
+// into the cluster's partial dW, group by group.
+func (e *Engine) scatterGrad(w, c int, dw *winograd.Weights, dx, dy *tensor.Tensor) {
+	lo, hi := e.bounds[c][0], e.bounds[c][1]
+	sc := e.ws.clusterPart(len(e.bounds), w, c)
+	dyd := e.ws.out.cluster(c)
+	e.tiling.TransformOutputGradInto(dyd, shardView(&e.outView[c], dy, lo, hi), sc)
+	if dx != nil {
+		e.countScatter(&e.tally[c], dyd)
+	}
+	if dw != nil {
+		n := e.partialLen()
+		pw := e.ws.partials[c].fit(e.Tr, e.P.In, e.P.Out, e.ws.ring[c*n:(c+1)*n])
+		for _, els := range e.groupEls {
+			winograd.MulGradInto(pw, e.xd.cluster(c), dyd, els, sc)
+		}
+	}
+}
+
+// productBackward runs tile element el's product on pool worker w:
+// dX = dY·Wᵀ over every cluster's rows at once, stacked as in
+// productForward.
+func (e *Engine) productBackward(w, el int) {
+	winograd.MulBackwardInto(e.ws.dx.all(), e.ws.out.all(), e.W, e.elems[el:el+1],
+		e.ws.elementPart(len(e.bounds), len(e.elems), w))
+}
+
+// gatherGrad charges cluster c's dX gather and runs its inverse transform
+// on pool worker w, into the shard's images of dx.
+func (e *Engine) gatherGrad(w, c int, dx *tensor.Tensor) {
+	lo, hi := e.bounds[c][0], e.bounds[c][1]
+	dxd := e.ws.dx.cluster(c)
+	e.countGather(&e.tally[c], dxd, 0)
+	e.tiling.InverseInputGradInto(shardView(&e.inView[c], dx, lo, hi), dxd, e.ws.clusterPart(len(e.bounds), w, c))
 }
 
 // partialLen is the length of one cluster's partial dW in the ring
 // buffers: the full T²·In·Out weight set, element-major, so a group's
 // contiguous element run is one contiguous region.
 func (e *Engine) partialLen() int { return len(e.W.El) * e.P.In * e.P.Out }
-
-func (e *Engine) updateCluster(sc *winograd.Scratch, w, c int, dy *tensor.Tensor) {
-	lo, hi := e.bounds[c][0], e.bounds[c][1]
-	dyd := e.ws.stage[w].a.fit(e.tiling, hi-lo, e.P.Out)
-	e.tiling.TransformOutputGradInto(dyd, shardView(&e.outView[c], dy, lo, hi), sc)
-	n := e.partialLen()
-	pw := e.ws.partials[c].fit(e.Tr, e.P.In, e.P.Out, e.ws.ring[c*n:(c+1)*n])
-	for _, els := range e.groupEls {
-		winograd.MulGradInto(pw, &e.xd[c].d, dyd, els, sc)
-	}
-}
 
 // ringAllReduce reduces the clusters' partials of one group's elements
 // into dw using a chunked ring schedule: chunk k starts at cluster k and

@@ -1,7 +1,9 @@
 package mpt
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mptwino/internal/comm"
@@ -63,6 +65,65 @@ func TestNewEngineRejectsSpeedLengthMismatch(t *testing.T) {
 	cfg := Config{Ng: 4, Nc: 4, Speeds: []float64{1, 1}}
 	if _, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(7)); err == nil {
 		t.Fatal("2 speeds for Nc=4 accepted")
+	}
+}
+
+// TestNonFiniteSpeedsRejected: a NaN or infinite cluster speed has no
+// share to apportion, so NewEngine and Rebalance reject it, naming the
+// cluster, and a rejected Rebalance leaves the network training exactly
+// like a twin that never saw the call.
+func TestNonFiniteSpeedsRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{Ng: 4, Nc: 4, Speeds: []float64{1, 1, bad, 1}}
+		if _, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(7)); err == nil ||
+			!strings.Contains(err.Error(), "cluster 2") {
+			t.Errorf("NewEngine with speed %v on cluster 2: error %v", bad, err)
+		}
+
+		nets := [2]*Net{recoveryNet(t, 4, 4, 45), recoveryNet(t, 4, 4, 45)}
+		for _, n := range nets {
+			if _, err := n.Rebalance(16, []float64{1, 0.5, 1, 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := nets[1].Rebalance(16, []float64{bad, 1, 1, 1}); err == nil ||
+			!strings.Contains(err.Error(), "cluster 0") {
+			t.Errorf("Rebalance with speed %v on cluster 0: error %v", bad, err)
+		}
+		if !reflect.DeepEqual(nets[1].Cfg.Speeds, []float64{1, 0.5, 1, 1}) {
+			t.Errorf("rejected Rebalance left net speeds %v", nets[1].Cfg.Speeds)
+		}
+		twinSteps(t, nets, 16)
+	}
+}
+
+// twinSteps trains both nets two steps on the same batch and fails unless
+// their losses and weights agree bit for bit.
+func twinSteps(t *testing.T, nets [2]*Net, batch int) {
+	t.Helper()
+	first, last := nets[0].Engines[0].P, nets[0].Engines[len(nets[0].Engines)-1].P
+	x := tensor.New(batch, first.In, first.H, first.W)
+	target := tensor.New(batch, last.Out, last.OutH(), last.OutW())
+	rng := tensor.NewRNG(12)
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(target, 0, 1)
+	for s := 0; s < 2; s++ {
+		var losses [2]float64
+		for i, n := range nets {
+			loss, err := n.TrainStepMSE(x, target, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses[i] = loss
+		}
+		if math.Float64bits(losses[0]) != math.Float64bits(losses[1]) {
+			t.Fatalf("step %d: loss %v, twin %v", s, losses[1], losses[0])
+		}
+	}
+	for l := range nets[0].Engines {
+		if d := maxWeightsDiff(nets[0].Engines[l].W, nets[1].Engines[l].W); d != 0 {
+			t.Errorf("layer %d weights differ from the twin's by %g", l, d)
+		}
 	}
 }
 

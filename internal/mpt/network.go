@@ -119,11 +119,16 @@ func (n *Net) size(batch int) error {
 	return nil
 }
 
-// reserveUpdate readies the weight-gradient passes: the layers' gradient
-// buffers and every engine's ring buffers. Forward-only use skips it.
+// reserveUpdate readies the backward passes: the layers' gradient
+// buffers, every engine's ring buffers, and the input-gradient staging of
+// every layer but the first (which has no input gradient to pass on).
+// Forward-only use skips it.
 func (n *Net) reserveUpdate() {
 	for i, e := range n.Engines {
 		e.ws.reserveUpdate(e)
+		if i > 0 {
+			e.ws.reserveBprop(e)
+		}
 		if i == len(n.dws) {
 			n.dws = append(n.dws, winograd.NewWeights(e.Tr, e.P.In, e.P.Out))
 		}
@@ -139,8 +144,8 @@ func (n *Net) warm(x, target *tensor.Tensor) bool {
 		!target.SameShape(n.acts[len(n.acts)-1]) {
 		return false
 	}
-	for _, e := range n.Engines {
-		if !e.sized(x.N) || !e.ws.updateFits(e) {
+	for i, e := range n.Engines {
+		if !e.sized(x.N) || !e.ws.updateFits(e) || i > 0 && !e.ws.bpropFits(e) {
 			return false
 		}
 	}
@@ -213,14 +218,17 @@ func (n *Net) Backward(dy *tensor.Tensor, lr float32) error {
 	return nil
 }
 
-// backward runs the backward pass through the Net-owned gradients.
+// backward runs the backward pass through the Net-owned gradients: one
+// pass per layer computes its weight gradient and, above the first layer,
+// its input gradient from one dY transform.
 func (n *Net) backward(dy *tensor.Tensor, lr float32) {
 	for i := len(n.Engines) - 1; i >= 0; i-- {
 		e := n.Engines[i]
-		e.updateGradInto(n.dws[i], dy)
-		if i > 0 {
+		if i == 0 {
+			e.backwardInto(n.dws[i], nil, dy)
+		} else {
 			dx := n.grads[i-1]
-			e.bpropInto(dx, dy)
+			e.backwardInto(n.dws[i], dx, dy)
 			for j, live := range n.masks[i-1] {
 				if !live {
 					dx.Data[j] = 0

@@ -29,11 +29,8 @@ func (e *Engine) Restore(w *winograd.Weights) {
 // derives from Cfg.Nc). Weights are untouched, so training resumed from a
 // checkpoint is numerically identical to a fault-free run at the new grid.
 func (e *Engine) Reconfigure(ng, nc int) error {
-	if ng < 1 || nc < 1 {
-		return fmt.Errorf("mpt: Ng=%d Nc=%d must be >= 1", ng, nc)
-	}
-	if t2 := e.Tr.T * e.Tr.T; ng > t2 {
-		return fmt.Errorf("mpt: %d groups exceed %d tile elements", ng, t2)
+	if err := e.checkGrid(ng, nc); err != nil {
+		return err
 	}
 	e.Cfg.Ng, e.Cfg.Nc = ng, nc
 	if len(e.Cfg.Speeds) != nc {
@@ -43,6 +40,18 @@ func (e *Engine) Reconfigure(ng, nc int) error {
 	}
 	e.setGroups(ng)
 	e.fwdBatch = 0
+	return nil
+}
+
+// checkGrid rejects an (Ng, Nc) grid the engine cannot run: a count
+// below 1, or more groups than its transform has tile elements.
+func (e *Engine) checkGrid(ng, nc int) error {
+	if ng < 1 || nc < 1 {
+		return fmt.Errorf("mpt: Ng=%d Nc=%d must be >= 1", ng, nc)
+	}
+	if t2 := e.Tr.T * e.Tr.T; ng > t2 {
+		return fmt.Errorf("mpt: %d groups exceed %d tile elements", ng, t2)
+	}
 	return nil
 }
 
@@ -79,12 +88,17 @@ func (n *Net) Restore(cp *NetCheckpoint) error {
 }
 
 // Reconfigure re-wires every layer to a new (Ng, Nc) grid. On failure the
-// network is left unchanged (the first engine is validated before any is
-// mutated; all engines share one transform and config, so one check
-// covers all).
+// network is left unchanged: every engine is checked before any is
+// changed, since layers may run different transforms (NewNetConfigs), and
+// a group count one layer's tile elements hold can exceed another's.
 func (n *Net) Reconfigure(ng, nc int) error {
 	if len(n.Engines) == 0 {
 		return fmt.Errorf("mpt: empty network")
+	}
+	for i, e := range n.Engines {
+		if err := e.checkGrid(ng, nc); err != nil {
+			return fmt.Errorf("%w (layer %d)", err, i)
+		}
 	}
 	for _, e := range n.Engines {
 		if err := e.Reconfigure(ng, nc); err != nil {

@@ -80,6 +80,41 @@ func TestReconfigureValidation(t *testing.T) {
 	}
 }
 
+// TestNetReconfigureMixedTransformsUnchangedOnError: on a net whose layers
+// run different transforms, a group count one layer can hold and another
+// cannot is rejected before any layer changes — the F(4×4) layer keeps
+// its grid, groups and forward cache — and the net then trains exactly
+// like a twin that never saw the call.
+func TestNetReconfigureMixedTransformsUnchangedOnError(t *testing.T) {
+	params := []conv.Params{
+		{In: 3, Out: 4, K: 3, Pad: 1, H: 8, W: 8},
+		{In: 4, Out: 2, K: 3, Pad: 1, H: 8, W: 8},
+	}
+	cfgs := []Config{{Ng: 4, Nc: 2, TileM: 4}, {Ng: 4, Nc: 2, TileM: 2}} // T = 6 and T = 4
+	var nets [2]*Net
+	for i := range nets {
+		n, err := NewNetConfigs(params, cfgs, tensor.NewRNG(71))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[i] = n
+	}
+	twinSteps(t, nets, 4)
+	if err := nets[1].Reconfigure(32, 2); err == nil {
+		t.Fatal("32 groups accepted on a layer of 16 tile elements")
+	}
+	if nets[1].Cfg.Ng != 4 || nets[1].Cfg.Nc != 2 {
+		t.Errorf("net config (%d,%d) after the rejected call, want (4,2)", nets[1].Cfg.Ng, nets[1].Cfg.Nc)
+	}
+	for i, e := range nets[1].Engines {
+		if e.Cfg.Ng != 4 || e.Cfg.Nc != 2 || len(e.groupEls) != 4 || e.fwdBatch == 0 {
+			t.Errorf("layer %d: Ng=%d Nc=%d, %d groups, cached batch %d after the rejected call",
+				i, e.Cfg.Ng, e.Cfg.Nc, len(e.groupEls), e.fwdBatch)
+		}
+	}
+	twinSteps(t, nets, 4)
+}
+
 // TestReconfigureExactness: a reconfigured engine computes the same forward
 // pass as the single-worker reference — re-sharding moves ownership, not
 // values.

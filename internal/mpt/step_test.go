@@ -98,12 +98,15 @@ func TestEngineEntryPointsRejectMalformedInput(t *testing.T) {
 	}
 }
 
-// TestTrainStepAllocationFree pins the whole-step zero-alloc contract: a
-// warm TrainStepMSE — same batch and grids as the previous step — performs
-// no allocation on the sequential path, on the planned AlexNet-body grids
-// and on one cluster.
+// TestTrainStepAllocationFree pins the whole-step allocation contract. A
+// warm TrainStepMSE — same batch and grids as the previous step —
+// performs no allocation on the sequential path, on the planned
+// AlexNet-body grids and on one cluster. On two workers the planned grid
+// allocates only for its fan-outs: one phased fan-out per pass, so at
+// most two per layer (forward, and backward with its weight and input
+// gradients sharing one), each costing what one parallel.ForEachPhase call
+// costs in isolation. A pass that fanned out twice would exceed it.
 func TestTrainStepAllocationFree(t *testing.T) {
-	defer parallel.SetDefaultWorkers(parallel.SetDefaultWorkers(1))
 	params := alexBody()
 	first, last := params[0], params[len(params)-1]
 	x := tensor.New(digestBatch, first.In, first.H, first.W)
@@ -111,14 +114,8 @@ func TestTrainStepAllocationFree(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	rng.FillNormal(x, 0, 1)
 	rng.FillNormal(target, 0, 1)
-	for _, tc := range []struct {
-		name string
-		cfgs []Config
-	}{
-		{"planned", alexGrids(Config{}, 8)},
-		{"nc1", alexGrids(Config{}, 1)},
-	} {
-		n, err := NewNetConfigs(params, tc.cfgs, tensor.NewRNG(5))
+	warmAllocs := func(cfgs []Config, runs int) float64 {
+		n, err := NewNetConfigs(params, cfgs, tensor.NewRNG(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,9 +126,37 @@ func TestTrainStepAllocationFree(t *testing.T) {
 		}
 		step()
 		step()
-		if allocs := testing.AllocsPerRun(3, step); allocs != 0 {
+		return testing.AllocsPerRun(runs, step)
+	}
+
+	prev := parallel.SetDefaultWorkers(1)
+	for _, tc := range []struct {
+		name string
+		cfgs []Config
+	}{
+		{"planned", alexGrids(Config{}, 8)},
+		{"nc1", alexGrids(Config{}, 1)},
+	} {
+		if allocs := warmAllocs(tc.cfgs, 3); allocs != 0 {
 			t.Errorf("%s: warm TrainStepMSE allocates %v objects, want 0", tc.name, allocs)
 		}
+	}
+
+	parallel.SetDefaultWorkers(2)
+	defer parallel.SetDefaultWorkers(prev)
+	sink := make([]int, 2)
+	perCall := testing.AllocsPerRun(10, func() {
+		parallel.ForEachPhase(2, []int{8, 36, 8}, func(_, w, i int) { sink[w] += i })
+	})
+	if perCall == 0 {
+		t.Fatal("a two-worker ForEachPhase call allocates nothing; the bound below would not bind")
+	}
+	bound := 2 * float64(len(params)) * perCall
+	allocs := warmAllocs(alexGrids(Config{}, 8), 10)
+	t.Logf("planned, 2 workers: %v objects per warm step, bound %v", allocs, bound)
+	if allocs > bound {
+		t.Errorf("planned, 2 workers: warm TrainStepMSE allocates %v objects, want at most %v (two fan-outs of %v per layer)",
+			allocs, bound, perCall)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // it is the executable specification the timing simulator prices — so its
 // trace timeline uses the deterministic logical clock every replay shares:
 // the training-step index. Everything here runs on the engine's sequential
-// driver path (the parallel fan-outs live below it: the cluster fan-out
-// folds its traffic tallies in cluster order before returning), so
+// driver path (the parallel fan-outs live below it: each pass's phased
+// fan-out folds its traffic tallies in cluster order before returning), so
 // emission order is schedule-independent by construction.
 
 // netTel holds a Net's resolved telemetry handles (zero value = disabled).

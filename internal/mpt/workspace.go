@@ -9,11 +9,12 @@ import (
 	"mptwino/internal/winograd"
 )
 
-// workspace holds the buffers a pass's cluster fan-out reuses from call to
-// call: the pool workers' scratch slots, each worker's Winograd-domain
-// staging, the ring all-reduce's partial-gradient buffers and its reduce
-// block. A Net's engines run one at a time, so they share one workspace,
-// which grows to the largest layer; a lone Engine owns its own.
+// workspace holds the buffers a pass's phased fan-out reuses from call to
+// call: the pool workers' scratch slots, the whole-batch Winograd-domain
+// staging the per-element products write, the ring all-reduce's
+// partial-gradient buffers and its reduce block. A Net's engines run one
+// at a time, so they share one workspace, which grows to the largest
+// layer; a lone Engine owns its own.
 //
 // Everything is sized by reserve, outside the pass; the pass itself only
 // re-fits the reserved storage to the running layer's shapes, which never
@@ -23,53 +24,79 @@ type workspace struct {
 	// (0 until then), like a winograd.Scratch built under that setting.
 	workers int
 	slots   *winograd.Scratch     // one slot per pool worker
-	splits  [][]*winograd.Scratch // splits[k-1]: slots divided among k cluster workers
-	stage   []workerStage         // per cluster worker
+	splits  [][]*winograd.Scratch // splits[k-1]: the slots divided k ways
+
+	out batchDomain // the forward output, or the backward pass's output gradient
+	dx  batchDomain // the input gradient, reserved by the first pass that computes one
 
 	ring     []float32     // per cluster: a full T²·In·Out partial dW, cluster-major
 	partials []weightsView // per cluster: the partial dW over its ring region
 	rb       *ndp.ReduceBlock
 }
 
-// workerStage is one cluster worker's Winograd-domain staging: the forward
-// output (fprop) or output gradient (bprop, updateGrad) in a, the input
-// gradient (bprop) in b.
-type workerStage struct {
-	a, b domainView
-}
-
-// clusterWorkers returns how many pool workers a grid of nc clusters fans
-// out over: one per cluster, up to the pool size.
+// clusterWorkers returns how many pool workers run a grid's nc
+// per-cluster items at once: one per cluster, up to the pool size.
 func (ws *workspace) clusterWorkers(nc int) int { return min(ws.workers, nc) }
 
-// split returns the scratch parts of nc clusters' fan-out: one per cluster
-// worker, the pool's slots divided among them.
-func (ws *workspace) split(nc int) []*winograd.Scratch {
-	return ws.splits[ws.clusterWorkers(nc)-1]
+// fanout returns the pool size of a pass's phased fan-out over nc
+// per-cluster items and t2 per-element items (parallel.ForEachPhase).
+func (ws *workspace) fanout(nc, t2 int) int { return parallel.Workers(ws.workers, max(nc, t2)) }
+
+// clusterSlot returns which of the clusterWorkers(nc) scratch parts and
+// predictors cluster c's item uses when pool worker w runs it. With no
+// more clusters than pool workers every cluster has its own part, so the
+// spare workers fan its kernels out; otherwise the fan-out's pool size is
+// clusterWorkers(nc) and each worker owns a part.
+func (ws *workspace) clusterSlot(nc, w, c int) int {
+	if nc <= ws.workers {
+		return c
+	}
+	return w
 }
 
-// reserve grows the workspace for e's passes over clusters of at most
-// maxShard images. It builds the pool slots on first use.
-func (ws *workspace) reserve(e *Engine, maxShard int) {
+// clusterPart returns the scratch part of cluster c's item on worker w.
+func (ws *workspace) clusterPart(nc, w, c int) *winograd.Scratch {
+	return ws.splits[ws.clusterWorkers(nc)-1][ws.clusterSlot(nc, w, c)]
+}
+
+// elementPart returns the scratch part of a per-element product on pool
+// worker w of a pass over nc clusters and t2 elements: one per worker.
+func (ws *workspace) elementPart(nc, t2, w int) *winograd.Scratch {
+	return ws.splits[ws.fanout(nc, t2)-1][w]
+}
+
+// split builds the k-way division of the slots on first use.
+func (ws *workspace) split(k int) {
+	if ws.splits[k-1] == nil {
+		ws.splits[k-1] = ws.slots.Split(k)
+	}
+}
+
+// reserve grows the workspace for e's forward and input-gradient passes
+// over batch images. It builds the pool slots on first use.
+func (ws *workspace) reserve(e *Engine, batch int) {
 	if ws.workers == 0 {
 		ws.workers = parallel.DefaultWorkers()
 		ws.slots = winograd.NewScratch()
 		ws.splits = make([][]*winograd.Scratch, ws.workers)
 		ws.rb = ndp.NewReduceBlock(0, 2)
 	}
-	nc := e.Cfg.Nc
-	cw := ws.clusterWorkers(nc)
-	if ws.splits[cw-1] == nil {
-		ws.splits[cw-1] = ws.slots.Split(cw)
-	}
-	for len(ws.stage) < cw {
-		ws.stage = append(ws.stage, workerStage{})
-	}
-	t2, rows := e.Tr.T*e.Tr.T, maxShard*e.tiling.Tiles()
-	for w := 0; w < cw; w++ {
-		ws.stage[w].a.reserve(t2, rows*e.P.Out)
-		ws.stage[w].b.reserve(t2, rows*e.P.In)
-	}
+	nc, t2 := e.Cfg.Nc, e.Tr.T*e.Tr.T
+	ws.split(ws.clusterWorkers(nc))
+	ws.split(ws.fanout(nc, t2))
+	ws.out.reserve(t2, batch*e.tiling.Tiles()*e.P.Out, nc)
+}
+
+// reserveBprop grows the input-gradient staging for e's sized batch;
+// forward-only use never pays for it.
+func (ws *workspace) reserveBprop(e *Engine) {
+	ws.dx.reserve(e.Tr.T*e.Tr.T, e.sizedBatch*e.tiling.Tiles()*e.P.In, e.Cfg.Nc)
+}
+
+// bpropFits reports whether reserveBprop has sized the input-gradient
+// staging for e's sized batch under its current grid.
+func (ws *workspace) bpropFits(e *Engine) bool {
+	return ws.dx.fits(e.Tr.T*e.Tr.T, e.sizedBatch*e.tiling.Tiles()*e.P.In, e.Cfg.Nc)
 }
 
 // reserveUpdate grows the ring buffers and partial views for e's
@@ -131,6 +158,20 @@ func (s *matSet) fit(buf []float32, t2, rows, cols int) []*tensor.Mat {
 	return s.el[:t2]
 }
 
+// rowsOf returns views of rows [r0, r1) of every matrix in whole, sharing
+// their storage.
+func (s *matSet) rowsOf(whole []*tensor.Mat, r0, r1 int) []*tensor.Mat {
+	if len(s.mats) < len(whole) {
+		panic(fmt.Sprintf("mpt: %d element row views exceed the reserved %d", len(whole), len(s.mats)))
+	}
+	for e, w := range whole {
+		m := &s.mats[e]
+		m.Rows, m.Cols, m.Data = r1-r0, w.Cols, w.Data[r0*w.Cols:r1*w.Cols]
+		s.el[e] = m
+	}
+	return s.el[:len(whole)]
+}
+
 // domainView is a reusable Domain over its own grow-only buffer.
 type domainView struct {
 	d   winograd.Domain
@@ -152,6 +193,65 @@ func (v *domainView) fit(tl *winograd.Tiling, b, c int) *winograd.Domain {
 	v.d = winograd.Domain{Tiling: tl, B: b, C: c, El: v.set.fit(v.buf, t2, b*tl.Tiles(), c)}
 	return &v.d
 }
+
+// batchDomain is a whole-batch Domain with one row view per cluster: the
+// clusters' shards are contiguous image ranges in batch order, so cluster
+// c's view is one contiguous run of rows in every element matrix. The
+// per-cluster transforms write the views, and one product per element
+// reads or writes every cluster's rows at once.
+type batchDomain struct {
+	whole domainView
+	rows  []rowsView // per cluster
+}
+
+// rowsView is a Domain over rows of another Domain's element matrices.
+type rowsView struct {
+	d   winograd.Domain
+	set matSet
+}
+
+// reserve makes room for t2 element matrices of n values each, viewed by
+// nc clusters.
+func (b *batchDomain) reserve(t2, n, nc int) {
+	b.whole.reserve(t2, n)
+	for len(b.rows) < nc {
+		b.rows = append(b.rows, rowsView{})
+	}
+	for c := 0; c < nc; c++ {
+		b.rows[c].set.reserve(t2)
+	}
+}
+
+// fits reports whether reserve has made room for t2 element matrices of n
+// values each, viewed by nc clusters.
+func (b *batchDomain) fits(t2, n, nc int) bool {
+	if len(b.whole.buf) < t2*n || len(b.whole.set.mats) < t2 || len(b.rows) < nc {
+		return false
+	}
+	for c := 0; c < nc; c++ {
+		if len(b.rows[c].set.mats) < t2 {
+			return false
+		}
+	}
+	return true
+}
+
+// fit shapes the whole view as tl's Domain of c channels over the images
+// bounds cover, and each cluster's view as its shard's rows.
+func (b *batchDomain) fit(tl *winograd.Tiling, bounds [][2]int, c int) {
+	d := b.whole.fit(tl, bounds[len(bounds)-1][1], c)
+	tiles := tl.Tiles()
+	for k, bd := range bounds {
+		r := &b.rows[k]
+		r.d = winograd.Domain{Tiling: tl, B: bd[1] - bd[0], C: c, El: r.set.rowsOf(d.El, bd[0]*tiles, bd[1]*tiles)}
+	}
+}
+
+// all returns the whole-batch Domain as last fitted.
+func (b *batchDomain) all() *winograd.Domain { return &b.whole.d }
+
+// cluster returns cluster c's view as last fitted.
+func (b *batchDomain) cluster(c int) *winograd.Domain { return &b.rows[c].d }
 
 // weightsView is a reusable Weights over a caller-provided buffer.
 type weightsView struct {

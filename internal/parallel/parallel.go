@@ -1,8 +1,9 @@
 // Package parallel is the host-side parallel execution engine: bounded
 // worker pools that fan independent work items out across goroutines while
 // keeping results deterministically ordered by item index. It is the
-// substrate under the sim sweep fan-out, the sharded NoC cycle loop, and
-// the tile-batched Winograd/conv kernels (DESIGN.md §7).
+// substrate under the sim sweep fan-out, the sharded NoC cycle loop, the
+// tile-batched Winograd/conv kernels and the mpt engine's phased passes
+// (DESIGN.md §7).
 //
 // Determinism contract: Map/ForEach write each item's result to its own
 // index slot, and every caller folds those slots in index order, so the

@@ -23,7 +23,7 @@ import (
 // cover the sim sweeps (which always enter the engine) and leave kernel
 // engine usage as a diagnostic, not a model metric.
 var (
-	ctrCalls    atomic.Pointer[telemetry.Counter] // ForEach-family fan-outs
+	ctrCalls    atomic.Pointer[telemetry.Counter] // ForEach-family and phased fan-outs
 	ctrItems    atomic.Pointer[telemetry.Counter] // total items fanned out
 	ctrBarriers atomic.Pointer[telemetry.Counter] // Pool.Run barriers
 	gaugePool   atomic.Pointer[telemetry.Gauge]   // peak pool size
@@ -31,8 +31,8 @@ var (
 
 // Attach points the engine's instrumentation at reg's instruments:
 //
-//	parallel.calls         fan-out invocations (ForEach/ForEachWorker/ForEachErr/Map/MapErr)
-//	parallel.items         total work items across those fan-outs
+//	parallel.calls         fan-out invocations (ForEach/ForEachWorker/ForEachPhase/ForEachErr/Map/MapErr)
+//	parallel.items         total work items across those fan-outs (every phase's, for ForEachPhase)
 //	parallel.pool_barriers fork-join barriers executed by persistent Pools
 //	parallel.pool_workers  peak persistent-pool size (occupancy ceiling)
 //
