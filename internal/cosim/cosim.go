@@ -312,11 +312,7 @@ func (c *Cosim) Run(maxCycles int64) (Result, error) {
 		if c.now >= maxCycles {
 			return Result{}, fmt.Errorf("cosim: exceeded %d cycles with work outstanding", maxCycles)
 		}
-		c.now++
-		c.net.Step(d)
-		for _, w := range c.workers {
-			c.advance(w)
-		}
+		c.step(d)
 		if res.ForwardCycles == 0 && c.forwardDone() {
 			res.ForwardCycles = c.now
 		}
@@ -325,6 +321,16 @@ func (c *Cosim) Run(maxCycles int64) (Result, error) {
 	res.Seconds = float64(c.now) / c.spec.NDP.ClockHz
 	res.NetBytes = c.net.BytesByClass
 	return res, nil
+}
+
+// step advances one cycle: the network delivers this cycle's flits (and
+// with them message arrivals), then every worker's scheduler runs.
+func (c *Cosim) step(d noc.Driver) {
+	c.now++
+	c.net.Step(d)
+	for _, w := range c.workers {
+		c.advance(w)
+	}
 }
 
 // advance retires a finished task and starts the next ready one.

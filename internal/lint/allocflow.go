@@ -48,8 +48,6 @@ var sanctionedCallees = map[string]string{
 	// allocation-free (DESIGN.md §7/§8).
 	"mptwino/internal/parallel.ForEach":       "amortized pool fan-out; 1-worker path is allocation-free",
 	"mptwino/internal/parallel.ForEachWorker": "amortized pool fan-out; 1-worker path is allocation-free",
-	"mptwino/internal/parallel.ForEachErr":    "amortized pool fan-out; 1-worker path is allocation-free",
-	"(*mptwino/internal/parallel.Pool).Run":   "amortized pool fan-out; pool goroutines are pre-spawned",
 
 	// The phased fan-out under every mpt engine pass: one call per pass
 	// whatever its phase and item counts (TestForEachPhaseAllocationsDoNotGrow,

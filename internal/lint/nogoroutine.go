@@ -20,7 +20,7 @@ var goroutineExemptPkgs = map[string]bool{
 // errgroup imports outside internal/parallel. Ad-hoc goroutines were how
 // unbounded, schedule-dependent fan-out crept into early drafts of the
 // sweep code; the invariant is that every concurrent code path is one of
-// the pool primitives (parallel.ForEach/ForEachWorker/Map/Pool.Run),
+// the pool primitives (parallel.ForEach/ForEachWorker/ForEachPhase/Map),
 // whose determinism contract is tested at worker counts {1,2,8} under
 // -race. Calls *into* parallel are of course fine — the analyzer looks at
 // spawn sites, not call sites.
@@ -42,13 +42,13 @@ func runNoGoroutine(pass *Pass) {
 				continue
 			}
 			if strings.HasSuffix(path, "/errgroup") {
-				pass.Reportf(imp.Pos(), "errgroup import outside internal/parallel: use parallel.ForEachErr/MapErr (bounded pool, deterministic first-error)")
+				pass.Reportf(imp.Pos(), "errgroup import outside internal/parallel: use parallel.ForEach/ForEachWorker/Map (bounded pool, index-ordered results)")
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "raw go statement outside internal/parallel: use parallel.ForEach/ForEachWorker/Map or a parallel.Pool")
+				pass.Reportf(n.Pos(), "raw go statement outside internal/parallel: use parallel.ForEach/ForEachWorker/Map")
 			case *ast.SelectorExpr:
 				if isWaitGroupRef(pass.Info, n) {
 					pass.Reportf(n.Pos(), "sync.WaitGroup outside internal/parallel: the pool primitives already provide the join barrier")

@@ -44,10 +44,7 @@ var parallelClosureFuncs = map[string]bool{
 	"ForEach":       true,
 	"ForEachWorker": true,
 	"ForEachPhase":  true,
-	"ForEachErr":    true,
 	"Map":           true,
-	"MapErr":        true,
-	"Run":           true, // (*Pool).Run
 }
 
 // unseededParams counts, per fan-out entry point, the leading integer

@@ -36,9 +36,6 @@ type Config struct {
 	// Predict enables activation prediction during FpropReLU's tile
 	// gathering: tiles provably non-activated skip their payload.
 	Predict bool
-	// PredictRegions/PredictBits configure the non-uniform quantizer
-	// (defaults 4 regions, 6 bits when zero).
-	PredictRegions, PredictBits int
 	// ZeroSkip counts (and skips) exactly-zero values during tile
 	// scattering, the §V-B scatter optimization.
 	ZeroSkip bool
@@ -54,6 +51,10 @@ type Config struct {
 	// what makes post-rebalance recovery trajectories bit-exact.
 	Speeds []float64
 }
+
+// predictRegions and predictBits are the activation-prediction
+// quantizer's grid: the paper's 2-D headline setting (§V-B).
+const predictRegions, predictBits = 4, 6
 
 // Traffic tallies real per-direction bytes moved by the engine, per
 // worker-visible transfer (quantized prediction pre-sends included).
@@ -97,9 +98,9 @@ type Engine struct {
 	groupEls [][]int
 	elems    []int
 
-	// Activation prediction (nil unless Cfg.Predict): the configured
-	// quantizer, and one predictor per cluster worker, each calibrating
-	// its own quantizer per shard. oneD selects the 1-D predictor.
+	// Activation prediction (nil unless Cfg.Predict): the quantizer, and
+	// one predictor per cluster worker, each calibrating its own quantizer
+	// per shard. oneD selects the 1-D predictor.
 	quantizer *quant.Quantizer
 	preds     []predictor
 	oneD      bool
@@ -163,18 +164,9 @@ func NewEngine(tr *winograd.Transform, p conv.Params, cfg Config, rng *tensor.RN
 	}
 	e.setGroups(cfg.Ng)
 	if cfg.Predict {
-		regions, bits := cfg.PredictRegions, cfg.PredictBits
-		if regions == 0 {
-			regions = 4
-		}
-		if bits == 0 {
-			bits = 6
-		}
 		// Sigma is calibrated on every use (per-layer profiling in the
 		// paper); start with 1 and recalibrate in FpropReLU.
-		if e.quantizer, err = quant.NewQuantizer(regions, bits, 1); err != nil {
-			return nil, fmt.Errorf("mpt: %w", err)
-		}
+		e.quantizer = quant.MustQuantizer(predictRegions, predictBits, 1)
 	}
 	return e, nil
 }

@@ -365,7 +365,7 @@ func TestFpropReLU1DPredictionExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := NewEngine(winograd.F2x2_3x3, testP, Config{Ng: ng, Nc: 2, Predict: true, PredictBits: 5}, tensor.NewRNG(52))
+		pred, err := NewEngine(winograd.F2x2_3x3, testP, Config{Ng: ng, Nc: 2, Predict: true}, tensor.NewRNG(52))
 		if err != nil {
 			t.Fatal(err)
 		}

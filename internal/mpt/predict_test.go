@@ -133,19 +133,3 @@ func TestFpropReLUNonFiniteInput(t *testing.T) {
 		}
 	}
 }
-
-func TestNewEngineRejectsBadQuantizer(t *testing.T) {
-	for _, c := range []struct {
-		regions, bits int
-		why           string
-	}{
-		{3, 6, "32 levels per sign over 3 regions"},
-		{64, 8, "a 64-region grid (its top point wrapped, giving Δ = −2)"},
-		{1024, 16, "a 1024-region grid (its top point wrapped, giving Δ = −0.125)"},
-	} {
-		cfg := Config{Ng: 2, Nc: 1, Predict: true, PredictRegions: c.regions, PredictBits: c.bits}
-		if _, err := NewEngine(winograd.F2x2_3x3, testP, cfg, tensor.NewRNG(1)); err == nil {
-			t.Fatalf("%s accepted", c.why)
-		}
-	}
-}

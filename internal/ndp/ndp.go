@@ -1,9 +1,10 @@
 // Package ndp models one near-data-processing worker of Section VI: the
 // logic-layer compute units (systolic array + vector processor), the
-// 3D-stacked DRAM bandwidth, the double-buffered SRAM, the task-graph
-// scheduler with update-counter dependency checks, and the two
+// 3D-stacked DRAM bandwidth, the double-buffered SRAM, and the two
 // communication processing elements (packing DMA for tile transfer, Reduce
-// blocks for ring collectives).
+// blocks for ring collectives). The §VI-A task scheduler with its
+// update-counter dependency checks runs in internal/cosim, which drives
+// each worker's task pipeline at this package's timing model.
 package ndp
 
 // Config is the per-worker hardware configuration of Section VI-B /

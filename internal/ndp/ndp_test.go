@@ -7,10 +7,6 @@ import (
 	"testing/quick"
 
 	"math/rand"
-
-	"mptwino/internal/conv"
-	"mptwino/internal/model"
-	"mptwino/internal/winograd"
 )
 
 func TestMatmulCycles(t *testing.T) {
@@ -86,82 +82,6 @@ func TestWeightsFitInBuffer(t *testing.T) {
 	}
 	if c.WeightsFitInBuffer(513 << 10) {
 		t.Fatal("513KB should not fit")
-	}
-}
-
-func TestTaskGraphLinearChain(t *testing.T) {
-	c := DefaultConfig()
-	var g TaskGraph
-	a := g.Add("a", 100, 0)
-	b := g.Add("b", 200, 0, a)
-	g.Add("c", 50, 0, b)
-	makespan, err := g.Schedule(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if makespan != 350 {
-		t.Fatalf("makespan = %d, want 350", makespan)
-	}
-	if g.Tasks[1].Start != 100 || g.Tasks[2].Start != 300 {
-		t.Fatal("chain start times wrong")
-	}
-}
-
-func TestTaskGraphDoubleBufferingOverlap(t *testing.T) {
-	c := DefaultConfig()
-	var g TaskGraph
-	// 100 compute cycles vs DRAM bytes worth 200 cycles: task takes 200.
-	dramBytes := int64(c.DRAMBw * c.DRAMEff * 200 / c.ClockHz)
-	g.Add("io-bound", 100, dramBytes)
-	makespan, err := g.Schedule(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if makespan < 199 || makespan > 201 {
-		t.Fatalf("makespan = %d, want ~200 (max, not sum)", makespan)
-	}
-}
-
-func TestTaskGraphDiamondDependency(t *testing.T) {
-	c := DefaultConfig()
-	var g TaskGraph
-	a := g.Add("a", 10, 0)
-	b1 := g.Add("b1", 10, 0, a)
-	b2 := g.Add("b2", 20, 0, a)
-	g.Add("join", 5, 0, b1, b2)
-	makespan, err := g.Schedule(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Serialized on one worker: 10 + 10 + 20 + 5.
-	if makespan != 45 {
-		t.Fatalf("makespan = %d, want 45", makespan)
-	}
-	// The join must start only after both b1 and b2 finished.
-	if g.Tasks[3].Start != 40 {
-		t.Fatalf("join start = %d, want 40", g.Tasks[3].Start)
-	}
-}
-
-func TestTaskGraphErrors(t *testing.T) {
-	var g TaskGraph
-	g.Add("bad", 1, 0, 7)
-	if _, err := g.Schedule(DefaultConfig()); err == nil {
-		t.Fatal("unknown dependency accepted")
-	}
-	var g2 TaskGraph
-	a := g2.Add("a", 1, 0)
-	g2.Tasks[a].Deps = []int{a}
-	if _, err := g2.Schedule(DefaultConfig()); err == nil {
-		t.Fatal("self dependency accepted")
-	}
-	// Mutual cycle.
-	var g3 TaskGraph
-	x := g3.Add("x", 1, 0)
-	y := g3.Add("y", 1, 0, x)
-	g3.Tasks[x].Deps = []int{y}
-	if _, err := g3.Schedule(DefaultConfig()); err == nil {
-		t.Fatal("dependency cycle accepted")
 	}
 }
 
@@ -370,180 +290,5 @@ func TestReduceBlockResetAndRecycle(t *testing.T) {
 	}
 	if _, err := rb.Accept(Chunk{MsgID: 5, Index: 2, Data: []float32{1, 2}}); !errors.As(err, &ce) || ce.Stored != 1 {
 		t.Fatalf("size mismatch: %v", err)
-	}
-}
-
-func layerSpec() LayerGraphSpec {
-	return LayerGraphSpec{
-		Tr:    winograd.F2x2_3x3,
-		P:     conv.Params{In: 64, Out: 64, K: 3, Pad: 1, H: 14, W: 14},
-		Batch: 256,
-		Ng:    16,
-		Nc:    16,
-	}
-}
-
-func TestBuildLayerGraphStructure(t *testing.T) {
-	lg, err := BuildLayerGraph(DefaultConfig(), layerSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 16 groups over a 4x4 tile: one element per worker.
-	if len(lg.FwdDots) != 1 || len(lg.BwdDots) != 1 || len(lg.GradDots) != 1 {
-		t.Fatalf("dot task counts: %d/%d/%d", len(lg.FwdDots), len(lg.BwdDots), len(lg.GradDots))
-	}
-	if len(lg.ReduceChunks) == 0 {
-		t.Fatal("no collective chunks")
-	}
-	makespan, err := lg.Graph.Schedule(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if makespan <= 0 {
-		t.Fatal("empty makespan")
-	}
-	// Phase ordering on the schedule: transform < dots < gather < act.
-	tasks := lg.Graph.Tasks
-	if !(tasks[lg.InputTransform].Finish <= tasks[lg.FwdDots[0]].Start) {
-		t.Fatal("dot started before input transform finished")
-	}
-	if !(tasks[lg.FwdDots[0]].Finish <= tasks[lg.Gather].Start) {
-		t.Fatal("gather started before dots finished")
-	}
-	if !(tasks[lg.Gather].Finish <= tasks[lg.Activation].Start) {
-		t.Fatal("activation started before gather")
-	}
-	// Every reduce chunk starts after every grad dot.
-	for _, c := range lg.ReduceChunks {
-		for _, g := range lg.GradDots {
-			if tasks[c].Start < tasks[g].Finish {
-				t.Fatal("collective chunk started before grad dots")
-			}
-		}
-	}
-}
-
-func TestBuildLayerGraphFourGroups(t *testing.T) {
-	spec := layerSpec()
-	spec.Ng = 4
-	lg, err := BuildLayerGraph(DefaultConfig(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lg.FwdDots) != 4 {
-		t.Fatalf("4 groups over 16 elements should give 4 dot tasks, got %d", len(lg.FwdDots))
-	}
-	m4, err := lg.Graph.Schedule(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Ng = 16
-	lg16, _ := BuildLayerGraph(DefaultConfig(), spec)
-	m16, err := lg16.Graph.Schedule(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same cluster count but 4x the elements per worker: more dot work.
-	if m4 <= m16 {
-		t.Fatalf("4-group makespan %d should exceed 16-group %d", m4, m16)
-	}
-}
-
-func TestBuildLayerGraphValidation(t *testing.T) {
-	spec := layerSpec()
-	spec.Ng = 0
-	if _, err := BuildLayerGraph(DefaultConfig(), spec); err == nil {
-		t.Fatal("Ng=0 accepted")
-	}
-	spec = layerSpec()
-	spec.P.K = 5
-	if _, err := BuildLayerGraph(DefaultConfig(), spec); err == nil {
-		t.Fatal("kernel/transform mismatch accepted")
-	}
-	spec = layerSpec()
-	spec.P.In = 0
-	if _, err := BuildLayerGraph(DefaultConfig(), spec); err == nil {
-		t.Fatal("invalid layer accepted")
-	}
-}
-
-func tinyNet() model.Network {
-	return model.Network{
-		Name:  "tiny",
-		Batch: 64,
-		Layers: []model.Layer{
-			{Name: "a", P: conv.Params{In: 16, Out: 16, K: 3, Pad: 1, H: 14, W: 14}},
-			{Name: "b", P: conv.Params{In: 16, Out: 32, K: 3, Pad: 1, H: 14, W: 14}, Repeat: 2},
-		},
-	}
-}
-
-func TestBuildNetworkGraphStructure(t *testing.T) {
-	cfg := DefaultConfig()
-	ng, err := BuildNetworkGraph(cfg, tinyNet(), 4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 expanded layers × 2 iterations.
-	if len(ng.Layers) != 6 {
-		t.Fatalf("expanded layers = %d, want 6", len(ng.Layers))
-	}
-	makespan, err := ng.Graph.Schedule(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if makespan <= 0 {
-		t.Fatal("empty makespan")
-	}
-	tasks := ng.Graph.Tasks
-
-	// Forward chaining: layer 1's transform after layer 0's activation.
-	if tasks[ng.Layers[1].InputTransform].Start < tasks[ng.Layers[0].Activation].Finish {
-		t.Fatal("layer chaining violated")
-	}
-	// Backward chaining: layer 0's grad transform after layer 1's bdots.
-	for _, bd := range ng.Layers[1].BwdDots {
-		if tasks[ng.Layers[0].GradTransform].Start < tasks[bd].Finish {
-			t.Fatal("backward chaining violated")
-		}
-	}
-	// Weight dependency: iteration 2 of layer 0 (index 3) starts its dots
-	// only after iteration 1's collective finished.
-	for _, d := range ng.Layers[3].FwdDots {
-		for _, c := range ng.Layers[0].ReduceChunks {
-			if tasks[d].Start < tasks[c].Finish {
-				t.Fatal("weight dependency to previous iteration violated")
-			}
-		}
-	}
-}
-
-func TestBuildNetworkGraphMakespanScalesWithIterations(t *testing.T) {
-	cfg := DefaultConfig()
-	m := func(iters int) int64 {
-		g, err := BuildNetworkGraph(cfg, tinyNet(), 4, 4, iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := g.Graph.Schedule(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms
-	}
-	m1, m2 := m(1), m(2)
-	if m2 < 2*m1 || m2 > 2*m1+m1/10 {
-		t.Fatalf("2-iteration makespan %d not ~2x single %d", m2, m1)
-	}
-}
-
-func TestBuildNetworkGraphErrors(t *testing.T) {
-	if _, err := BuildNetworkGraph(DefaultConfig(), tinyNet(), 4, 4, 0); err == nil {
-		t.Fatal("0 iterations accepted")
-	}
-	bad := tinyNet()
-	bad.Layers[0].P.K = 7
-	if _, err := BuildNetworkGraph(DefaultConfig(), bad, 4, 4, 1); err == nil {
-		t.Fatal("unsupported kernel accepted")
 	}
 }

@@ -1,8 +1,7 @@
-// Package nn is a small numeric CNN training framework over the conv and
-// winograd packages. It exists to train real (small-scale) networks end to
-// end: the Winograd layer against its direct-convolution equivalent, and
+// Package nn is a small numeric CNN training framework over the winograd
+// package. It exists to train the Fig. 14 experiment end to end:
 // FractalNet-style join blocks in both the standard and the paper's
-// modified (Winograd-domain) form — the Fig. 14 experiment.
+// modified (Winograd-domain) form, under a ReLU, pooling and dense head.
 package nn
 
 import (
@@ -254,21 +253,4 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 		}
 	}
 	return loss / float64(logits.N), dl
-}
-
-// Accuracy returns the fraction of argmax predictions matching labels.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	correct := 0
-	for n := 0; n < logits.N; n++ {
-		best, bestV := 0, float32(math.Inf(-1))
-		for c := 0; c < logits.C; c++ {
-			if v := logits.At(n, c, 0, 0); v > bestV {
-				best, bestV = c, v
-			}
-		}
-		if best == labels[n] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(logits.N)
 }

@@ -136,80 +136,6 @@ func TestSoftmaxPanics(t *testing.T) {
 	}()
 }
 
-func TestWinoConvMatchesConvForward(t *testing.T) {
-	p := conv.Params{In: 2, Out: 3, K: 3, Pad: 1, H: 8, W: 8}
-	rng := tensor.NewRNG(5)
-	c := NewConv(p, rng)
-	wc, err := NewWinoConvFromSpatial(winograd.F2x2_3x3, p, c.W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.New(2, 2, 8, 8)
-	rng.FillNormal(x, 0, 1)
-	y1 := c.Forward(x)
-	y2 := wc.Forward(x)
-	if d := y1.MaxAbsDiff(y2); d > 2e-3 {
-		t.Fatalf("forward diverges: %v", d)
-	}
-	// And backward dx.
-	dy := tensor.New(2, 3, 8, 8)
-	rng.FillNormal(dy, 0, 1)
-	dx1 := c.Backward(dy)
-	dx2 := wc.Backward(dy)
-	if d := dx1.MaxAbsDiff(dx2); d > 2e-3 {
-		t.Fatalf("backward diverges: %v", d)
-	}
-}
-
-// trainCNN builds a small CNN (conv→ReLU→pool→dense) and trains it on the
-// quadrant task, returning final accuracy on the training batch.
-func trainCNN(t *testing.T, useWinograd bool) float64 {
-	t.Helper()
-	rng := tensor.NewRNG(11)
-	ds := workload.QuadrantBlobs(64, 1, 8, 8, 42)
-	p := conv.Params{In: 1, Out: 4, K: 3, Pad: 1, H: 8, W: 8}
-
-	var convLayer Layer
-	if useWinograd {
-		wc, err := NewWinoConv(winograd.F2x2_3x3, p, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		convLayer = wc
-	} else {
-		convLayer = NewConv(p, rng)
-	}
-	net := &Sequential{Layers: []Layer{
-		convLayer,
-		&ReLU{},
-		&AvgPool2{},
-		NewDense(4*4*4, 4, rng),
-	}}
-
-	x, labels := ds.Batch(0, 64)
-	var acc float64
-	for epoch := 0; epoch < 30; epoch++ {
-		logits := net.Forward(x)
-		_, dl := SoftmaxCrossEntropy(logits, labels)
-		net.Backward(dl)
-		net.Step(0.1)
-		acc = Accuracy(logits, labels)
-	}
-	return acc
-}
-
-func TestSmallCNNTrainsDirect(t *testing.T) {
-	if acc := trainCNN(t, false); acc < 0.9 {
-		t.Fatalf("direct CNN accuracy %v, want > 0.9", acc)
-	}
-}
-
-func TestSmallCNNTrainsWinograd(t *testing.T) {
-	if acc := trainCNN(t, true); acc < 0.9 {
-		t.Fatalf("winograd CNN accuracy %v, want > 0.9", acc)
-	}
-}
-
 // TestJoinModesEquivalent is the numeric core of Fig. 14: because the join
 // (mean) is linear, moving it into the Winograd domain changes neither the
 // forward output nor any gradient — the modified join must match the

@@ -4,27 +4,25 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"mptwino/internal/fault"
 	"mptwino/internal/topology"
 )
 
-// msgRecord is the per-message observable outcome compared across worker
-// counts: if any flit-level event reordered, delivery times or retry
-// counts would shift and the comparison would fail.
+// msgRecord is the per-message observable outcome the digests pin: if any
+// flit-level event reordered, delivery times or retry counts would shift
+// and the digest would move.
 type msgRecord struct {
 	ID, Src, Dst, Bytes, Tag, Retries int
 	InjectedAt, DeliveredAt           int64
 }
 
-// runDeterminism executes one scenario at the given shard worker count and
-// returns the run's stats plus every message's observable outcome.
-func runDeterminism(t *testing.T, workers int, build func() (*topology.Graph, Config, Driver, *fault.Plan)) (Stats, []msgRecord) {
+// runDeterminism executes one scenario and returns the run's stats plus
+// every message's observable outcome.
+func runDeterminism(t *testing.T, build func() (*topology.Graph, Config, Driver, *fault.Plan)) (Stats, []msgRecord) {
 	t.Helper()
 	g, cfg, d, plan := build()
-	cfg.ShardWorkers = workers
 	n := New(g, cfg)
 	if plan != nil {
 		if err := n.AttachFaults(plan); err != nil {
@@ -33,7 +31,7 @@ func runDeterminism(t *testing.T, workers int, build func() (*topology.Graph, Co
 	}
 	st, err := n.Run(d, 50_000_000)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	msgs := make([]msgRecord, len(n.messages))
 	for i, m := range n.messages {
@@ -98,10 +96,11 @@ func hybridTraffic(ng, nc int) Driver {
 // scenario (collectives, all-to-all with randomized routing, hotspots,
 // concurrent traffic, link faults with retransmission, module failures)
 // the digest of the full Stats and per-message event times must equal the
-// recorded golden at worker counts {1, 2, 8}, and the sharded runs must
-// match the sequential one field for field. Any change to arbitration,
-// arrival or ejection order moves a digest, so a rewrite of the cycle loop
-// that keeps them all has changed no simulated outcome.
+// recorded golden. The digests were recorded when the loop could also run
+// sharded across goroutines, and every shard count matched them. Any
+// change to arbitration, arrival or ejection order moves a digest, so a
+// rewrite of the cycle loop that keeps them all has changed no simulated
+// outcome.
 func TestParallelStepBitIdentical(t *testing.T) {
 	scenarios := []struct {
 		name   string
@@ -177,66 +176,13 @@ func TestParallelStepBitIdentical(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			refStats, refMsgs := runDeterminism(t, 1, sc.build)
-			if refStats.Cycles == 0 {
-				t.Fatal("sequential reference run did no work")
+			st, msgs := runDeterminism(t, sc.build)
+			if st.Cycles == 0 {
+				t.Fatal("run did no work")
 			}
-			if got := outcomeDigest(refStats, refMsgs); got != sc.digest {
-				t.Errorf("workers=1: outcome digest %s, golden %s\nstats: %+v", got, sc.digest, refStats)
-			}
-			for _, workers := range []int{2, 8} {
-				st, msgs := runDeterminism(t, workers, sc.build)
-				if got := outcomeDigest(st, msgs); got != sc.digest {
-					t.Errorf("workers=%d: outcome digest %s, golden %s", workers, got, sc.digest)
-				}
-				if !reflect.DeepEqual(refStats, st) {
-					t.Errorf("workers=%d: stats differ\nseq: %+v\npar: %+v", workers, refStats, st)
-				}
-				if !reflect.DeepEqual(refMsgs, msgs) {
-					t.Errorf("workers=%d: per-message outcomes differ (count %d vs %d)",
-						workers, len(refMsgs), len(msgs))
-					for i := range refMsgs {
-						if i < len(msgs) && refMsgs[i] != msgs[i] {
-							t.Errorf("  first divergence at message %d:\nseq: %+v\npar: %+v",
-								i, refMsgs[i], msgs[i])
-							break
-						}
-					}
-				}
+			if got := outcomeDigest(st, msgs); got != sc.digest {
+				t.Errorf("outcome digest %s, golden %s\nstats: %+v", got, sc.digest, st)
 			}
 		})
-	}
-}
-
-// TestShardWorkersValidation rejects negative shard counts and accepts the
-// sequential settings.
-func TestShardWorkersValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ShardWorkers = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative ShardWorkers passed validation")
-	}
-	for _, w := range []int{0, 1, 8} {
-		cfg.ShardWorkers = w
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("ShardWorkers=%d rejected: %v", w, err)
-		}
-	}
-}
-
-// TestShardedStepUnderNodeFailure exercises the sequential stage-0 fault
-// path (node death, topology mutation, route rebuild) interleaved with
-// sharded stages: outcomes must match the sequential path exactly. Traffic
-// avoids the dying node so the run completes.
-func TestShardedStepUnderNodeFailure(t *testing.T) {
-	refStats, refMsgs := runDeterminism(t, 1, nodeFailureScenario)
-	for _, workers := range []int{2, 8} {
-		st, msgs := runDeterminism(t, workers, nodeFailureScenario)
-		if !reflect.DeepEqual(refStats, st) {
-			t.Errorf("workers=%d: stats differ under node failure\nseq: %+v\npar: %+v", workers, refStats, st)
-		}
-		if !reflect.DeepEqual(refMsgs, msgs) {
-			t.Errorf("workers=%d: message outcomes differ under node failure", workers)
-		}
 	}
 }

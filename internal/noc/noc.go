@@ -13,13 +13,16 @@
 // Links have no credit flow control: a link transmits whenever it has
 // bandwidth and a flit routed to it, and its SerDes pipeline holds what
 // the downstream input buffer cannot accept yet, without bound.
+//
+// The cycle loop is sequential: each cycle visits every link and router
+// in index order (step.go), so a run's outcome is a function of its
+// configuration, traffic and fault plan alone.
 package noc
 
 import (
 	"fmt"
 
 	"mptwino/internal/fault"
-	"mptwino/internal/parallel"
 	"mptwino/internal/telemetry"
 	"mptwino/internal/topology"
 )
@@ -40,13 +43,6 @@ type Config struct {
 	RandomFirstHop bool
 	// Seed drives the first-hop randomization (deterministic per seed).
 	Seed uint64
-
-	// ShardWorkers shards the per-cycle link and router updates across
-	// this many goroutines with a barrier per stage (0 or 1 = sequential).
-	// Flit-level results are bit-identical for every value — see
-	// parallel.go for the partitioning argument and the determinism test
-	// for the cross-check.
-	ShardWorkers int
 
 	// RetryTimeout is the number of cycles the retransmit protocol waits
 	// after a flit drop before re-sending a message's missing bytes from
@@ -94,9 +90,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("noc: MaxRetries must be non-negative, got %d", c.MaxRetries)
-	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("noc: ShardWorkers must be non-negative, got %d", c.ShardWorkers)
 	}
 	return nil
 }
@@ -219,14 +212,7 @@ type Network struct {
 	retryQ          []*Message // messages with dropped bytes awaiting timeout
 	lost            []*Message // messages declared undeliverable
 
-	// sharded-stepping machinery (parallel.go): the shard plan always
-	// exists (a single full-range shard when sequential); the pool only
-	// when ShardWorkers > 1.
-	pool      *parallel.Pool
-	nodeShard [][2]int
-	linkShard [][2]int
-	scratch   []stepScratch
-	stages    stageFuncs
+	scratch stepScratch // the cycle loop's workspace (step.go)
 
 	// Stats
 	BytesByClass map[topology.LinkClass]int64
@@ -289,7 +275,6 @@ func New(g *topology.Graph, cfg Config) *Network {
 	n.failed = make([]bool, g.N)
 	n.waiting = make([]int, g.N)
 	n.buildArb()
-	n.buildShards()
 	return n
 }
 
@@ -665,7 +650,6 @@ func (s Stats) Duration(clockHz float64) float64 { return float64(s.Cycles) / cl
 // run immediately with a descriptive error rather than spinning to
 // maxCycles.
 func (n *Network) Run(d Driver, maxCycles int64) (Stats, error) {
-	defer n.Close() // release the sharded stepper's pool, if one started
 	d.Start(n)
 	for {
 		if err := n.LostErr(); err != nil {
@@ -729,18 +713,13 @@ func (n *Network) idle() bool {
 }
 
 // step advances one cycle: scheduled fault events, retransmit timers, link
-// arrivals, ejection, then output arbitration and transmission. The three
-// sweeps run over the shard plan — a single full-range shard sequentially,
-// or Cfg.ShardWorkers shards on the worker pool with a barrier per stage;
-// both orders fold identically (parallel.go), so flit-level results are
-// bit-identical for every worker count.
+// arrivals, ejection, then output arbitration and transmission. Each sweep
+// visits every link or router in index order (step.go).
 func (n *Network) step(d Driver) {
-	n.ensurePool()
 	n.now++
 	n.tel.cycles.Inc()
 
-	// 0. Fire scheduled module failures and due retransmit timers. Both
-	// mutate global routing/retry state, so this stage stays sequential.
+	// 0. Fire scheduled module failures and due retransmit timers.
 	for len(n.pendingFailures) > 0 && n.pendingFailures[0].At <= n.now {
 		n.FailNode(n.pendingFailures[0].Node)
 		n.pendingFailures = n.pendingFailures[1:]
@@ -748,19 +727,21 @@ func (n *Network) step(d Driver) {
 	n.processRetries()
 
 	// 1. Deliver pipeline arrivals into downstream input queues (if
-	// space). Each link touches only its own pipeline and its unique
-	// destination port, so links shard freely.
-	n.runStage(n.stages.arrive)
+	// space).
+	for li := range n.links {
+		n.arriveLink(li)
+	}
 
-	// 2. Eject flits destined to their local node: parallel scans pop
-	// destined flits per node, then deliveries — which may inject
-	// follow-up traffic and consume the shared RNG — run after the
-	// barrier in ascending node order.
-	n.runStage(n.stages.scan)
-	for i := range n.scratch {
-		for _, f := range n.scratch[i].eject {
-			n.deliverFlit(d, f)
-		}
+	// 2. Eject flits destined to their local node: the scan pops every
+	// node's destined flits, then deliveries — which may inject follow-up
+	// traffic and consume the shared RNG — run in ascending node order.
+	sc := &n.scratch
+	sc.eject = sc.eject[:0]
+	for v := range n.inOrder {
+		n.scanNode(v, sc)
+	}
+	for _, f := range sc.eject {
+		n.deliverFlit(d, f)
 	}
 
 	// 3. Transmit: every link moves up to flitsPerCyc flits whose route
@@ -769,12 +750,12 @@ func (n *Network) step(d Driver) {
 	// plan each cycle: degraded bandwidth throttles the budget through a
 	// fractional-credit accumulator, extra SerDes stretches the pipeline,
 	// and drop faults destroy flits in transit (scheduling retransmission).
-	// Shards own whole routers, so every queue a link arbitrates over is
-	// shard-local; statistics and drop events fold after the barrier.
-	n.runStage(n.stages.transmit)
-	for i := range n.scratch {
-		n.applyTransmit(&n.scratch[i])
+	// Statistics and drop events fold once every link has sent.
+	sc.resetTransmit()
+	for li := range n.links {
+		n.transmitLink(li, sc)
 	}
+	n.applyTransmit(sc)
 }
 
 func (n *Network) deliverFlit(d Driver, f flit) {

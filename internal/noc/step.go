@@ -2,59 +2,30 @@ package noc
 
 import (
 	"mptwino/internal/fault"
-	"mptwino/internal/parallel"
 	"mptwino/internal/topology"
 )
 
-// Sharded cycle execution. With Config.ShardWorkers > 1 the three
-// per-cycle sweeps (pipeline arrivals, ejection, transmission) each run
-// partitioned across a persistent worker pool with a barrier between
-// stages. The partitioning keeps all mutated state shard-local:
-//
-//   - Links are grouped by their source router. Every output link of a
-//     router arbitrates over the same input ports, so a shard owns whole
-//     routers (contiguous node ranges) and with them every queue its links
-//     read or write. Links were built in source-ascending order, so a node
-//     range maps to a contiguous link range.
-//   - Arrivals write only the link's own pipeline and its unique
-//     destination port (one feeder link per port).
-//   - Ejection scans pop destined flits into per-shard lists; the actual
-//     deliveries (which can inject follow-up traffic and consume the
-//     shared RNG) happen after the barrier, in ascending node order —
-//     exactly the sequential order. Each scan also counts the transit
-//     flits left in its router's ports, a count only that router's links
-//     read and decrement during transmission.
-//   - Transmission accumulates statistics and flit-drop events per shard;
-//     they fold into the global counters and the retransmit queue after
-//     the barrier, in ascending link order — again the sequential order.
-//
-// The sequential path (ShardWorkers <= 1) runs the same stage bodies over
-// a single full-range shard, so both paths are one code path and the
-// parallel results are bit-identical by construction. The determinism
-// test asserts this across worker counts and seeds.
+// The cycle's three stage bodies: pipeline arrivals per link, the ejection
+// scan per router, and transmission per link. Network.step runs each over
+// every link or router in index order; deliveries run after the whole
+// ejection scan, and transmission's statistics and drop events fold into
+// the global counters and the retransmit queue once every link has sent.
+// That order is what TestParallelStepBitIdentical's digests pin.
 
-// dropEvent is one flit destroyed by a fault during transmission, recorded
-// per shard and folded into the retransmit machinery after the barrier.
+// dropEvent is one flit destroyed by a fault during transmission, folded
+// into the retransmit machinery once every link has sent.
 type dropEvent struct {
 	msg   *Message
 	bytes int
 }
 
-// stageFuncs are the three sharded per-cycle stages, bound to the network
-// once so that running them allocates no closure per cycle.
-type stageFuncs struct {
-	arrive, scan, transmit func(shard int)
-}
-
-// stepScratch is one shard's per-cycle workspace.
+// stepScratch is the cycle loop's per-cycle workspace.
 type stepScratch struct {
 	eject        []flit
 	flitHops     int64
 	dropped      int64
 	bytesByClass [topology.Host + 1]int64
 	drops        []dropEvent
-
-	_ [64]byte // keep adjacent shards' counters off one cache line
 }
 
 // resetTransmit clears the transmission-stage accumulators.
@@ -65,90 +36,6 @@ func (sc *stepScratch) resetTransmit() {
 		sc.bytesByClass[i] = 0
 	}
 	sc.drops = sc.drops[:0]
-}
-
-// buildShards plans the node/link partition for the configured worker
-// count. Called once from New; the plan indexes never change afterwards
-// (module failures only mark links dead, they do not renumber).
-func (n *Network) buildShards() {
-	w := n.Cfg.ShardWorkers
-	if w < 1 {
-		w = 1
-	}
-	n.nodeShard = parallel.Shards(n.G.N, w)
-	if len(n.nodeShard) == 0 {
-		n.nodeShard = [][2]int{{0, 0}}
-	}
-	// linkStart[v] = index of the first link departing node v (links are
-	// built in source-ascending order).
-	linkStart := make([]int, n.G.N+1)
-	for v := 0; v < n.G.N; v++ {
-		linkStart[v+1] = linkStart[v] + len(n.outLinks[v])
-	}
-	n.linkShard = make([][2]int, len(n.nodeShard))
-	for i, r := range n.nodeShard {
-		n.linkShard[i] = [2]int{linkStart[r[0]], linkStart[r[1]]}
-	}
-	n.scratch = make([]stepScratch, len(n.nodeShard))
-	n.stages = stageFuncs{arrive: n.arriveShard, scan: n.scanShard, transmit: n.transmitShard}
-}
-
-// arriveShard, scanShard and transmitShard are the stage bodies: each runs
-// its stage over shard s's links or routers.
-func (n *Network) arriveShard(s int) {
-	r := n.linkShard[s]
-	for li := r[0]; li < r[1]; li++ {
-		n.arriveLink(li)
-	}
-}
-
-func (n *Network) scanShard(s int) {
-	sc := &n.scratch[s]
-	sc.eject = sc.eject[:0]
-	r := n.nodeShard[s]
-	for v := r[0]; v < r[1]; v++ {
-		n.scanNode(v, sc)
-	}
-}
-
-func (n *Network) transmitShard(s int) {
-	sc := &n.scratch[s]
-	sc.resetTransmit()
-	r := n.linkShard[s]
-	for li := r[0]; li < r[1]; li++ {
-		n.transmitLink(li, sc)
-	}
-}
-
-// ensurePool lazily starts the worker pool behind sharded stepping. Run
-// closes it on return; Step-driven co-simulations should call Close when
-// finished with the network.
-func (n *Network) ensurePool() {
-	if n.pool == nil && len(n.scratch) > 1 {
-		n.pool = parallel.NewPool(len(n.scratch))
-	}
-}
-
-// Close releases the sharded stepper's worker pool, if any. It is safe to
-// call on a sequential network and to call more than once; the network
-// remains usable (the pool restarts on demand).
-func (n *Network) Close() {
-	if n.pool != nil {
-		n.pool.Close()
-		n.pool = nil
-	}
-}
-
-// runStage executes fn for every shard: on the pool when sharding is
-// active, inline otherwise.
-func (n *Network) runStage(fn func(shard int)) {
-	if n.pool != nil {
-		n.pool.Run(fn)
-		return
-	}
-	for s := range n.scratch {
-		fn(s)
-	}
 }
 
 // arriveLink delivers link li's due pipeline flits into its destination
@@ -210,10 +97,9 @@ func (l *link) push(inf inFlight) {
 }
 
 // scanNode pops the flits destined to node v from its input ports into the
-// shard's ejection list (stage 2 scan for one node), and counts the transit
-// flits left. Ports are visited in their fixed construction order, so
-// concatenating the shards' lists in shard order reproduces the sequential
-// ejection order exactly. Only the flits that arrived this cycle are
+// ejection list (stage 2 scan for one node), and counts the transit flits
+// left. Ports are visited in their fixed construction order, so the
+// ejection order is reproducible. Only the flits that arrived this cycle are
 // examined: every earlier one destined to v was ejected the cycle it
 // arrived, so the rest of each queue holds transit flits alone.
 func (n *Network) scanNode(v int, sc *stepScratch) {
@@ -241,7 +127,7 @@ func (n *Network) scanNode(v int, sc *stepScratch) {
 
 // transmitLink arbitrates and transmits up to one cycle's flit budget on
 // link li (stage 3 for one link), accumulating statistics and drop events
-// in the shard scratch.
+// in the cycle's scratch.
 func (n *Network) transmitLink(li int, sc *stepScratch) {
 	l := n.links[li]
 	if l.dead {
@@ -346,9 +232,9 @@ func (n *Network) transmitLink(li int, sc *stepScratch) {
 	n.rr[li] = start
 }
 
-// applyTransmit folds one shard's transmission results into the global
-// counters and retransmit queue. Shards fold in ascending order, so drop
-// events arm retry timers in the same order the sequential loop would.
+// applyTransmit folds the cycle's transmission results into the global
+// counters and retransmit queue. Drop events arm retry timers in link
+// order.
 func (n *Network) applyTransmit(sc *stepScratch) {
 	n.FlitHops += sc.flitHops
 	n.DroppedFlits += sc.dropped

@@ -11,10 +11,9 @@ import (
 // value (all nil) is the disabled state — every update through a nil
 // handle is a no-op, so the cycle loop calls them unconditionally.
 //
-// Determinism: every emission site below is sequential or a post-barrier
-// fold whose order is shard-count-invariant (DESIGN.md §7), and the
-// counters are commutative sums, so metrics and trace bytes are
-// bit-identical for every Config.ShardWorkers setting.
+// Determinism: every emission site below runs on the cycle loop in a fixed
+// order, and the counters are commutative sums, so metrics and trace bytes
+// are bit-identical run to run.
 type instruments struct {
 	cycles      *telemetry.Counter
 	flitHops    *telemetry.Counter

@@ -1,16 +1,15 @@
 // Package parallel is the host-side parallel execution engine: bounded
-// worker pools that fan independent work items out across goroutines while
+// fan-outs that spread independent work items across goroutines while
 // keeping results deterministically ordered by item index. It is the
-// substrate under the sim sweep fan-out, the sharded NoC cycle loop, the
+// substrate under the sim sweep fan-out, the planner's search, the
 // tile-batched Winograd/conv kernels and the mpt engine's phased passes
 // (DESIGN.md §7).
 //
 // Determinism contract: Map/ForEach write each item's result to its own
 // index slot, and every caller folds those slots in index order, so the
 // outcome is bit-identical for any worker count — goroutines only change
-// wall-clock time, never results. Errors propagate errgroup-style (first
-// error by lowest item index wins, remaining items are cancelled) and
-// panics re-raise on the calling goroutine.
+// wall-clock time, never results. A panic in an item re-raises on the
+// calling goroutine (lowest item index wins).
 package parallel
 
 import (
@@ -110,33 +109,7 @@ func ForEach(workers, n int, fn func(i int)) {
 		}
 		return
 	}
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-		pb   panicBox
-	)
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							pb.record(i, r)
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	pb.rethrow()
+	(&fanout{each: fn, n: n}).run(w)
 }
 
 // ForEachWorker is ForEach with the worker's pool index passed alongside
@@ -157,95 +130,61 @@ func ForEachWorker(workers, n int, fn func(worker, item int)) {
 		}
 		return
 	}
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-		pb   panicBox
-	)
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							pb.record(i, r)
-						}
-					}()
-					fn(worker, i)
-				}()
-			}
-		}(g)
-	}
-	wg.Wait()
-	pb.rethrow()
+	(&fanout{byWorker: fn, n: n}).run(w)
 }
 
-// ForEachErr runs fn(i) for every i in [0, n) on at most `workers`
-// goroutines with errgroup-style semantics: once any item errors, no new
-// items start, and after the pool drains the error of the lowest index
-// that failed is returned (deterministic regardless of schedule).
-func ForEachErr(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	countFanout(n)
-	w := Workers(workers, n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next    int64 = -1
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-		pb      panicBox
-	)
-	errs := make([]error, n)
-	wg.Add(w)
+// fanout is one multi-worker ForEach or ForEachWorker call's shared state:
+// exactly one of each and byWorker is set. The call starts one goroutine
+// per worker, each claiming items from next until none is left, and the
+// caller waits for them. The caller does not serve as a worker itself:
+// when it did, the planner's fan-outs left the collector's mark phases
+// running 4–6 ms of wall time for 0.2 ms of marking, and autoplan's peak
+// RSS doubled (DESIGN.md §7).
+type fanout struct {
+	each     func(i int)
+	byWorker func(worker, item int)
+	n        int
+
+	next atomic.Int64 // the next unclaimed item
+	wg   sync.WaitGroup
+	pb   panicBox
+}
+
+// run starts w worker goroutines, waits until every item has run, and
+// re-raises the lowest-index panic.
+func (f *fanout) run(w int) {
+	f.wg.Add(w)
 	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if stopped.Load() {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							pb.record(i, r)
-							stopped.Store(true)
-						}
-					}()
-					if err := fn(i); err != nil {
-						errs[i] = err
-						stopped.Store(true)
-					}
-				}()
-			}
-		}()
+		go f.serve(g)
 	}
-	wg.Wait()
-	pb.rethrow()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	f.wg.Wait()
+	f.pb.rethrow()
+}
+
+// serve is worker w's goroutine: it runs items until none is left.
+func (f *fanout) serve(w int) {
+	defer f.wg.Done()
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n {
+			return
 		}
+		f.item(w, i)
 	}
-	return nil
+}
+
+// item runs one item, recording a panic instead of unwinding the worker.
+func (f *fanout) item(w, i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.pb.record(i, r)
+		}
+	}()
+	if f.each != nil {
+		f.each(i)
+	} else {
+		f.byWorker(w, i)
+	}
 }
 
 // Map runs fn(i) for every i in [0, n) on at most `workers` goroutines
@@ -256,42 +195,5 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	ForEach(workers, n, func(i int) {
 		out[i] = fn(i)
 	})
-	return out
-}
-
-// MapErr is Map with error propagation: on failure it returns a nil slice
-// and the error of the lowest item index that failed.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachErr(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Shards partitions n items into at most `workers` contiguous [lo, hi)
-// ranges of near-equal size — the static partitioning used where work
-// must stay grouped (e.g. NoC links grouped by source router).
-func Shards(n, workers int) [][2]int {
-	w := Workers(workers, n)
-	if n <= 0 {
-		return nil
-	}
-	out := make([][2]int, 0, w)
-	for s := 0; s < w; s++ {
-		lo := s * n / w
-		hi := (s + 1) * n / w
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
 	return out
 }

@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -53,31 +51,34 @@ func TestMapDeterministicOrdering(t *testing.T) {
 }
 
 func TestForEachRunsEveryItemExactlyOnce(t *testing.T) {
-	counts := make([]int32, 500)
-	ForEach(7, len(counts), func(i int) { atomic.AddInt32(&counts[i], 1) })
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("item %d ran %d times", i, c)
+	for _, workers := range []int{1, 2, 8} {
+		counts := make([]int32, 500)
+		ForEach(workers, len(counts), func(i int) { atomic.AddInt32(&counts[i], 1) })
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, c)
+			}
 		}
 	}
 }
 
 func TestForEachWorkerRunsEveryItemWithValidWorker(t *testing.T) {
-	const workers = 5
-	counts := make([]int32, 300)
-	var badWorker atomic.Bool
-	ForEachWorker(workers, len(counts), func(w, i int) {
-		if w < 0 || w >= workers {
-			badWorker.Store(true)
+	for _, workers := range []int{1, 2, 8} {
+		counts := make([]int32, 300)
+		var badWorker atomic.Bool
+		ForEachWorker(workers, len(counts), func(w, i int) {
+			if w < 0 || w >= workers {
+				badWorker.Store(true)
+			}
+			atomic.AddInt32(&counts[i], 1)
+		})
+		if badWorker.Load() {
+			t.Fatalf("workers=%d: worker index out of range", workers)
 		}
-		atomic.AddInt32(&counts[i], 1)
-	})
-	if badWorker.Load() {
-		t.Fatal("worker index out of range")
-	}
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("item %d ran %d times", i, c)
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, c)
+			}
 		}
 	}
 }
@@ -97,60 +98,8 @@ func TestForEachWorkerSingleWorkerInline(t *testing.T) {
 	}
 }
 
-func TestForEachErrReturnsLowestIndexError(t *testing.T) {
-	// Every odd item fails; the lowest failing index (1) must win
-	// regardless of schedule.
-	for _, workers := range []int{1, 2, 8} {
-		err := ForEachErr(workers, 64, func(i int) error {
-			if i%2 == 1 {
-				return fmt.Errorf("item %d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "item 1" {
-			t.Fatalf("workers=%d: err = %v, want item 1", workers, err)
-		}
-	}
-}
-
-func TestForEachErrStopsSchedulingAfterError(t *testing.T) {
-	var ran int32
-	sentinel := errors.New("boom")
-	err := ForEachErr(2, 100000, func(i int) error {
-		atomic.AddInt32(&ran, 1)
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
-	}
-	if n := atomic.LoadInt32(&ran); n > 100 {
-		t.Fatalf("ran %d items after first error; cancellation not effective", n)
-	}
-}
-
-func TestMapErrSuccessAndFailure(t *testing.T) {
-	out, err := MapErr(4, 10, func(i int) (int, error) { return i + 1, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	_, err = MapErr(4, 10, func(i int) (int, error) {
-		if i == 3 {
-			return 0, errors.New("three")
-		}
-		return i, nil
-	})
-	if err == nil || err.Error() != "three" {
-		t.Fatalf("err = %v, want three", err)
-	}
-}
-
 func TestForEachPanicPropagates(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 8} {
 		func() {
 			defer func() {
 				if r := recover(); r != "kaboom" {
@@ -167,63 +116,24 @@ func TestForEachPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestShardsCoverContiguously(t *testing.T) {
-	for _, c := range []struct{ n, workers int }{{10, 3}, {1, 8}, {16, 16}, {7, 2}, {0, 4}} {
-		shards := Shards(c.n, c.workers)
-		covered := 0
-		prev := 0
-		for _, s := range shards {
-			if s[0] != prev {
-				t.Fatalf("Shards(%d,%d): gap at %d", c.n, c.workers, s[0])
-			}
-			if s[1] <= s[0] {
-				t.Fatalf("Shards(%d,%d): empty shard %v", c.n, c.workers, s)
-			}
-			covered += s[1] - s[0]
-			prev = s[1]
+// TestForEachAllocations bounds what one fan-out allocates, not counting
+// the caller's closure: nothing on the one-worker path, and at two workers
+// the per-call state plus each worker goroutine's start.
+func TestForEachAllocations(t *testing.T) {
+	var sink [8]atomic.Int64
+	each := func(i int) { sink[0].Add(int64(i)) }
+	byWorker := func(w, i int) { sink[w].Add(int64(i)) }
+	for _, c := range []struct {
+		workers int
+		most    float64
+	}{{1, 0}, {2, 3}} {
+		if a := testing.AllocsPerRun(100, func() { ForEach(c.workers, 8, each) }); a > c.most {
+			t.Errorf("workers=%d: ForEach allocates %v times per call, want at most %v", c.workers, a, c.most)
 		}
-		if covered != c.n {
-			t.Fatalf("Shards(%d,%d) covered %d items", c.n, c.workers, covered)
-		}
-		if len(shards) > c.workers && c.workers > 0 {
-			t.Fatalf("Shards(%d,%d) produced %d shards", c.n, c.workers, len(shards))
+		if a := testing.AllocsPerRun(100, func() { ForEachWorker(c.workers, 8, byWorker) }); a > c.most {
+			t.Errorf("workers=%d: ForEachWorker allocates %v times per call, want at most %v", c.workers, a, c.most)
 		}
 	}
-}
-
-func TestPoolBarrierAndReuse(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	if p.Workers() != 4 {
-		t.Fatalf("Workers = %d", p.Workers())
-	}
-	// Many successive barriers must each see every shard exactly once —
-	// the per-cycle usage pattern of the NoC stepper.
-	for cycle := 0; cycle < 200; cycle++ {
-		var mask int32
-		p.Run(func(shard int) {
-			atomic.AddInt32(&mask, 1<<shard)
-		})
-		if mask != 0b1111 {
-			t.Fatalf("cycle %d: shard mask %04b", cycle, mask)
-		}
-	}
-}
-
-func TestPoolPanicPropagates(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	defer func() {
-		if r := recover(); r != "shard-fail" {
-			t.Fatalf("recovered %v", r)
-		}
-	}()
-	p.Run(func(shard int) {
-		if shard == 1 {
-			panic("shard-fail")
-		}
-	})
-	t.Fatal("Run returned without panicking")
 }
 
 // TestForEachWorkerIndexIsExclusive is the misuse regression the noalloc

@@ -11,9 +11,9 @@ import (
 // race-safely, and the fan-out primitives bump whatever is attached (a nil
 // handle drops the update — the zero-cost disabled path).
 //
-// Only worker-count-invariant quantities are counted: fan-out calls, item
-// totals, and pool barriers are the same whether the items run on one
-// goroutine or eight, so the metrics snapshot stays bit-identical across
+// Only worker-count-invariant quantities are counted: fan-out calls and
+// item totals are the same whether the items run on one goroutine or
+// eight, so the metrics snapshot stays bit-identical across
 // MPTWINO_WORKERS settings — the same contract the result slots already
 // obey. One caveat: these counters measure actual engine entries, and
 // callers with a closure-free sequential fast path (the winograd Into
@@ -23,25 +23,19 @@ import (
 // cover the sim sweeps (which always enter the engine) and leave kernel
 // engine usage as a diagnostic, not a model metric.
 var (
-	ctrCalls    atomic.Pointer[telemetry.Counter] // ForEach-family and phased fan-outs
-	ctrItems    atomic.Pointer[telemetry.Counter] // total items fanned out
-	ctrBarriers atomic.Pointer[telemetry.Counter] // Pool.Run barriers
-	gaugePool   atomic.Pointer[telemetry.Gauge]   // peak pool size
+	ctrCalls atomic.Pointer[telemetry.Counter] // ForEach-family and phased fan-outs
+	ctrItems atomic.Pointer[telemetry.Counter] // total items fanned out
 )
 
 // Attach points the engine's instrumentation at reg's instruments:
 //
-//	parallel.calls         fan-out invocations (ForEach/ForEachWorker/ForEachPhase/ForEachErr/Map/MapErr)
-//	parallel.items         total work items across those fan-outs (every phase's, for ForEachPhase)
-//	parallel.pool_barriers fork-join barriers executed by persistent Pools
-//	parallel.pool_workers  peak persistent-pool size (occupancy ceiling)
+//	parallel.calls fan-out invocations (ForEach/ForEachWorker/ForEachPhase/Map)
+//	parallel.items total work items across those fan-outs (every phase's, for ForEachPhase)
 //
 // Attach(nil) detaches. Safe to call concurrently with running fan-outs.
 func Attach(reg *telemetry.Registry) {
 	ctrCalls.Store(reg.Counter("parallel.calls"))
 	ctrItems.Store(reg.Counter("parallel.items"))
-	ctrBarriers.Store(reg.Counter("parallel.pool_barriers"))
-	gaugePool.Store(reg.Gauge("parallel.pool_workers"))
 }
 
 // countFanout records one fan-out of n items (no-op when detached).

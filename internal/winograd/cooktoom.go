@@ -186,17 +186,18 @@ func MustTransform(m, r int) *Transform {
 	return tr
 }
 
-// The four transforms the paper uses (Sections IV, VII-B):
+// The three 2-D transforms the paper uses (Sections IV, VII-B):
 //
 //	F(2×2,3×3)  tile 4×4 — MPT configurations with 16 or 4 groups
 //	F(4×4,3×3)  tile 6×6 — single-group (data-parallel) configurations
 //	F(2×2,5×5)  tile 6×6 — 5×5-weight evaluation (Fig. 16)
-//	F(2,3)      tile 4×1 — 3×1 weights (1-D convolution)
+//
+// The paper's fourth, F(2,3) with 4×1 tiles for 3×1 weights, is
+// F(2×2,3×3)'s 1-D algorithm; no workload here has 3×1 weights.
 var (
 	F2x2_3x3 = MustTransform(2, 3)
 	F4x4_3x3 = MustTransform(4, 3)
 	F2x2_5x5 = MustTransform(2, 5)
-	F2_3     = MustTransform(2, 3) // used one-dimensionally
 
 	// F6x6_3x3 (tile 8×8) is beyond the paper's menu: it maximizes compute
 	// reduction (36 outputs per 64-element tile) but its transform

@@ -133,28 +133,3 @@ func TestWideTileTransformsZeroAlloc(t *testing.T) {
 		}
 	}
 }
-
-func TestMatVecInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr := F2_3
-	v := make([]float32, tr.T)
-	for i := range v {
-		v[i] = float32(rng.NormFloat64())
-	}
-	dst := make([]float32, tr.T)
-	tr.Transform1DInputInto(dst, v)
-	ref := tr.Transform1DInput(v)
-	for i := range ref {
-		if math.Float32bits(ref[i]) != math.Float32bits(dst[i]) {
-			t.Fatalf("Transform1DInputInto diverges at %d", i)
-		}
-	}
-	out := make([]float32, tr.M)
-	tr.Inverse1DOutputInto(out, v)
-	refOut := tr.Inverse1DOutput(v)
-	for i := range refOut {
-		if math.Float32bits(refOut[i]) != math.Float32bits(out[i]) {
-			t.Fatalf("Inverse1DOutputInto diverges at %d", i)
-		}
-	}
-}

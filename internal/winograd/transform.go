@@ -13,52 +13,6 @@ func (tr *Transform) OutputFromWinograd(y *tensor.Mat) *tensor.Mat {
 	return tensor.Sandwich(tr.AT, y, tr.A)
 }
 
-// Transform1DInput applies the first 1-D stage of the input transform to a
-// T-vector: Bᵀ·v. The paper's 4-group configuration performs this stage at
-// the source worker before tile transfer (Section IV, "1D Winograd
-// transform before transferring tile data").
-func (tr *Transform) Transform1DInput(v []float32) []float32 {
-	return matVec(tr.BT, v)
-}
-
-// Inverse1DOutput applies one 1-D stage of the output inverse transform to
-// a T-vector: Aᵀ·v, producing m values. Used by 1-D prediction.
-func (tr *Transform) Inverse1DOutput(v []float32) []float32 {
-	return matVec(tr.AT, v)
-}
-
-// Transform1DInputInto is Transform1DInput into a caller-owned slice of
-// length T (the hoisted form used by the 1-D hot loops).
-func (tr *Transform) Transform1DInputInto(dst, v []float32) {
-	matVecInto(dst, tr.BT, v)
-}
-
-// Inverse1DOutputInto is Inverse1DOutput into a caller-owned slice of
-// length m.
-func (tr *Transform) Inverse1DOutputInto(dst, v []float32) {
-	matVecInto(dst, tr.AT, v)
-}
-
-func matVec(m *tensor.Mat, v []float32) []float32 {
-	out := make([]float32, m.Rows)
-	matVecInto(out, m, v)
-	return out
-}
-
-func matVecInto(dst []float32, m *tensor.Mat, v []float32) {
-	if len(v) != m.Cols || len(dst) != m.Rows {
-		panic("winograd: matVec length mismatch")
-	}
-	for r := 0; r < m.Rows; r++ {
-		var acc float32
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, mv := range row {
-			acc += mv * v[c]
-		}
-		dst[r] = acc
-	}
-}
-
 // LiftOutputBias returns the T×T Winograd-domain tile L whose inverse
 // output transform is a constant: Aᵀ·L·A = bias·𝟙(m×m). Adding L to every
 // output tile therefore shifts every spatial neuron by exactly bias —

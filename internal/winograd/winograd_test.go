@@ -507,31 +507,6 @@ func TestWeightsBytesAndClone(t *testing.T) {
 	}
 }
 
-func TestTransform1DHelpers(t *testing.T) {
-	tr := F2x2_3x3
-	rng := tensor.NewRNG(61)
-	d := make([]float32, tr.T)
-	g := make([]float32, tr.R)
-	for i := range d {
-		d[i] = float32(rng.NormFloat64())
-	}
-	for i := range g {
-		g[i] = float32(rng.NormFloat64())
-	}
-	// 1-D algorithm via the helpers must match direct correlation.
-	gd := matVecT(tr.G, g)
-	dd := tr.Transform1DInput(d)
-	prod := make([]float32, tr.T)
-	for i := range prod {
-		prod[i] = gd[i] * dd[i]
-	}
-	got := tr.Inverse1DOutput(prod)
-	want := directCorrelate1D(d, g)
-	if diff := maxDiff(got, want); diff > 1e-4 {
-		t.Fatalf("1D helpers maxdiff %v", diff)
-	}
-}
-
 func TestNewTilingRejectsMismatchedKernel(t *testing.T) {
 	if _, err := NewTiling(F2x2_3x3, conv.Params{In: 1, Out: 1, K: 5, Pad: 2, H: 8, W: 8}); err == nil {
 		t.Fatal("kernel/transform mismatch accepted")
@@ -664,55 +639,5 @@ func TestWeightsAXPYShapeMismatchPanics(t *testing.T) {
 	w.AXPY(-0.5, g)
 	if got := w.El[5].Data[4]; got != -1 {
 		t.Fatalf("AXPY gave %v, want -1", got)
-	}
-}
-
-// TestFprop1DMatchesDirect validates the 1-D Winograd path (the paper's
-// F(2,3) with 4×1 tiles for 3×1 weights) against direct correlation.
-func TestFprop1DMatchesDirect(t *testing.T) {
-	rng := tensor.NewRNG(67)
-	cases := []Params1D{
-		{In: 3, Out: 4, K: 3, Pad: 1, L: 16},
-		{In: 2, Out: 2, K: 3, Pad: 1, L: 15}, // partial edge tile
-		{In: 1, Out: 3, K: 3, Pad: 0, L: 12},
-		{In: 2, Out: 1, K: 5, Pad: 2, L: 14}, // F(2,5)
-	}
-	for ci, p := range cases {
-		tr := F2_3
-		if p.K == 5 {
-			tr = F2x2_5x5 // same 1-D matrices apply per row
-		}
-		x := tensor.New(2, p.In, 1, p.L)
-		w := tensor.New(p.Out, p.In, 1, p.K)
-		rng.FillNormal(x, 0, 1)
-		rng.FillNormal(w, 0, 0.5)
-		want := DirectFprop1D(p, x, w)
-		got := Fprop1D(tr, p, x, w)
-		if d := got.MaxAbsDiff(want); d > 1e-3 {
-			t.Fatalf("case %d: 1-D fprop maxdiff %v", ci, d)
-		}
-	}
-}
-
-func TestParams1DValidate(t *testing.T) {
-	bad := []Params1D{
-		{In: 0, Out: 1, K: 3, Pad: 1, L: 8},
-		{In: 1, Out: 1, K: 0, Pad: 1, L: 8},
-		{In: 1, Out: 1, K: 3, Pad: -1, L: 8},
-		{In: 1, Out: 1, K: 9, Pad: 0, L: 4},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad 1-D params %d accepted", i)
-		}
-	}
-	if err := (Params1D{In: 1, Out: 1, K: 3, Pad: 1, L: 8}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewTiling1DMismatch(t *testing.T) {
-	if _, err := newTiling1D(F2_3, Params1D{In: 1, Out: 1, K: 5, Pad: 2, L: 8}); err == nil {
-		t.Fatal("1-D kernel/transform mismatch accepted")
 	}
 }
