@@ -1,39 +1,25 @@
 package main
 
-// Machine-readable output. -format=json is the stable scripting surface
-// (one object per finding); -format=sarif emits minimal SARIF 2.1.0 —
-// enough for GitHub code-scanning upload and PR annotation — with one
-// reporting rule per analyzer so findings group by invariant in the UI.
+// -format=sarif emits minimal SARIF 2.1.0 — enough for GitHub
+// code-scanning upload and PR annotation — with one reporting rule per
+// analyzer so findings group by invariant in the UI.
 
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
 
 	"mptwino/internal/lint"
 )
 
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-func printJSON(w io.Writer, wd string, diags []lint.Diagnostic) error {
-	out := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonFinding{
-			Analyzer: d.Analyzer,
-			File:     relPath(wd, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
+// relPath renders a diagnostic's filename relative to the working
+// directory (the module root in normal runs), slash-separated so the
+// report is machine-independent.
+func relPath(wd, filename string) string {
+	if r, err := filepath.Rel(wd, filename); err == nil && !filepath.IsAbs(r) {
+		return filepath.ToSlash(r)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return filepath.ToSlash(filename)
 }
 
 // SARIF 2.1.0 skeleton — only the fields the GitHub upload path reads.

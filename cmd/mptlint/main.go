@@ -12,27 +12,21 @@
 //	go run ./cmd/mptlint -list            # describe the suite
 //
 // Findings print as file:line:col: message (analyzer) by default;
-// -format=json emits a machine-readable array and -format=sarif emits
-// SARIF 2.1.0 for code-scanning upload / PR annotation. Suppress a false
-// positive with a reasoned directive on (or directly above) the line:
+// -format=sarif emits SARIF 2.1.0 for code-scanning upload / PR
+// annotation. Accept a finding with a reasoned directive on (or directly
+// above) the line:
 //
 //	//nolint:mapiter -- keys are sorted on the next line
 //
 // The reason after " -- " is mandatory; a bare //nolint is itself an
 // error, and a directive that suppresses nothing is reported as stale.
-//
-// Known findings that are accepted for now live in the committed baseline
-// (lint/baseline.json by default): entries match on (analyzer, file,
-// exact message) — line-independent, so unrelated edits don't churn it —
-// and every entry carries a mandatory "why" justification. A baseline
-// entry that no longer matches any finding fails the run until the
-// baseline is regenerated with -update-baseline (which preserves the
-// "why" of surviving entries). See DESIGN.md §9/§14.
+// See DESIGN.md §9/§14.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -40,130 +34,99 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		runNames       = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-		list           = flag.Bool("list", false, "list the analyzers and exit")
-		format         = flag.String("format", "text", "output format: text, json, or sarif")
-		baselinePath   = flag.String("baseline", "lint/baseline.json", "baseline file of accepted findings (missing file = empty; \"\" disables)")
-		updateBaseline = flag.Bool("update-baseline", false, "rewrite the baseline from the current findings (preserving existing justifications) and exit")
-		cachePath      = flag.String("cache", "", "cache file for go list -export call-graph data (\"\" disables)")
-	)
-	flag.Parse()
+// options is one parsed mptlint command line.
+type options struct {
+	analyzers []*lint.Analyzer
+	ran       []string // -run names; nil for the full suite
+	list      bool
+	format    string
+	cachePath string
+	patterns  []string
+}
 
-	if *list {
+// parseFlags parses args into options on fs. It rejects an analyzer name
+// the suite does not have and an unknown -format, so run never loads a
+// package for a command line it would refuse.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
+	fs.BoolVar(&o.list, "list", false, "list the analyzers and exit")
+	fs.StringVar(&o.format, "format", "text", "output format: text or sarif")
+	fs.StringVar(&o.cachePath, "cache", "", "cache file for go list -export call-graph data (\"\" disables)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if *runNames != "" {
+		o.ran = strings.Split(*runNames, ",")
+	}
+	var err error
+	if o.analyzers, err = lint.ByName(o.ran); err != nil {
+		return o, fmt.Errorf("-run %q: %w (try -list)", *runNames, err)
+	}
+	if o.format != "text" && o.format != "sarif" {
+		return o, fmt.Errorf("unknown -format %q (text, sarif)", o.format)
+	}
+	o.patterns = fs.Args()
+	if len(o.patterns) == 0 {
+		o.patterns = []string{"./..."}
+	}
+	return o, nil
+}
+
+// run is the whole command. It returns the exit code: 0 clean, 1 on any
+// finding, 2 for a rejected command line or a load failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mptlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o, err := parseFlags(fs, args)
+	if err == flag.ErrHelp {
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "mptlint:", err)
+		return 2
+	}
+
+	if o.list {
 		for _, a := range lint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	var names []string
-	if *runNames != "" {
-		names = strings.Split(*runNames, ",")
-	}
-	analyzers := lint.ByName(names)
-	if len(analyzers) == 0 {
-		fmt.Fprintf(os.Stderr, "mptlint: no analyzer matches -run %q (try -list)\n", *runNames)
-		return 2
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mptlint:", err)
+		fmt.Fprintln(stderr, "mptlint:", err)
 		return 2
 	}
-	prog, err := lint.LoadCached(wd, *cachePath, patterns...)
+	prog, err := lint.LoadCached(wd, o.cachePath, o.patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-
-	diags := lint.Analyze(prog, analyzers)
 
 	// //nolint directives are read from (and stale-checked in) the target
 	// packages only: module-local dependencies of a partial pattern keep
 	// their directives for the run that targets them. Stale detection for
 	// wildcard directives needs the full suite (ran == nil).
-	files := prog.TargetFiles()
-	ran := names
-	if *runNames == "" {
-		ran = nil
-	}
-	diags = lint.ApplyNolint(prog.Fset, files, diags, ran)
+	diags := lint.ApplyNolint(prog.Fset, prog.TargetFiles(), lint.Analyze(prog, o.analyzers), o.ran)
 
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "mptlint: -update-baseline needs -baseline")
+	if o.format == "sarif" {
+		if err := printSARIF(stdout, wd, o.analyzers, diags); err != nil {
+			fmt.Fprintln(stderr, "mptlint:", err)
 			return 2
 		}
-		n, missing, err := writeBaseline(*baselinePath, wd, diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mptlint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "mptlint: baseline %s rewritten with %d entr%s\n", *baselinePath, n, plural(n, "y", "ies"))
-		if missing > 0 {
-			fmt.Fprintf(os.Stderr, "mptlint: %d new entr%s ha%s an empty \"why\" — fill in the justification before committing\n", missing, plural(missing, "y", "ies"), plural(missing, "s", "ve"))
-		}
-		return 0
-	}
-
-	var stale []baselineEntry
-	if *baselinePath != "" {
-		bl, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mptlint:", err)
-			return 2
-		}
-		diags, stale, err = applyBaseline(wd, diags, bl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mptlint:", err)
-			return 2
-		}
-	}
-
-	switch *format {
-	case "text":
+	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-	case "json":
-		if err := printJSON(os.Stdout, wd, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "mptlint:", err)
-			return 2
-		}
-	case "sarif":
-		if err := printSARIF(os.Stdout, wd, analyzers, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "mptlint:", err)
-			return 2
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "mptlint: unknown -format %q (text, json, sarif)\n", *format)
-		return 2
 	}
-
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "mptlint: stale baseline entry: no %s finding in %s matches %q — regenerate with -update-baseline\n", e.Analyzer, e.File, e.Message)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "mptlint: %d finding(s), %d stale baseline entr%s\n", len(diags), len(stale), plural(len(stale), "y", "ies"))
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "mptlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

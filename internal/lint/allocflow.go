@@ -8,31 +8,42 @@ import (
 	"strings"
 )
 
-// AllocFlow is the interprocedural half of the 0 allocs/op contract: for
-// every noalloc root (a *Into kernel or a //mptlint:noalloc-annotated
-// function) in a linted package, every call path reachable from it must
-// be allocation-free. The syntactic noalloc analyzer catches allocation
-// constructs written directly in the root; allocflow walks the
-// cross-package call graph (callgraph.go) and reports the transitive
-// ones — the allocating helper two hops away that a per-function AST walk
-// can never see.
+// AllocFlow enforces the 0 allocs/op contract at the source level: a
+// noalloc root (a *Into kernel or a //mptlint:noalloc-annotated function)
+// in a linted package, and every call path reachable from it, must be
+// allocation-free. benchdiff gates the same contract dynamically
+// (`cmd/benchdiff -gate-allocs`, DESIGN.md §8); allocflow catches the
+// allocation when it is written, not when a benchmark happens to run it.
+//
+// The root's own allocation constructs (make, new, append, slice and map
+// literals, &T{...}, closures, goroutine spawns; callgraph.go) are
+// reported where they are written. Allocations beneath a callee are found
+// by walking the cross-package call graph and reported at the call site
+// inside the root (the actionable frame: fix the callee, hoist the call
+// off the steady-state path, or sanction the callee with evidence), with
+// the chain that reaches them — the helper two hops away that a
+// per-function AST walk can never see.
 //
 // Callees whose bodies are outside the program (stdlib, out-of-module)
 // are not assumed clean: they must appear on the sanctioned-callee list
-// below, which replaces the old hand-maintained per-analyzer carve-outs.
-// Dynamic calls (interface methods, function-valued parameters/fields)
-// are likewise not analyzable and are reported, because an unseen callee
-// is exactly how an allocation sneaks onto a steady-state path.
+// below, so fmt.Sprintf or errors.New on a noalloc path is reported as a
+// call. Dynamic calls (interface methods, function-valued
+// parameters/fields) are likewise not analyzable and are reported,
+// because an unseen callee is exactly how an allocation sneaks onto a
+// steady-state path. Telemetry needs no rule of its own: the nil-safe
+// atomic updates (Counter.Add, Gauge.Max, ...) walk clean, while a
+// Registry lookup locks and allocates, so kernels resolve handles at
+// attach time and only bump them in the loop.
 //
-// Reports land at the call site inside the root (the actionable frame:
-// either the callee must be fixed, the call hoisted off the steady-state
-// path, or the callee sanctioned with evidence). Cold paths — if-blocks
-// terminating in panic — contribute nothing, same as noalloc.
+// Two shapes contribute nothing, in roots and callees alike: cold paths
+// (if-blocks terminating in panic — shape-check error paths) and the
+// closure of a func literal passed directly to an internal/parallel
+// primitive (one amortized allocation per kernel call; the literal's
+// body is still walked, since it runs per item).
 var AllocFlow = &Analyzer{
 	Name: "allocflow",
-	Doc: "interprocedural noalloc: every call path from a *Into or " +
-		"//mptlint:noalloc root must be allocation-free (sanctioned-callee list " +
-		"for unanalyzable bodies)",
+	Doc: "flags allocations in a *Into or //mptlint:noalloc root and on every " +
+		"call path from it (sanctioned-callee list for unanalyzable bodies)",
 	RunProgram: runAllocFlow,
 }
 
@@ -205,6 +216,9 @@ func runAllocFlow(pass *ProgramPass) {
 		s := sums[k]
 		if !s.root || !s.pkg.Target {
 			continue
+		}
+		for _, a := range s.allocs {
+			pass.Reportf(a.pos, "%s: %s allocates on a noalloc path; reuse caller-owned or scratch storage, or move it off the steady-state path", s.name, a.what)
 		}
 		reported := map[string]bool{} // one report per callee per root
 		for _, c := range s.calls {

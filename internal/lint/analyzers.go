@@ -1,5 +1,7 @@
 package lint
 
+import "fmt"
+
 // All returns the full mptlint suite in reporting order. Each analyzer
 // encodes one of the repo's structural invariants; DESIGN.md §9 documents
 // the mapping and the suppression policy.
@@ -7,19 +9,19 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		MapIter,
 		NoGoroutine,
-		NoAlloc,
 		NoTime,
-		FloatOrder,
 		SharedWrite,
 		DetSelect,
 		AllocFlow,
 	}
 }
 
-// ByName resolves a comma-separated analyzer selection ("" = all).
-func ByName(names []string) []*Analyzer {
+// ByName resolves an analyzer selection (empty = all) in suite order. An
+// unknown name is an error, so a selection naming a removed or misspelled
+// analyzer fails instead of silently running a partial suite.
+func ByName(names []string) ([]*Analyzer, error) {
 	if len(names) == 0 {
-		return All()
+		return All(), nil
 	}
 	want := map[string]bool{}
 	for _, n := range names {
@@ -29,7 +31,13 @@ func ByName(names []string) []*Analyzer {
 	for _, a := range All() {
 		if want[a.Name] {
 			out = append(out, a)
+			delete(want, a.Name)
 		}
 	}
-	return out
+	for _, n := range names {
+		if want[n] {
+			return nil, fmt.Errorf("unknown analyzer %q", n)
+		}
+	}
+	return out, nil
 }

@@ -44,7 +44,6 @@ type funcSummary struct {
 	key    string
 	name   string // short name for messages
 	pkg    *Package
-	pos    token.Pos
 	allocs []allocSite
 	calls  []callSite
 	root   bool // *Into-named or //mptlint:noalloc-annotated
@@ -92,7 +91,6 @@ func (p *Program) callgraph() map[string]*funcSummary {
 					key:  funcKey(obj),
 					name: fn.Name.Name,
 					pkg:  pkg,
-					pos:  fn.Pos(),
 					root: strings.HasSuffix(fn.Name.Name, "Into") || funcDirectives(fn)["noalloc"],
 				}
 				summarizeBody(pkg, fn.Body, s)
@@ -227,4 +225,22 @@ func summarizeCall(info *types.Info, call *ast.CallExpr, s *funcSummary, sanctio
 		// Immediately-invoked literal: body already inlined by the walk;
 		// the literal itself was recorded (or sanctioned) at its site.
 	}
+}
+
+// terminatesInPanic reports whether block's last statement is a panic call
+// — the shape of a cold shape-check guard.
+func terminatesInPanic(block *ast.BlockStmt) bool {
+	if len(block.List) == 0 {
+		return false
+	}
+	es, ok := block.List[len(block.List)-1].(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && id.Name == "panic"
 }

@@ -3,7 +3,7 @@
 // determinism (no map-iteration-order results, no wall-clock or global
 // RNG in simulated paths), bounded parallelism (all fan-out goes through
 // internal/parallel), and allocation-free steady-state kernels (no
-// allocation constructs in *Into functions).
+// allocation in, or on any call path from, a *Into function).
 //
 // The suite deliberately does not depend on golang.org/x/tools: the
 // framework below is a small offline re-implementation of the
@@ -99,40 +99,19 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run applies the per-package analyzers to one loaded package and returns
-// the raw (unsuppressed) findings in source order. Suppression is a
-// separate step (ApplyNolint) so tests can exercise both layers.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	runPkg(pkg, analyzers, &diags)
-	sortDiagnostics(diags)
-	return diags
-}
-
-func runPkg(pkg *Package, analyzers []*Analyzer, diags *[]Diagnostic) {
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			diags:    diags,
-		}
-		a.Run(pass)
-	}
-}
-
 // Analyze runs the full analyzer stack over a loaded program: per-package
 // analyzers over every target package, interprocedural analyzers once
-// over the whole program. Findings are raw (pre-suppression) and sorted.
+// over the whole program. Findings are raw (pre-suppression) and sorted;
+// suppression is a separate step (ApplyNolint).
 func Analyze(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Targets() {
-		runPkg(pkg, analyzers, &diags)
+		for _, a := range analyzers {
+			if a.Run != nil {
+				a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files,
+					Pkg: pkg.Types, Info: pkg.Info, diags: &diags})
+			}
+		}
 	}
 	for _, a := range analyzers {
 		if a.RunProgram != nil {
@@ -254,7 +233,7 @@ func ApplyNolint(fset *token.FileSet, files []*ast.File, diags []Diagnostic, ran
 	}
 
 	// Stale detection: only names whose analyzer actually ran are
-	// checkable (a -run=noalloc invocation says nothing about a
+	// checkable (a -run=allocflow invocation says nothing about a
 	// //nolint:mapiter directive). The wildcard forms are checkable only
 	// when the full suite ran (ran == nil).
 	checkable := func(name string) bool {

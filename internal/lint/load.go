@@ -63,16 +63,6 @@ func (p *Program) Targets() []*Package {
 	return out
 }
 
-// AllFiles returns every syntax file in the program (targets and
-// module-local dependencies).
-func (p *Program) AllFiles() []*ast.File {
-	var out []*ast.File
-	for _, pkg := range p.Pkgs {
-		out = append(out, pkg.Files...)
-	}
-	return out
-}
-
 // TargetFiles returns the syntax files of the target packages — the scope
 // //nolint directives are read from and stale-checked in. Dependency
 // files keep their directives for the run that targets them.
@@ -98,24 +88,20 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// Load type-checks the packages matched by patterns (run from dir) plus
-// every module-local dependency, and returns them as one Program. It
+// LoadCached type-checks the packages matched by patterns (run from dir)
+// plus every module-local dependency, and returns them as one Program. It
 // works fully offline: syntax comes from go/parser and type information
 // for out-of-module dependencies comes from the compiler export data that
 // `go list -export` materializes in the local build cache — no module
 // downloads. Test files are not loaded; the invariants the suite encodes
 // are properties of product code.
-func Load(dir string, patterns ...string) (*Program, error) {
-	return LoadCached(dir, "", patterns...)
-}
-
-// LoadCached is Load with an optional on-disk cache for the `go list
-// -export` call-graph data (the dominant cost of a lint run: it compiles
-// export data for the whole dependency closure). cacheFile == "" disables
-// caching. The cache key hashes go.mod plus every .go file's (path, size,
-// mtime) under the module root, so any source change invalidates it; a
-// hit also revalidates that the cached export files still exist in the
-// build cache.
+//
+// cacheFile optionally caches the `go list -export` call-graph data (the
+// dominant cost of a lint run: it compiles export data for the whole
+// dependency closure); "" disables caching. The cache key hashes go.mod
+// plus every .go file's (path, size, mtime) under the module root, so any
+// source change invalidates it; a hit also revalidates that the cached
+// export files still exist in the build cache.
 func LoadCached(dir, cacheFile string, patterns ...string) (*Program, error) {
 	pkgs, err := goListCached(dir, cacheFile, patterns...)
 	if err != nil {
@@ -202,7 +188,7 @@ func LoadCached(dir, cacheFile string, patterns ...string) (*Program, error) {
 // cross-package behavior (an allocating callee one package away).
 // Subdirectory packages import as "testdata/<base>/<sub>" and are loaded
 // first; out-of-tree imports resolve to export data via `go list -export`
-// exactly like Load.
+// exactly like LoadCached.
 func LoadDir(dir string) (*Program, error) {
 	fset := token.NewFileSet()
 	base := filepath.Base(dir)

@@ -7,12 +7,12 @@ import (
 	"go/types"
 )
 
-// SharedWrite generalizes the old floatorder closure check to writes of
-// every type: inside a closure handed to an internal/parallel fan-out
-// primitive, any write whose target is captured from the enclosing scope
-// (directly or through an alias) must be provably partitioned by the
-// worker/item index, or two workers race on it and the stored value —
-// float bits, slice contents, map entries — depends on the schedule.
+// SharedWrite checks writes of every type inside a closure handed to an
+// internal/parallel fan-out primitive: any write whose target is captured
+// from the enclosing scope (directly or through an alias) must be
+// provably partitioned by the worker/item index, or two workers race on
+// it and the stored value — float bits, slice contents, map entries —
+// depends on the schedule.
 //
 // "Provably partitioned" is decided by the dataflow engine (cfg.go):
 //
@@ -27,7 +27,7 @@ import (
 //
 // Unindexed writes to captured variables (scalars, the slice header
 // itself, struct fields) are always schedule-dependent and reported; the
-// accumulation form gets the fold-order message floatorder used to own.
+// accumulation form gets a fold-order message.
 // The fix is the per-worker-partials idiom: each worker writes its own
 // slot, the caller folds slots in index order (parallel.ForEachWorker's
 // contract).
@@ -375,4 +375,25 @@ func isRefType(t types.Type) bool {
 		return true
 	}
 	return false
+}
+
+// exprObject resolves the variable an expression ultimately names (through
+// selectors), or nil.
+func exprObject(info *types.Info, e ast.Expr) types.Object {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if o := info.Uses[x]; o != nil {
+			return o
+		}
+		return info.Defs[x]
+	case *ast.SelectorExpr:
+		return exprObject(info, x.X)
+	}
+	return nil
+}
+
+// declaredOutside reports whether obj's declaration lies outside lit's
+// source extent (i.e. the closure captures it).
+func declaredOutside(obj types.Object, lit *ast.FuncLit) bool {
+	return obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
 }

@@ -1,5 +1,5 @@
 // Package nolintstale is the golden testdata for the suppression layer
-// itself (run with only the mapiter analyzer): reasons are mandatory,
+// itself (run with the mapiter and notime analyzers): reasons are mandatory,
 // suppression is scoped to line+analyzer, and a directive that suppresses
 // nothing its named (and ran) analyzer could have produced is stale.
 package nolintstale
@@ -23,11 +23,11 @@ func staleSuppression(xs []int) int {
 }
 
 // A directive naming an analyzer that did NOT run is not checkable; the
-// suite runs mapiter only, so this noalloc directive is left alone.
+// suite does not run allocflow, so this allocflow directive is left alone.
 func uncheckableSuppression(xs []int) int {
 	s := 0
 	for _, v := range xs {
-		s += v //nolint:noalloc -- testdata: not checkable in a mapiter-only run
+		s += v //nolint:allocflow -- testdata: not checkable in a run without allocflow
 	}
 	return s
 }
@@ -44,12 +44,12 @@ func missingReason(m map[string]int) []int {
 }
 
 // Multi-name directives are tracked per name: mapiter hits, but the
-// floatorder half is stale — reported only when floatorder also runs,
-// which this suite does, so both behaviors pin here.
+// notime half is stale — reported only when notime also runs, which this
+// suite does, so both behaviors pin here.
 func perNameTracking(m map[string]int) []int {
 	var out []int
 	for _, v := range m {
-		out = append(out, v) //nolint:mapiter,floatorder -- testdata: int append, no float fold // want `stale suppression: nolint:floatorder matches no floatorder finding on this line`
+		out = append(out, v) //nolint:mapiter,notime -- testdata: int append, no clock read // want `stale suppression: nolint:notime matches no notime finding on this line`
 	}
 	return out
 }

@@ -6,8 +6,7 @@ package sharedwrite
 
 import "mptwino/internal/parallel"
 
-// Captured scalar accumulator: the classic cross-worker race — the old
-// floatorder closure case, now owned by sharedwrite.
+// Captured scalar accumulator: the classic cross-worker race.
 func sharedScalar(xs []float64) float64 {
 	var sum float64
 	parallel.ForEach(0, len(xs), func(i int) {

@@ -136,12 +136,13 @@ func TestForEachAllocations(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerIndexIsExclusive is the misuse regression the noalloc
-// scratch design leans on: ForEachWorker's contract is that a worker
-// index is never handed to two goroutines at the same time, so per-worker
-// scratch (GEMM panels, staging tiles) needs no locking. Each item flips
-// its worker's busy flag on entry and clears it on exit; a CAS failure
-// would mean two concurrent items observed the same pool index.
+// TestForEachWorkerIndexIsExclusive is the misuse regression the
+// allocation-free per-worker scratch design leans on: ForEachWorker's
+// contract is that a worker index is never handed to two goroutines at the
+// same time, so per-worker scratch (GEMM panels, staging tiles) needs no
+// locking. Each item flips its worker's busy flag on entry and clears it
+// on exit; a CAS failure would mean two concurrent items observed the same
+// pool index.
 func TestForEachWorkerIndexIsExclusive(t *testing.T) {
 	const workers, items = 8, 4096
 	busy := make([]atomic.Int32, workers)

@@ -56,8 +56,6 @@ type Options struct {
 	// (prediction/zero-skip on for WMpPred/WMpFull). The zero value is
 	// replaced by WMpFull, the paper's best configuration.
 	Config sim.SystemConfig
-	// Slack overrides DefaultSlack when > 0.
-	Slack float64
 	// AllowWideTiles admits the numerically unsafe F(6×6,3×3) transform
 	// into the tile-size axis (mptsim -autoplan -allow-wide-tiles). The
 	// default axis stops at F(4×4,3×3): the coefficient growth of wider
@@ -72,13 +70,6 @@ func (o Options) config() sim.SystemConfig {
 		return sim.WMpFull
 	}
 	return o.Config
-}
-
-func (o Options) slack() float64 {
-	if o.Slack > 0 {
-		return o.Slack
-	}
-	return DefaultSlack
 }
 
 func (o Options) predictive() bool {
@@ -172,11 +163,10 @@ type node struct {
 func Build(net model.Network, opts Options) Plan {
 	sys := opts.System
 	cfg := opts.config()
-	slack := opts.slack()
 	p := sys.Workers
 	workers := hostWorkers(sys)
 
-	plan := Plan{Network: net.Name, Workers: p, Config: cfg, Slack: slack}
+	plan := Plan{Network: net.Name, Workers: p, Config: cfg, Slack: DefaultSlack}
 	nodes := make([][]node, len(net.Layers))
 	anchorNodes := make([][]node, len(net.Layers))
 	candTotals := make([]int, len(net.Layers))
@@ -218,7 +208,7 @@ func Build(net model.Network, opts Options) Plan {
 		var rest []Candidate
 		pruned := 0
 		for _, c := range cands[na:] {
-			if c.FloorSec <= anchorBest*slack {
+			if c.FloorSec <= anchorBest*DefaultSlack {
 				rest = append(rest, c)
 			} else {
 				pruned++

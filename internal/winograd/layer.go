@@ -61,8 +61,8 @@ type Layer struct {
 	// fprop/bprop/updateGrad run without allocation after the first step.
 	// The per-worker tile/packing buffers (sc) are built eagerly at
 	// construction — the worker count is known then, and building them in
-	// the hot path would put an allocation on every noalloc entry point's
-	// first-call path (allocflow flags exactly that). The intermediate
+	// the hot path would put an allocation on every //mptlint:noalloc
+	// root's first-call path (allocflow flags exactly that). The intermediate
 	// Domains of the training loop stay lazy: their shapes depend on the
 	// batch size of the first call (resized if it changes).
 	sc  *Scratch
@@ -115,7 +115,7 @@ func NewLayerWithWeights(tr *Transform, p conv.Params, w *tensor.Tensor) (*Layer
 // Winograd-domain weights (engine-mirror references, cloned-weight
 // cross-checks). Like the other constructors it builds the per-worker
 // Scratch eagerly; Layers must not be assembled with a bare composite
-// literal, which would leave the noalloc hot paths without scratch.
+// literal, which would leave the allocation-free hot paths without scratch.
 func NewLayerFromParts(tl *Tiling, w *Weights) *Layer {
 	return &Layer{Tiling: tl, W: w, sc: NewScratch()}
 }

@@ -11,8 +11,8 @@ import (
 // Regression for the allocflow finding fixed by building the per-worker
 // Scratch eagerly in the constructors: (*Layer).scratch used to lazily
 // call NewScratch on the first FpropInto/BpropInto/UpdateGradWInto, which
-// put a make on every noalloc entry point's first-call path (and kept the
-// lazy-init helper on the sanctioned-callee list). These tests pin the
+// put a make on every //mptlint:noalloc root's first-call path (and kept
+// the lazy-init helper on the sanctioned-callee list). These tests pin the
 // fix: construction owns the allocation, the hot-path accessor only hands
 // out the cached pointer.
 
@@ -30,7 +30,7 @@ func TestNewLayerBuildsScratchEagerly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l.sc == nil {
-		t.Fatal("NewLayer: sc is nil; Scratch must be built at construction, not lazily on the noalloc hot path")
+		t.Fatal("NewLayer: sc is nil; Scratch must be built at construction, not lazily on the allocation-free hot path")
 	}
 
 	w := tensor.New(p.Out, p.In, p.K, p.K)
@@ -69,7 +69,7 @@ func TestLayerScratchWorkersFollowConstructionSetting(t *testing.T) {
 func TestLayerScratchPanicsWithoutConstructor(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("scratch() on a zero-value Layer did not panic; lazy allocation on the noalloc path must not come back")
+			t.Fatal("scratch() on a zero-value Layer did not panic; lazy allocation on the allocation-free path must not come back")
 		}
 	}()
 	var l Layer
