@@ -106,9 +106,13 @@ scenarios:
 autoplan:
 	$(GO) run ./cmd/mptsim -net alexnet -autoplan -autoplan-out plan_alexnet.tsv
 	$(GO) run ./cmd/mptsim -net vgg -autoplan -autoplan-out plan_vgg16.tsv
+	$(GO) run ./cmd/mptsim -net alexnet -autoplan -config w_mp -autoplan-out plan_alexnet_wmp.tsv
+	$(GO) run ./cmd/mptsim -net vgg -autoplan -allow-wide-tiles -autoplan-out plan_vgg16_wide.tsv
 	diff -u internal/planner/testdata/plan_alexnet.tsv plan_alexnet.tsv
 	diff -u internal/planner/testdata/plan_vgg16.tsv plan_vgg16.tsv
-	@echo "wrote plan_alexnet.tsv plan_vgg16.tsv (match committed goldens)"
+	diff -u internal/planner/testdata/plan_alexnet_wmp.tsv plan_alexnet_wmp.tsv
+	diff -u internal/planner/testdata/plan_vgg16_wide.tsv plan_vgg16_wide.tsv
+	@echo "wrote plan_alexnet.tsv plan_vgg16.tsv plan_alexnet_wmp.tsv plan_vgg16_wide.tsv (match committed goldens)"
 
 # Fast smoke subset of the scenario-matrix golden — part of `make verify`
 # (the full grid runs in the regular test suite and in the CI matrix job).

@@ -54,13 +54,23 @@ type options struct {
 	metrics, force              bool
 	metricsJSON                 string
 	cpuProfile, memProfile      string
+
+	cfgs    []sim.SystemConfig // -config, resolved
+	layerP  model.Layer        // -layer with -k, resolved in layer mode
+	network model.Network      // -net, resolved in net mode
 }
 
-// parseFlags parses args into options on fs. It rejects counts no mode
-// can run: -workers below 1 in every mode, -batch below 1 in layer mode
-// (networks use their catalog batch), and a -faults list that is malformed,
-// names a module outside [0, -workers) or leaves no survivor. main calls it
-// before any output, so a rejected command line prints only the error.
+// parseFlags parses args into options on fs and resolves every name the
+// chosen mode runs. It rejects what no run can use: -workers below 1 in
+// every mode, an unknown -config, a missing mode, in layer mode a -batch
+// below 1 (networks use their catalog batch), an unknown -layer or a -k
+// other than 3 or 5, in net mode an unknown -net, and -autoplan with
+// -config all or d_dp (direct convolution has no strategy space to plan);
+// a -faults list that is malformed, names a module outside [0, -workers)
+// or leaves no survivor; and an existing -trace, -trace-report or
+// -metrics-json file without -force. main calls it before it creates any
+// file or prints anything, so a rejected command line prints only the
+// error and leaves every file as it was.
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.layer, "layer", "", "Table II layer: Early, Mid-1, Mid-2, Late-1, Late-2")
@@ -91,12 +101,44 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	if o.workers < 1 {
 		return o, fmt.Errorf("-workers %d: need at least 1 worker", o.workers)
 	}
-	if !o.scenarios && o.layer != "" && o.batch < 1 {
-		return o, fmt.Errorf("-batch %d: need at least 1 sample", o.batch)
+	var err error
+	if o.config == "all" {
+		o.cfgs = sim.AllConfigs()
+	} else {
+		c, err := parseConfig(o.config)
+		if err != nil {
+			return o, err
+		}
+		o.cfgs = []sim.SystemConfig{c}
+	}
+	switch {
+	case o.scenarios:
+	case o.layer != "":
+		if o.batch < 1 {
+			return o, fmt.Errorf("-batch %d: need at least 1 sample", o.batch)
+		}
+		if o.layerP, err = findLayer(o.layer, o.k); err != nil {
+			return o, err
+		}
+	case o.net != "":
+		if o.network, err = findNetwork(o.net); err != nil {
+			return o, err
+		}
+		if o.autoplan && o.faults == "" && (o.config == "all" || o.cfgs[0] == sim.DDp) {
+			return o, fmt.Errorf("-autoplan needs a single Winograd -config, not %q", o.config)
+		}
+	default:
+		return o, fmt.Errorf("specify -layer, -net, or -scenarios (see -h)")
 	}
 	if o.faults != "" {
-		var err error
 		if o.failed, err = parseFaults(o.faults, o.workers); err != nil {
+			return o, err
+		}
+	}
+	// Telemetry files are never silently overwritten: an existing regular
+	// file at any of these paths aborts the run unless -force is set.
+	for _, p := range []string{o.trace, o.traceReport, o.metricsJSON} {
+		if err := checkOverwrite(p, o.force); err != nil {
 			return o, err
 		}
 	}
@@ -140,12 +182,7 @@ func main() {
 
 	// Telemetry: any of -trace/-trace-report/-metrics/-metrics-json turns
 	// the registry on; -trace and -trace-report additionally record the
-	// cycle-domain event stream. Telemetry files are never silently
-	// overwritten — an existing regular file at any of these paths aborts
-	// the run unless -force is set.
-	for _, p := range []string{o.trace, o.traceReport, o.metricsJSON} {
-		checkOverwrite(p, o.force)
-	}
+	// cycle-domain event stream.
 	var reg *telemetry.Registry
 	var tracer *telemetry.Tracer
 	if o.trace != "" || o.traceReport != "" || o.metrics || o.metricsJSON != "" {
@@ -159,17 +196,7 @@ func main() {
 	s.Trace = tracer
 	defer writeTelemetry(reg, tracer, o.trace, o.traceReport, o.metrics, o.metricsJSON)
 
-	var cfgs []sim.SystemConfig
-	if o.config == "all" {
-		cfgs = sim.AllConfigs()
-	} else {
-		c, err := parseConfig(o.config)
-		if err != nil {
-			fail(err)
-		}
-		cfgs = []sim.SystemConfig{c}
-	}
-
+	cfgs := o.cfgs
 	switch {
 	case o.scenarios:
 		m := scenario.Run(scenario.Options{Workers: o.workers, Parallel: o.parallel, Smoke: o.scenariosSmoke})
@@ -186,10 +213,7 @@ func main() {
 			fail(err)
 		}
 	case o.layer != "":
-		l, err := findLayer(o.layer, o.k)
-		if err != nil {
-			fail(err)
-		}
+		l := o.layerP
 		fmt.Printf("%-8s %-7s %3s %3s %12s %12s %12s %14s %12s\n",
 			"layer", "config", "Ng", "Nc", "fwd (us)", "bwd (us)", "total (us)", "energy (J)", "net MB/wkr")
 		for _, c := range cfgs {
@@ -202,19 +226,13 @@ func main() {
 				printBreakdown("bwd", r.Backward)
 			}
 		}
-	case o.net != "":
-		net, err := findNetwork(o.net)
-		if err != nil {
-			fail(err)
-		}
+	default: // net mode
+		net := o.network
 		if o.faults != "" {
 			runFaults(s, net, cfgs, o.failed)
 			return
 		}
 		if o.autoplan {
-			if o.config == "all" {
-				fail(fmt.Errorf("-autoplan needs a single -config, not 'all'"))
-			}
 			runAutoplan(s, net, cfgs[0], o.autoplanOut, o.allowWideTiles)
 			return
 		}
@@ -229,8 +247,6 @@ func main() {
 				c, r.IterationSec*1e3, r.ImagesPerSec, sim.Speedup(r, base),
 				r.Energy.Total(), r.PowerW)
 		}
-	default:
-		fail(fmt.Errorf("specify -layer, -net, or -scenarios (see -h)"))
 	}
 }
 
@@ -363,15 +379,16 @@ func findNetwork(name string) (model.Network, error) {
 	}
 }
 
-// checkOverwrite aborts when path names an existing regular file and
+// checkOverwrite rejects a path that names an existing regular file when
 // -force is not set; devices like /dev/null and fresh paths pass.
-func checkOverwrite(path string, force bool) {
+func checkOverwrite(path string, force bool) error {
 	if path == "" || path == "-" || force {
-		return
+		return nil
 	}
 	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		fail(fmt.Errorf("%s exists; pass -force to overwrite", path))
+		return fmt.Errorf("%s exists; pass -force to overwrite", path)
 	}
+	return nil
 }
 
 // writeTelemetry flushes the run's telemetry: the Chrome trace_event JSON

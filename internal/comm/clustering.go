@@ -8,51 +8,11 @@ import (
 	"mptwino/internal/winograd"
 )
 
-// Fabric describes the communication capacity available to one worker,
-// split — as the paper's MPT configuration does — between the ring fabric
-// carrying weight collectives and the flattened-butterfly fabric carrying
-// tile transfer (Section VII-A: half of the four full-width links each).
-type Fabric struct {
-	RingBW float64 // bytes/sec per worker for collectives
-	TileBW float64 // bytes/sec per worker for tile gather/scatter
-}
-
-// DefaultFabric returns the paper's Table III link budget: four
-// bi-directional full-width links (16 lanes × 15 Gbps = 30 GB/s each,
-// 240 GB/s total), split half to the ring and half to the FBFLY.
-func DefaultFabric() Fabric {
-	const full = 30e9 // bytes/sec, one full-width link, one direction
-	return Fabric{RingBW: 2 * full, TileBW: 2 * full}
-}
-
-// EstimateTime converts per-worker volumes into a communication-time
-// estimate on the fabric. The collective is counted twice (reduce then
-// broadcast of the updated weights); tile gather, scatter and the
-// intra-cell partial-sum reductions share the tile fabric.
-func (f Fabric) EstimateTime(v Volumes) float64 {
-	t := 2 * float64(v.Weight) / f.RingBW
-	t += float64(v.TileGather+v.TileScatter+v.PartialSum) / f.TileBW
-	return t
-}
-
-// ClusterConfig is one allowed (Ng, Nc) wiring of the reconfigurable
-// memory-centric network.
-type ClusterConfig struct {
-	Ng, Nc int
-}
-
 // DefaultConfigs returns the paper's three dynamic-clustering wirings for
-// p workers (Section IV): (16, p/16), (4, p/4) and (1, p). Configurations
-// that do not divide p are dropped, so smaller systems still get a menu.
-func DefaultConfigs(p int) []ClusterConfig {
-	var out []ClusterConfig
-	for _, ng := range []int{16, 4, 1} {
-		if p%ng == 0 && p/ng >= 1 {
-			out = append(out, ClusterConfig{Ng: ng, Nc: p / ng})
-		}
-	}
-	return out
-}
+// p workers (Section IV): (16, p/16), (4, p/4) and (1, p), each a
+// two-axis Winograd strategy without reductions. Wirings that do not
+// divide p are dropped, so smaller systems still get a menu.
+func DefaultConfigs(p int) []Strategy { return wirings(p, true) }
 
 // SurvivorConfigs returns the best (Ng, Nc) wirings achievable with p
 // surviving workers after module failures — the graceful-degradation menu
@@ -61,11 +21,15 @@ func DefaultConfigs(p int) []ClusterConfig {
 // remainder (e.g. 255 survivors offer (16,15) using 240 workers, (4,63)
 // using 252, and (1,255) using all). For a fully healthy, divisible p it
 // degenerates to exactly DefaultConfigs.
-func SurvivorConfigs(p int) []ClusterConfig {
-	var out []ClusterConfig
+func SurvivorConfigs(p int) []Strategy { return wirings(p, false) }
+
+// wirings lists the menu's (16, ⌊p/16⌋), (4, ⌊p/4⌋) and (1, p) grids that
+// fit p workers, only those that use every worker when divisible is set.
+func wirings(p int, divisible bool) []Strategy {
+	var out []Strategy
 	for _, ng := range []int{16, 4, 1} {
-		if nc := p / ng; nc >= 1 {
-			out = append(out, ClusterConfig{Ng: ng, Nc: nc})
+		if nc := p / ng; nc >= 1 && (!divisible || p%ng == 0) {
+			out = append(out, Strategy{Ng: ng, Nc: nc, Winograd: true})
 		}
 	}
 	return out
@@ -99,36 +63,42 @@ func (r Reductions) Get(t, ng int) (gather, scatter float64) {
 	return r.Gather2D, r.Scatter2D
 }
 
-// StrategyFor assembles a Strategy for one clustering configuration,
-// choosing the transform by the paper's rule (F(4×4,3×3) at Ng=1,
-// F(2×2,3×3) otherwise for 3×3 kernels) and applying reductions when pred
-// is true.
-func StrategyFor(cfg ClusterConfig, k int, pred bool, red Reductions) (Strategy, *winograd.Transform) {
-	tr, err := winograd.ForKernel(k, cfg.Ng)
+// Apply returns st carrying the reductions Get gives for its transform
+// under k×k kernels and its group count.
+func (r Reductions) Apply(st Strategy, k int) Strategy {
+	tr, err := st.Transform(k)
 	if err != nil {
 		panic(err)
 	}
-	s := Strategy{Ng: cfg.Ng, Nc: cfg.Nc, Winograd: true}
-	if pred {
-		s.GatherReduction, s.ScatterReduction = red.Get(tr.T, cfg.Ng)
-	}
-	return s, tr
+	st.GatherReduction, st.ScatterReduction = r.Get(tr.T, st.Ng)
+	return st
 }
 
-// ChooseClustering picks, for one layer, the configuration from configs
-// with the smallest estimated communication time on the fabric — the
-// pre-computed per-layer decision the paper's dynamic clustering makes
-// ("the optimal configuration per layer ... is pre-determined").
-func ChooseClustering(p conv.Params, batch int, configs []ClusterConfig, f Fabric, pred bool, red Reductions) (ClusterConfig, Volumes) {
-	best := configs[0]
+// ChooseClustering picks, for one layer, the strategy from menu with the
+// smallest estimated communication time — the pre-computed per-layer
+// decision the paper's dynamic clustering makes ("the optimal
+// configuration per layer ... is pre-determined"). The estimate puts the
+// weight collective, counted twice (reduce, then broadcast of the updated
+// weights), on the ring fabric and the tile gather, scatter and partial
+// sums on the FBFLY, each at half of Table III's four full-width links:
+// 2 × 30 GB/s per worker and direction. Each strategy carries its own
+// reductions; ties keep the earliest.
+func ChooseClustering(p conv.Params, batch int, menu []Strategy) (Strategy, Volumes) {
+	const bw = 2 * 30e9 // bytes/sec per worker, one direction, each fabric
+	best := menu[0]
 	bestTime := math.Inf(1)
 	var bestVol Volumes
-	for _, cfg := range configs {
-		s, tr := StrategyFor(cfg, p.K, pred, red)
-		v := LayerVolumes(tr, p, batch, s)
-		if t := f.EstimateTime(v); t < bestTime {
+	for _, st := range menu {
+		tr, err := st.Transform(p.K)
+		if err != nil {
+			panic(err)
+		}
+		v := LayerVolumes(tr, p, batch, st)
+		t := 2 * float64(v.Weight) / bw
+		t += float64(v.TileGather+v.TileScatter+v.PartialSum) / bw
+		if t < bestTime {
 			bestTime = t
-			best = cfg
+			best = st
 			bestVol = v
 		}
 	}
@@ -136,15 +106,21 @@ func ChooseClustering(p conv.Params, batch int, configs []ClusterConfig, f Fabri
 }
 
 // NetworkVolumesDynamic sums per-worker volumes over a network with
-// per-layer dynamic clustering, returning the total and the chosen
-// configuration per layer (indexed like net.Layers).
-func NetworkVolumesDynamic(net model.Network, p int, f Fabric, pred bool, red Reductions) (Volumes, []ClusterConfig) {
-	configs := DefaultConfigs(p)
+// per-layer dynamic clustering over the p-worker menu (DefaultConfigs),
+// returning the total and the chosen strategy per layer (indexed like
+// net.Layers). With pred set, each wiring carries red for its transform.
+func NetworkVolumesDynamic(net model.Network, p int, pred bool, red Reductions) (Volumes, []Strategy) {
 	var total Volumes
-	choices := make([]ClusterConfig, len(net.Layers))
+	choices := make([]Strategy, len(net.Layers))
 	for i, l := range net.Layers {
-		cfg, v := ChooseClustering(l.P, net.Batch, configs, f, pred, red)
-		choices[i] = cfg
+		menu := DefaultConfigs(p)
+		if pred {
+			for j := range menu {
+				menu[j] = red.Apply(menu[j], l.P.K)
+			}
+		}
+		st, v := ChooseClustering(l.P, net.Batch, menu)
+		choices[i] = st
 		v.TileGather = int64(float64(v.TileGather) * l.EffectiveGatherScale())
 		total = total.add(v.scale(int64(l.EffectiveRepeat())))
 	}

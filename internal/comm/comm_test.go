@@ -199,10 +199,10 @@ func TestReductionsApplied(t *testing.T) {
 
 func TestDefaultConfigs(t *testing.T) {
 	cfgs := DefaultConfigs(256)
-	if len(cfgs) != 3 {
+	want := []Strategy{{Ng: 16, Nc: 16, Winograd: true}, {Ng: 4, Nc: 64, Winograd: true}, {Ng: 1, Nc: 256, Winograd: true}}
+	if len(cfgs) != len(want) {
 		t.Fatalf("want 3 configs for p=256, got %v", cfgs)
 	}
-	want := []ClusterConfig{{16, 16}, {4, 64}, {1, 256}}
 	for i, w := range want {
 		if cfgs[i] != w {
 			t.Fatalf("configs = %v", cfgs)
@@ -215,17 +215,31 @@ func TestDefaultConfigs(t *testing.T) {
 	}
 }
 
+// predMenu is the p-worker menu carrying the paper's reductions for k×k
+// kernels, as the prediction configs run it.
+func predMenu(p, k int) []Strategy {
+	menu := DefaultConfigs(p)
+	for i := range menu {
+		menu[i] = PaperReductions().Apply(menu[i], k)
+	}
+	return menu
+}
+
+// commTime is ChooseClustering's estimate: the collective twice on the
+// ring, the tile traffic once on the FBFLY, each at 60 GB/s.
+func commTime(v Volumes) float64 {
+	return 2*float64(v.Weight)/60e9 + float64(v.TileGather+v.TileScatter+v.PartialSum)/60e9
+}
+
 // TestDynamicClusteringPrefersDataParallelEarly: early layers should pick
 // Ng=1 (pure data parallelism) and late layers Ng=16 — the Section VII-B
 // narrative ("w_mp+ was configured as (1,256)" for Early).
 func TestDynamicClusteringByLayer(t *testing.T) {
-	f := DefaultFabric()
-	red := PaperReductions()
-	cfgE, _ := ChooseClustering(earlyLayer, 256, DefaultConfigs(256), f, true, red)
+	cfgE, _ := ChooseClustering(earlyLayer, 256, predMenu(256, 3))
 	if cfgE.Ng != 1 {
 		t.Fatalf("early layer chose Ng=%d, want 1", cfgE.Ng)
 	}
-	cfgL, _ := ChooseClustering(lateLayer, 256, DefaultConfigs(256), f, true, red)
+	cfgL, _ := ChooseClustering(lateLayer, 256, predMenu(256, 3))
 	if cfgL.Ng < 4 {
 		t.Fatalf("late layer chose Ng=%d, want >= 4", cfgL.Ng)
 	}
@@ -236,34 +250,49 @@ func TestDynamicClusteringByLayer(t *testing.T) {
 // (Fig. 7 reports ~1.4× reduction at p=256 vs fixed √p×√p).
 func TestDynamicBeatsFixed(t *testing.T) {
 	net := model.FractalNet44()
-	f := DefaultFabric()
-	red := PaperReductions()
-	dyn, choices := NetworkVolumesDynamic(net, 256, f, true, red)
+	dyn, choices := NetworkVolumesDynamic(net, 256, true, PaperReductions())
 	if len(choices) != len(net.Layers) {
 		t.Fatal("choice per layer missing")
 	}
-	dynTime := f.EstimateTime(dyn)
-	for _, cfg := range DefaultConfigs(256) {
-		s, tr := StrategyFor(cfg, 3, true, red)
+	for _, s := range predMenu(256, 3) {
+		tr, err := s.Transform(3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fixed := NetworkVolumes(net, tr, s)
-		if dynTime > f.EstimateTime(fixed)*1.0001 {
-			t.Fatalf("dynamic (%v) worse than fixed %+v (%v)", dynTime, cfg, f.EstimateTime(fixed))
+		if commTime(dyn) > commTime(fixed)*1.0001 {
+			t.Fatalf("dynamic (%v) worse than fixed %+v (%v)", commTime(dyn), s, commTime(fixed))
 		}
 	}
 }
 
+// TestStrategyForTransformSelection checks the strategy a menu wiring
+// runs: the paper's tile rule (F(4×4,3×3) at Ng=1, F(2×2,3×3) otherwise
+// for 3×3 kernels, F(2×2,5×5) for 5×5) and the reductions Apply sets,
+// those Get gives at that transform.
 func TestStrategyForTransformSelection(t *testing.T) {
-	s, tr := StrategyFor(ClusterConfig{Ng: 1, Nc: 256}, 3, false, Reductions{})
-	if tr != winograd.F4x4_3x3 || s.Ng != 1 {
-		t.Fatal("Ng=1 should select F(4x4,3x3)")
-	}
-	_, tr = StrategyFor(ClusterConfig{Ng: 16, Nc: 16}, 3, false, Reductions{})
-	if tr != winograd.F2x2_3x3 {
-		t.Fatal("Ng=16 should select F(2x2,3x3)")
-	}
-	_, tr = StrategyFor(ClusterConfig{Ng: 4, Nc: 64}, 5, false, Reductions{})
-	if tr != winograd.F2x2_5x5 {
-		t.Fatal("k=5 should select F(2x2,5x5)")
+	for _, tc := range []struct {
+		ng, k int
+		want  *winograd.Transform
+	}{
+		{1, 3, winograd.F4x4_3x3},
+		{16, 3, winograd.F2x2_3x3},
+		{4, 5, winograd.F2x2_5x5},
+	} {
+		s := Strategy{Ng: tc.ng, Nc: 256 / tc.ng, Winograd: true}
+		if tr, err := s.Transform(tc.k); err != nil || tr != tc.want {
+			t.Errorf("Ng=%d k=%d: transform %v (%v), want %v", tc.ng, tc.k, tr, err, tc.want)
+		}
+		red := PaperReductions()
+		got := red.Apply(s, tc.k)
+		g, sc := red.Get(tc.want.T, tc.ng)
+		if got.GatherReduction != g || got.ScatterReduction != sc {
+			t.Errorf("Ng=%d k=%d: Apply set (%v, %v), want (%v, %v)", tc.ng, tc.k,
+				got.GatherReduction, got.ScatterReduction, g, sc)
+		}
+		if got.Ng != s.Ng || got.Nc != s.Nc || !got.Winograd || got.TileM != 0 {
+			t.Errorf("Apply changed the wiring: %+v -> %+v", s, got)
+		}
 	}
 }
 
@@ -349,28 +378,14 @@ func (r *testRand) Intn(n int) int {
 // kernel menu: the chooser must return a valid configuration and stay
 // deterministic.
 func TestChooseClusteringFor5x5(t *testing.T) {
-	f := DefaultFabric()
-	red := PaperReductions()
 	l := model.FiveLayers5x5()[3]
-	cfg1, v1 := ChooseClustering(l.P, 256, DefaultConfigs(256), f, true, red)
-	cfg2, v2 := ChooseClustering(l.P, 256, DefaultConfigs(256), f, true, red)
+	cfg1, v1 := ChooseClustering(l.P, 256, predMenu(256, 5))
+	cfg2, v2 := ChooseClustering(l.P, 256, predMenu(256, 5))
 	if cfg1 != cfg2 || v1 != v2 {
 		t.Fatal("ChooseClustering not deterministic")
 	}
 	if cfg1.Ng*cfg1.Nc != 256 {
 		t.Fatalf("chosen config %+v does not cover 256 workers", cfg1)
-	}
-}
-
-// TestEstimateTimeComposition: the fabric time estimate must be the sum of
-// the two fabrics' terms with the collective counted both directions.
-func TestEstimateTimeComposition(t *testing.T) {
-	fab := Fabric{RingBW: 10e9, TileBW: 5e9}
-	v := Volumes{Weight: 10e9, TileGather: 5e9, TileScatter: 5e9}
-	got := fab.EstimateTime(v)
-	want := 2.0*10e9/10e9 + (5e9+5e9)/5e9
-	if got != want {
-		t.Fatalf("EstimateTime = %v, want %v", got, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mptwino/internal/conv"
-	"mptwino/internal/winograd"
 )
 
 // This file implements load-aware batch sharding for heterogeneous fleets
@@ -215,22 +214,20 @@ func ImbalancePermille(shares []int) int64 {
 // LowerBoundBytes returns the dense per-worker communication floor for one
 // layer: the minimum over the clustering menu of the no-reduction traffic
 // volume. In the spirit of the Chen/Demmel communication lower bounds for
-// CNNs, it is the fewest bytes any menu configuration must move for this
-// layer with dense tiles — the yardstick the scenario matrix reports
-// achieved bytes against. Reductions (activation prediction,
-// zero-skipping) can push achieved traffic below this dense floor;
-// conversely the time-optimal choice on a degraded fabric may move more.
-func LowerBoundBytes(p conv.Params, batch int, configs []ClusterConfig) int64 {
-	if len(configs) == 0 {
-		return 0
-	}
+// CNNs, it is the fewest bytes any menu wiring must move for this layer
+// with dense tiles — the yardstick the scenario matrix reports achieved
+// bytes against. It reads only each entry's (Ng, Nc) wiring, at the
+// paper's tile rule: reductions (activation prediction, zero-skipping)
+// can push achieved traffic below this dense floor; conversely the
+// time-optimal choice on a degraded fabric may move more.
+func LowerBoundBytes(p conv.Params, batch int, menu []Strategy) int64 {
 	best := int64(-1)
-	for _, cfg := range configs {
-		tr, err := winograd.ForKernel(p.K, cfg.Ng)
+	for _, w := range menu {
+		s := Strategy{Ng: w.Ng, Nc: w.Nc, Winograd: true}
+		tr, err := s.Transform(p.K)
 		if err != nil {
 			continue
 		}
-		s := Strategy{Ng: cfg.Ng, Nc: cfg.Nc, Winograd: true}
 		v := LayerVolumes(tr, p, batch, s)
 		if t := v.Total(); best < 0 || t < best {
 			best = t

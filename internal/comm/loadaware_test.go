@@ -185,8 +185,11 @@ func TestLowerBoundBytes(t *testing.T) {
 		}
 		// The bound is the menu minimum: no no-reduction config beats it.
 		for _, cfg := range cfgs {
-			s, tr := StrategyFor(cfg, l.P.K, false, Reductions{})
-			if v := LayerVolumes(tr, l.P, 64, s); v.Total() < bound {
+			tr, err := cfg.Transform(l.P.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := LayerVolumes(tr, l.P, 64, cfg); v.Total() < bound {
 				t.Errorf("layer %s: config %+v moves %d < bound %d", l.Name, cfg, v.Total(), bound)
 			}
 		}

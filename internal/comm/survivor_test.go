@@ -8,12 +8,12 @@ import (
 func TestSurvivorConfigs(t *testing.T) {
 	for _, tc := range []struct {
 		p    int
-		want []ClusterConfig
+		want []Strategy
 	}{
-		{255, []ClusterConfig{{Ng: 16, Nc: 15}, {Ng: 4, Nc: 63}, {Ng: 1, Nc: 255}}},
-		{15, []ClusterConfig{{Ng: 4, Nc: 3}, {Ng: 1, Nc: 15}}},
-		{3, []ClusterConfig{{Ng: 1, Nc: 3}}},
-		{1, []ClusterConfig{{Ng: 1, Nc: 1}}},
+		{255, []Strategy{{Ng: 16, Nc: 15, Winograd: true}, {Ng: 4, Nc: 63, Winograd: true}, {Ng: 1, Nc: 255, Winograd: true}}},
+		{15, []Strategy{{Ng: 4, Nc: 3, Winograd: true}, {Ng: 1, Nc: 15, Winograd: true}}},
+		{3, []Strategy{{Ng: 1, Nc: 3, Winograd: true}}},
+		{1, []Strategy{{Ng: 1, Nc: 1, Winograd: true}}},
 	} {
 		if got := SurvivorConfigs(tc.p); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("SurvivorConfigs(%d) = %v, want %v", tc.p, got, tc.want)

@@ -93,14 +93,3 @@ func (p Params) LinkTraffic(n int64) Breakdown {
 func (p Params) LinkIdle(links int, s float64) Breakdown {
 	return Breakdown{LinkJ: float64(links) * p.LinkIdleW * s}
 }
-
-// NetworkRun charges the energy of a measured network run: byteHops of
-// dynamic link traffic (every byte×hop the flit simulator counted) plus
-// idle power on activeLinks for the run duration. This converts a noc
-// Stats (FlitHops·FlitBytes, Duration) into joules consistently with the
-// analytic path.
-func (p Params) NetworkRun(byteHops int64, activeLinks int, seconds float64) Breakdown {
-	b := p.LinkTraffic(byteHops)
-	b.Add(p.LinkIdle(activeLinks, seconds))
-	return b
-}

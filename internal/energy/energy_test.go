@@ -69,15 +69,3 @@ func TestRelativeMagnitudes(t *testing.T) {
 		t.Fatal("SRAM must be cheaper than DRAM")
 	}
 }
-
-func TestNetworkRun(t *testing.T) {
-	p := DefaultParams()
-	b := p.NetworkRun(1000, 4, 2)
-	want := p.LinkTraffic(1000).LinkJ + p.LinkIdle(4, 2).LinkJ
-	if !almost(b.LinkJ, want) {
-		t.Fatalf("NetworkRun = %v, want %v", b.LinkJ, want)
-	}
-	if b.ComputeJ != 0 || b.DRAMJ != 0 {
-		t.Fatal("NetworkRun must only charge link energy")
-	}
-}

@@ -99,8 +99,6 @@ func Fig06() Result {
 func Fig07() Result {
 	var b strings.Builder
 	net := model.FractalNet44()
-	fabric := comm.Fabric{RingBW: 60e9, TileBW: 60e9}
-	red := comm.Reductions{} // Fig. 7 is volumes only, no prediction
 	metrics := map[string]float64{}
 	fmt.Fprintf(&b, "%6s %14s %14s %14s\n", "p", "dp MB", "mpt(sqrt) MB", "mpt+dyn MB")
 	ps := []int{4, 16, 64, 256}
@@ -113,7 +111,7 @@ func Fig07() Result {
 		root := isqrt(p)
 		dp := comm.NetworkVolumes(net, winograd.F4x4_3x3, comm.Strategy{Ng: 1, Nc: p, Winograd: true})
 		mpt := comm.NetworkVolumes(net, winograd.F2x2_3x3, comm.Strategy{Ng: root, Nc: p / root, Winograd: true})
-		dyn, _ := comm.NetworkVolumesDynamic(net, p, fabric, false, red)
+		dyn, _ := comm.NetworkVolumesDynamic(net, p, false, comm.Reductions{}) // volumes only, no prediction
 		return volRow{dp: dp, mpt: mpt, dyn: dyn}
 	})
 	for i, p := range ps {

@@ -39,15 +39,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// FP16Config returns the entire-CNN evaluation variant: "Systolic array is
-// configured to 96×96 MAC array ... which [has] similar area and power
-// consumption compared to the 64×64 FP32 configuration."
-func FP16Config() Config {
-	c := DefaultConfig()
-	c.SystolicDim = 96
-	return c
-}
-
 // PeakMACsPerSec returns the array's peak MAC throughput.
 func (c Config) PeakMACsPerSec() float64 {
 	return float64(c.SystolicDim*c.SystolicDim) * c.ClockHz

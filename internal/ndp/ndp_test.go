@@ -66,15 +66,6 @@ func TestPhaseSeconds(t *testing.T) {
 	}
 }
 
-func TestFP16ConfigBiggerArray(t *testing.T) {
-	if FP16Config().SystolicDim != 96 {
-		t.Fatal("FP16 variant should be 96×96")
-	}
-	if FP16Config().PeakMACsPerSec() <= DefaultConfig().PeakMACsPerSec() {
-		t.Fatal("FP16 variant should have higher peak")
-	}
-}
-
 func TestWeightsFitInBuffer(t *testing.T) {
 	c := DefaultConfig()
 	if !c.WeightsFitInBuffer(512 << 10) {

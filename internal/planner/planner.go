@@ -32,6 +32,7 @@ package planner
 
 import (
 	"math"
+	"slices"
 
 	"mptwino/internal/comm"
 	"mptwino/internal/model"
@@ -54,7 +55,8 @@ type Options struct {
 	System sim.System
 	// Config selects the simulation config class the plan is built for
 	// (prediction/zero-skip on for WMpPred/WMpFull). The zero value is
-	// replaced by WMpFull, the paper's best configuration.
+	// replaced by WMpFull, the paper's best configuration, so d_dp cannot
+	// be requested: direct convolution has no strategy space to plan.
 	Config sim.SystemConfig
 	// AllowWideTiles admits the numerically unsafe F(6×6,3×3) transform
 	// into the tile-size axis (mptsim -autoplan -allow-wide-tiles). The
@@ -70,11 +72,6 @@ func (o Options) config() sim.SystemConfig {
 		return sim.WMpFull
 	}
 	return o.Config
-}
-
-func (o Options) predictive() bool {
-	c := o.config()
-	return c == sim.WMpPred || c == sim.WMpFull
 }
 
 // Candidate is one enumerated strategy for one layer.
@@ -154,6 +151,7 @@ func (p Plan) Strategies() []comm.Strategy {
 // node is one surviving candidate with its simulated cost.
 type node struct {
 	st       comm.Strategy
+	m        int     // F(m×m) tile output size on its layer; 1 for direct convolution
 	timeSec  float64 // repeat-scaled iteration time
 	achieved int64
 	bound    int64
@@ -164,7 +162,7 @@ func Build(net model.Network, opts Options) Plan {
 	sys := opts.System
 	cfg := opts.config()
 	p := sys.Workers
-	workers := hostWorkers(sys)
+	workers := sys.HostWorkers()
 
 	plan := Plan{Network: net.Name, Workers: p, Config: cfg, Slack: DefaultSlack}
 	nodes := make([][]node, len(net.Layers))
@@ -173,7 +171,7 @@ func Build(net model.Network, opts Options) Plan {
 	prunedTotals := make([]int, len(net.Layers))
 
 	for i, l := range net.Layers {
-		cands := Candidates(l, net.Batch, p, opts.predictive(), sys.Reductions, opts.AllowWideTiles)
+		cands := Candidates(l, net.Batch, p, cfg.UsesPrediction(), sys.Reductions, opts.AllowWideTiles)
 		for ci := range cands {
 			cands[ci].FloorSec = sys.CommFloorSec(l, net.Batch, cands[ci].St)
 		}
@@ -190,10 +188,7 @@ func Build(net model.Network, opts Options) Plan {
 		for na < len(cands) && cands[na].Anchor {
 			na++
 		}
-		menuN := len(comm.DefaultConfigs(p))
-		if menuN > na {
-			menuN = na
-		}
+		menuN := na - 1 // the direct baseline closes the anchors
 		anchorRes := parallel.Map(workers, na, func(j int) sim.LayerResult {
 			return sys.SimulateLayerStrategy(l, net.Batch, cfg, cands[j].St)
 		})
@@ -226,7 +221,12 @@ func Build(net model.Network, opts Options) Plan {
 		// matter how the DP trades redistribution. The best anchor
 		// itself always qualifies, so the DP is never infeasible.
 		mkNode := func(c Candidate, r sim.LayerResult) node {
-			return node{st: c.St, timeSec: r.TotalSec() * rep, achieved: r.NetBytes, bound: r.BoundBytes}
+			nd := node{st: c.St, m: 1, timeSec: r.TotalSec() * rep, achieved: r.NetBytes, bound: r.BoundBytes}
+			if c.St.Winograd {
+				tr, _ := c.St.Transform(l.P.K) // simulated, so feasible
+				nd.m = tr.M
+			}
+			return nd
 		}
 		anchorNodes[i] = make([]node, menuN)
 		for j := 0; j < menuN; j++ {
@@ -266,7 +266,7 @@ func Build(net model.Network, opts Options) Plan {
 			Pruned:        prunedTotals[i],
 		}
 		if i > 0 {
-			ch.RedistSec = redistSec(sys, net.Layers[i-1], net.Batch, nodes[i-1][picks[i-1]].st, nd.st)
+			ch.RedistSec = redistSec(sys, net.Layers[i-1], net.Batch, nodes[i-1][picks[i-1]], nd)
 		}
 		plan.ExecSec += ch.LayerSec
 		plan.RedistSec += ch.RedistSec
@@ -292,7 +292,7 @@ func solveDP(sys sim.System, net model.Network, nodes [][]node) (float64, []int)
 		for j := range nodes[i] {
 			best, bi := math.Inf(1), 0
 			for k := range nodes[i-1] {
-				c := prev[k] + redistSec(sys, net.Layers[i-1], net.Batch, nodes[i-1][k].st, nodes[i][j].st)
+				c := prev[k] + redistSec(sys, net.Layers[i-1], net.Batch, nodes[i-1][k], nodes[i][j])
 				if c < best {
 					best, bi = c, k
 				}
@@ -317,98 +317,82 @@ func solveDP(sys sim.System, net model.Network, nodes [][]node) (float64, []int)
 	return best, picks
 }
 
-// Candidates enumerates the strategy space for one layer: the menu
-// anchors and direct baseline first (exempt from pruning), then every
-// feasible (Ng, Nc, Nf, Ni) factorization of p in comm.Factorizations
-// order, each crossed with the Winograd tile-size axis (TileM = 0 is the
-// paper's group-count rule; explicit m values that differ from it widen
-// the space, with m = 6 admitted only behind wideTiles). Feasibility: the
-// resolved transform must have at least Ng tile elements, clusters cannot
+// Candidates enumerates the strategy space for one layer: the anchors
+// first (exempt from pruning), then every feasible (Ng, Nc, Nf, Ni)
+// factorization of p in comm.Factorizations order, each crossed with the
+// Winograd tile-size axis. The anchors are the menu wirings as the
+// dynamic-clustering config of the same prediction class runs them
+// (sim.System.Strategies), then the direct-convolution baseline. The tile
+// axis puts TileM = 0, the paper's group-count rule, first; explicit m
+// values widen the space where their transform differs from the rule's,
+// with m = 6 admitted only behind wideTiles. Feasibility: the resolved
+// transform must have at least Ng tile elements, clusters cannot
 // outnumber batch samples, and shard counts cannot outnumber the channels
 // they split.
 func Candidates(l model.Layer, batch, p int, predictive bool, red comm.Reductions, wideTiles bool) []Candidate {
-	type key struct {
-		ng, nc, nf, ni, tileM int
-		winograd              bool
+	cfg := sim.WMpDyn
+	if predictive {
+		cfg = sim.WMpFull
 	}
-	seen := make(map[key]bool)
+	menu := sim.System{Workers: p, Reductions: red}.Strategies(cfg, l.P.K)
 	var out []Candidate
-	add := func(st comm.Strategy, anchor bool) {
-		k := key{st.Ng, st.Nc, st.FilterShards(), st.ChannelShards(), st.TileM, st.Winograd}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, Candidate{St: st, Anchor: anchor})
-	}
-
-	for _, cc := range comm.DefaultConfigs(p) {
-		st, _ := comm.StrategyFor(cc, l.P.K, predictive, red)
-		add(st, true)
+	for _, st := range menu {
+		out = append(out, Candidate{St: st, Anchor: true})
 	}
 	// The direct-convolution baseline is part of the space (and of
 	// Table IV); it anchors too, so pruning can never hide it.
-	add(comm.Strategy{Ng: 1, Nc: p}, true)
+	out = append(out, Candidate{St: comm.Strategy{Ng: 1, Nc: p}, Anchor: true})
 
+	tileMs := [4]int{0, 2, 4, 6}
+	nt := 3
+	if wideTiles {
+		nt = 4
+	}
 	for _, f := range comm.Factorizations(p) {
 		if f.Nc > batch || f.Nf > l.P.Out || f.Ni > l.P.In {
 			continue
 		}
-		// The tile axis: TileM = 0 first (the paper rule — what the menu
-		// anchors use, so it dedups against them), then the explicit sizes
-		// that differ from the rule's choice for this Ng. Only 3×3 kernels
-		// have alternatives (F(2×2,5×5) is the sole 5×5 transform).
-		paperM := 4
-		if f.Ng > 1 {
-			paperM = 2
-		}
-		tileMs := [4]int{0, -1, -1, -1}
-		nt := 1
-		if l.P.K == 3 {
-			for _, m := range [3]int{2, 4, 6} {
-				if m == paperM || (m == 6 && !wideTiles) {
-					continue
-				}
-				tileMs[nt] = m
-				nt++
-			}
-		}
+		// Only a menu wiring at the paper rule can repeat an anchor.
+		anchor := f.Nf*f.Ni == 1 && slices.ContainsFunc(menu, func(a comm.Strategy) bool {
+			return a.Ng == f.Ng && a.Nc == f.Nc
+		})
+		var rule *winograd.Transform // the paper rule's transform for this Ng
 		for _, tm := range tileMs[:nt] {
 			tr, err := winograd.ForKernelTile(l.P.K, f.Ng, tm)
-			if err != nil || f.Ng > tr.T*tr.T {
+			if tm == 0 {
+				rule = tr
+			}
+			if err != nil || f.Ng > tr.T*tr.T || (tm == 0 && anchor) || (tm != 0 && tr == rule) {
 				continue
 			}
 			st := comm.Strategy{Ng: f.Ng, Nc: f.Nc, Nf: f.Nf, Ni: f.Ni, Winograd: true, TileM: tm}
 			if predictive {
 				st.GatherReduction, st.ScatterReduction = red.Get(tr.T, f.Ng)
 			}
-			add(st, false)
+			out = append(out, Candidate{St: st})
 		}
 	}
 	return out
 }
 
-// redistSec prices moving layer prev's output activations from layout a
-// to layout b. The spatial output tensor (4·B·Out·OH·OW bytes) is spread
-// over p workers; the fraction that already sits on the right worker is
-// the product of per-axis overlaps min/max (batch split a.Nc vs b.Nc,
-// producer filter shards vs consumer channel shards, tile-position groups
-// a.Ng vs b.Ng). The remainder crosses the tile fabric once.
-func redistSec(sys sim.System, prev model.Layer, batch int, a, b comm.Strategy) float64 {
-	if a == b {
+// redistSec prices moving layer prev's output activations from node a's
+// layout to node b's. The spatial output tensor (4·B·Out·OH·OW bytes) is
+// spread over p workers; the fraction that already sits on the right
+// worker is the product of per-axis overlaps min/max (batch split a.Nc vs
+// b.Nc, producer filter shards vs consumer channel shards, tile-position
+// groups a.Ng vs b.Ng). The remainder crosses the tile fabric once.
+func redistSec(sys sim.System, prev model.Layer, batch int, a, b node) float64 {
+	if a.st == b.st {
 		return 0
 	}
-	ov := axisOverlap(a.Nc, b.Nc) *
-		axisOverlap(a.FilterShards(), b.ChannelShards()) *
-		axisOverlap(a.Ng, b.Ng)
+	ov := axisOverlap(a.st.Nc, b.st.Nc) *
+		axisOverlap(a.st.FilterShards(), b.st.ChannelShards()) *
+		axisOverlap(a.st.Ng, b.st.Ng)
 	// A tile-size change re-blocks the tile-position partition the groups
 	// shard over: when either side actually shards it (Ng > 1), only the
 	// aligned fraction of the old m×m blocking survives in place.
-	if a.Ng > 1 || b.Ng > 1 {
-		ma, mb := effTileM(a, prev.P.K), effTileM(b, prev.P.K)
-		if ma != mb {
-			ov *= axisOverlap(ma*ma, mb*mb)
-		}
+	if (a.st.Ng > 1 || b.st.Ng > 1) && a.m != b.m {
+		ov *= axisOverlap(a.m*a.m, b.m*b.m)
 	}
 	outBytes := 4 * int64(batch) * int64(prev.P.Out) * int64(prev.P.OutH()) * int64(prev.P.OutW())
 	moved := float64(outBytes) / float64(sys.Workers) * (1 - ov)
@@ -422,23 +406,6 @@ func redistSec(sys sim.System, prev model.Layer, batch int, a, b comm.Strategy) 
 	return moved*cong/(sys.LinkBW/2) + 2*sys.SerDesSec
 }
 
-// effTileM resolves the tile output size a strategy actually runs with for
-// kernel size k: the explicit TileM axis, or the paper's group-count rule
-// when unset (F(2×2) for multi-group 3×3 layers, F(4×4) otherwise; 5×5
-// kernels only have m = 2).
-func effTileM(st comm.Strategy, k int) int {
-	if !st.Winograd {
-		return 1
-	}
-	if st.TileM != 0 {
-		return st.TileM
-	}
-	if k == 3 && st.Ng == 1 {
-		return 4
-	}
-	return 2
-}
-
 // axisOverlap returns the resident fraction min(a,b)/max(a,b) when one
 // axis is split a ways by the producer and b ways by the consumer.
 func axisOverlap(a, b int) float64 {
@@ -449,14 +416,6 @@ func axisOverlap(a, b int) float64 {
 		return 1
 	}
 	return float64(b) / float64(a)
-}
-
-// hostWorkers resolves the fan-out width like sim does.
-func hostWorkers(sys sim.System) int {
-	if sys.Parallel > 0 {
-		return sys.Parallel
-	}
-	return parallel.DefaultWorkers()
 }
 
 // emitTelemetry publishes the plan's achieved-vs-bound bytes and search

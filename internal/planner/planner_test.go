@@ -18,28 +18,34 @@ func planNets() []model.Network {
 	return []model.Network{model.AlexNet(), model.VGG16()}
 }
 
-func goldenName(net model.Network) string {
-	switch net.Name {
-	case "AlexNet":
-		return "plan_alexnet.tsv"
-	case "VGG-16":
-		return "plan_vgg16.tsv"
-	}
-	return "plan_" + net.Name + ".tsv"
+// planGoldens are the committed plan dumps: the default search on AlexNet
+// and VGG-16, AlexNet under w_mp (anchors without reductions; it picks
+// Ng = 32 cells on F(4×4)) and VGG-16 with the F(6×6) tile axis.
+var planGoldens = []struct {
+	file string
+	net  model.Network
+	opts Options // System is filled in by the test
+}{
+	{"plan_alexnet.tsv", model.AlexNet(), Options{}},
+	{"plan_vgg16.tsv", model.VGG16(), Options{}},
+	{"plan_alexnet_wmp.tsv", model.AlexNet(), Options{Config: sim.WMp}},
+	{"plan_vgg16_wide.tsv", model.VGG16(), Options{AllowWideTiles: true}},
 }
 
-// TestPlanGolden pins the full plan dump for AlexNet and VGG-16 — the
-// same bytes the CI autoplan job diffs `mptsim -autoplan` output
-// against. Regenerate with `go test ./internal/planner -run Golden
-// -update` after an intentional model change.
+// TestPlanGolden pins the full plan dumps of planGoldens — the same bytes
+// the CI autoplan job diffs `mptsim -autoplan` output against.
+// Regenerate with `go test ./internal/planner -run Golden -update` after
+// an intentional model change.
 func TestPlanGolden(t *testing.T) {
-	for _, net := range planNets() {
-		p := Build(net, Options{System: sim.DefaultSystem()})
+	for _, g := range planGoldens {
+		opts := g.opts
+		opts.System = sim.DefaultSystem()
+		p := Build(g.net, opts)
 		var buf bytes.Buffer
 		if err := p.WriteTSV(&buf); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", goldenName(net))
+		path := filepath.Join("testdata", g.file)
 		if *update {
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
@@ -95,8 +101,11 @@ func TestPlanNeverPicksWideTileByDefault(t *testing.T) {
 		p := Build(net, Options{System: sim.DefaultSystem()})
 		for i, c := range p.Choices {
 			l := net.Layers[i]
-			if m := effTileM(c.St, l.P.K); m >= 6 {
-				t.Errorf("%s/%s: default plan chose F(%d×%d) tile (%+v)", net.Name, l.Name, m, m, c.St)
+			if !c.St.Winograd {
+				continue
+			}
+			if tr, err := c.St.Transform(l.P.K); err != nil || tr.M >= 6 {
+				t.Errorf("%s/%s: default plan chose %v (%v) for %+v", net.Name, l.Name, tr, err, c.St)
 			}
 		}
 	}

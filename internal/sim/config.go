@@ -61,8 +61,8 @@ func AllConfigs() []SystemConfig {
 	return []SystemConfig{DDp, WDp, WMp, WMpPred, WMpDyn, WMpFull}
 }
 
-// usesPrediction reports whether the config applies Section V reductions.
-func (c SystemConfig) usesPrediction() bool { return c == WMpPred || c == WMpFull }
+// UsesPrediction reports whether the config applies Section V reductions.
+func (c SystemConfig) UsesPrediction() bool { return c == WMpPred || c == WMpFull }
 
 // usesDynamicClustering reports whether the config re-wires per layer.
 func (c SystemConfig) usesDynamicClustering() bool { return c == WMpDyn || c == WMpFull }
@@ -95,12 +95,13 @@ type System struct {
 	// SerDesSec is the per-hop link latency (5 ns).
 	SerDesSec float64
 
-	// Menu overrides the dynamic-clustering configuration menu. When nil,
-	// the paper's divisible wirings comm.DefaultConfigs(Workers) apply;
-	// the fault-recovery path installs comm.SurvivorConfigs(survivors) so
-	// degraded worker counts still get (16, ⌊p/16⌋)-style grids that idle
-	// the remainder.
-	Menu []comm.ClusterConfig
+	// Menu overrides the dynamic-clustering menu of (Ng, Nc) wirings. When
+	// nil, the paper's divisible wirings comm.DefaultConfigs(Workers)
+	// apply; the fault-recovery path installs comm.SurvivorConfigs(survivors)
+	// so degraded worker counts still get (16, ⌊p/16⌋)-style grids that
+	// idle the remainder. Strategies reads each entry's wiring and sets the
+	// reductions itself.
+	Menu []comm.Strategy
 
 	// TileCongestion derates the tile-transfer bandwidth for switch-level
 	// effects the analytic model misses (head-of-line blocking, XY-route
@@ -157,21 +158,56 @@ func DefaultSystem() System {
 	}
 }
 
-// workers returns the resolved host-goroutine bound for sweep fan-out.
-func (s System) workers() int {
+// HostWorkers returns the resolved host-goroutine bound for sweep fan-out
+// (Parallel, or parallel.DefaultWorkers when it is 0).
+func (s System) HostWorkers() int {
 	if s.Parallel > 0 {
 		return s.Parallel
 	}
 	return parallel.DefaultWorkers()
 }
 
-// clusterMenu returns the (Ng, Nc) wirings dynamic clustering optimizes
-// over.
-func (s System) clusterMenu() []comm.ClusterConfig {
+// menu returns the (Ng, Nc) wirings dynamic clustering optimizes over.
+func (s System) menu() []comm.Strategy {
 	if s.Menu != nil {
 		return s.Menu
 	}
 	return comm.DefaultConfigs(s.Workers)
+}
+
+// Strategies resolves Table IV config c to the strategies SimulateLayer
+// runs for a layer with k×k kernels. d_dp and w_dp run one data-parallel
+// strategy over every worker, direct and Winograd. w_mp and w_mp+ run one
+// fixed grid: the installed menu's head (the fault path's survivor menu
+// leads with Ng = 16 and idles the remainder), else (Ng, p/Ng) for the
+// largest Ng ≤ 16 that divides p. w_mp* and w_mp++ run every menu wiring.
+// The MPT strategies run at the paper's tile rule (TileM 0) with
+// Nf = Ni = 1, and those of a prediction config carry the Section V
+// reductions of their transform.
+func (s System) Strategies(c SystemConfig, k int) []comm.Strategy {
+	var wirings []comm.Strategy
+	switch {
+	case c == DDp || c == WDp:
+		return []comm.Strategy{{Ng: 1, Nc: s.Workers, Winograd: c == WDp}}
+	case c.usesDynamicClustering():
+		wirings = s.menu()
+	case s.Menu != nil:
+		wirings = s.Menu[:1]
+	default:
+		ng := 16
+		for s.Workers%ng != 0 {
+			ng /= 2
+		}
+		wirings = []comm.Strategy{{Ng: ng, Nc: s.Workers / ng}}
+	}
+	out := make([]comm.Strategy, len(wirings))
+	for i, w := range wirings {
+		out[i] = comm.Strategy{Ng: w.Ng, Nc: w.Nc, Winograd: true}
+		if c.UsesPrediction() {
+			out[i] = s.Reductions.Apply(out[i], k)
+		}
+	}
+	return out
 }
 
 // ringBW returns the per-worker outgoing bandwidth available to weight

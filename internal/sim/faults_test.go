@@ -74,12 +74,12 @@ func TestSimulateNetworkWithFailure(t *testing.T) {
 func TestClusterMenuOverride(t *testing.T) {
 	s := DefaultSystem()
 	s.Workers = 255
-	if got := len(s.clusterMenu()); got != 1 {
+	if got := len(s.Strategies(WMpDyn, 3)); got != 1 {
 		// DefaultConfigs(255) = {(1,255)} only.
 		t.Fatalf("default menu for 255 workers has %d entries, want 1", got)
 	}
-	s.Menu = []comm.ClusterConfig{{Ng: 16, Nc: 15}, {Ng: 4, Nc: 63}}
-	if got := len(s.clusterMenu()); got != 2 {
+	s.Menu = []comm.Strategy{{Ng: 16, Nc: 15}, {Ng: 4, Nc: 63}}
+	if got := len(s.Strategies(WMpDyn, 3)); got != 2 {
 		t.Fatalf("override menu has %d entries, want 2", got)
 	}
 }

@@ -128,37 +128,6 @@ func (p phase) breakdown() Breakdown {
 	}
 }
 
-// strategyFor resolves the clustering, transform and reduction fractions a
-// fixed-grid config uses for a layer with k×k kernels.
-func (s System) strategyFor(c SystemConfig, k int) (comm.Strategy, *winograd.Transform) {
-	switch {
-	case c == DDp:
-		return comm.Strategy{Ng: 1, Nc: s.Workers}, winograd.F4x4_3x3 // transform unused
-	case c == WDp:
-		tr, err := winograd.ForKernel(k, 1)
-		if err != nil {
-			panic(err)
-		}
-		return comm.Strategy{Ng: 1, Nc: s.Workers, Winograd: true}, tr
-	default:
-		// Fixed (16,16) — or the largest Ng that p supports. Under a
-		// survivor menu (fault recovery at a non-divisible worker count)
-		// take the menu's leading entry, which keeps Ng=16 and idles the
-		// remainder of the grid.
-		var cfg comm.ClusterConfig
-		if s.Menu != nil {
-			cfg = s.Menu[0]
-		} else {
-			ng := 16
-			for s.Workers%ng != 0 {
-				ng /= 2
-			}
-			cfg = comm.ClusterConfig{Ng: ng, Nc: s.Workers / ng}
-		}
-		return comm.StrategyFor(cfg, k, c.usesPrediction(), s.Reductions)
-	}
-}
-
 // meanTileHops returns the average hop count of the cluster fabric the
 // strategy implies: 1 for ≤4 fully-connected groups, 1.6 for the 4×4
 // FBFLY (6 of 15 destinations at 1 hop, 9 at 2).
@@ -182,55 +151,63 @@ func meanTileHops(ng int) float64 {
 }
 
 // SimulateLayer runs one training iteration of layer l at the given batch
-// under config c, returning time, energy, and traffic. Dynamic-clustering
-// configs evaluate every allowed (Ng, Nc) wiring and keep the fastest —
-// the paper pre-computes exactly this per-layer choice offline ("the
-// optimal configuration per layer ... is pre-determined and does not
-// change", with footnote 9 assuming optimal reorganization).
+// under config c, returning time, energy, and traffic. It runs every
+// strategy Strategies lists for c through SimulateLayerStrategy and keeps
+// the earliest with the strictly smallest total time: dynamic-clustering
+// configs evaluate every allowed (Ng, Nc) wiring — the paper pre-computes
+// exactly this per-layer choice offline ("the optimal configuration per
+// layer ... is pre-determined and does not change", with footnote 9
+// assuming optimal reorganization) — and fixed-grid configs list one.
 func (s System) SimulateLayer(l model.Layer, batch int, c SystemConfig) LayerResult {
-	if c.usesDynamicClustering() {
-		// Menu entries are independent; evaluate them concurrently and
-		// select sequentially, preserving the sequential tie-break (the
-		// earliest entry with the strictly smallest time wins).
-		menu := s.clusterMenu()
-		results := parallel.Map(s.workers(), len(menu), func(i int) LayerResult {
-			st, tr := comm.StrategyFor(menu[i], l.P.K, c.usesPrediction(), s.Reductions)
-			return s.simulateWithStrategy(l, batch, c, st, tr)
-		})
-		s.Metrics.Counter("sim.menu_cells").Add(int64(len(menu)))
-		best := results[0]
-		for _, r := range results[1:] {
-			if r.TotalSec() < best.TotalSec() {
-				best = r
-			}
-		}
-		// Record the evaluated sweep on the winner so observability layers
-		// can show WHY this (Ng, Nc) won (trace args, -metrics dumps).
-		best.Menu = make([]MenuCell, len(results))
-		for i, r := range results {
-			best.Menu[i] = MenuCell{Ng: r.Ng, Nc: r.Nc, TotalSec: r.TotalSec()}
-		}
-		best.BoundBytes = comm.LowerBoundBytes(l.P, batch, menu)
-		return best
+	sts := s.Strategies(c, l.P.K)
+	if !c.usesDynamicClustering() {
+		return s.SimulateLayerStrategy(l, batch, c, sts[0])
 	}
-	st, tr := s.strategyFor(c, l.P.K)
-	res := s.simulateWithStrategy(l, batch, c, st, tr)
-	res.BoundBytes = comm.LowerBoundBytes(l.P, batch, s.clusterMenu())
-	return res
+	// Menu entries are independent; evaluate them concurrently and select
+	// sequentially, preserving the sequential tie-break.
+	results := parallel.Map(s.HostWorkers(), len(sts), func(i int) LayerResult {
+		return s.SimulateLayerStrategy(l, batch, c, sts[i])
+	})
+	s.Metrics.Counter("sim.menu_cells").Add(int64(len(sts)))
+	best := results[0]
+	for _, r := range results[1:] {
+		if r.TotalSec() < best.TotalSec() {
+			best = r
+		}
+	}
+	// Record the evaluated sweep on the winner so observability layers
+	// can show WHY this (Ng, Nc) won (trace args, -metrics dumps).
+	best.Menu = make([]MenuCell, len(results))
+	for i, r := range results {
+		best.Menu[i] = MenuCell{Ng: r.Ng, Nc: r.Nc, TotalSec: r.TotalSec()}
+	}
+	return best
 }
 
-// simulateWithStrategy runs the layer under an explicit strategy.
-func (s System) simulateWithStrategy(l model.Layer, batch int, c SystemConfig, st comm.Strategy, tr *winograd.Transform) LayerResult {
+// SimulateLayerStrategy runs one training iteration of layer l under one
+// explicit parallelization strategy — the planner's cost oracle and the
+// step SimulateLayer runs per listed strategy. The transform follows the
+// strategy's tile axis (st.TileM, with 0 = the paper's kernel rule for
+// st.Ng); non-Winograd strategies run the direct-convolution (d_dp) phase
+// model and record config d_dp. The result's BoundBytes carries the
+// layer's dense communication floor over the clustering menu, so callers
+// can report achieved-vs-bound traffic.
+func (s System) SimulateLayerStrategy(l model.Layer, batch int, c SystemConfig, st comm.Strategy) LayerResult {
 	p := l.P
-	res := LayerResult{Name: l.Name, Config: c, Ng: st.Ng, Nc: st.Nc,
-		Nf: st.FilterShards(), Ni: st.ChannelShards()}
-
 	var fwd, bwd phase
-	if c == DDp {
-		fwd, bwd = s.directPhases(p, batch)
-	} else {
+	if st.Winograd {
+		tr, err := st.Transform(p.K)
+		if err != nil {
+			panic(err)
+		}
 		fwd, bwd = s.winogradPhases(p, batch, st, tr, l.EffectiveGatherScale())
+	} else {
+		c = DDp
+		fwd, bwd = s.directPhases(p, batch)
 	}
+	res := LayerResult{Name: l.Name, Config: c, Ng: st.Ng, Nc: st.Nc,
+		Nf: st.FilterShards(), Ni: st.ChannelShards(),
+		BoundBytes: comm.LowerBoundBytes(p, batch, s.menu())}
 
 	if s.fleetActive() {
 		ff := s.fleetFactors(st, batch)
@@ -251,6 +228,28 @@ func (s System) simulateWithStrategy(l model.Layer, batch int, c SystemConfig, s
 	res.Energy = s.energyOf(fwd, res.ForwardSec, c, st)
 	res.Energy.Add(s.energyOf(bwd, res.BackwardSec, c, st))
 	return res
+}
+
+// CommFloorSec returns a cheap lower bound on the layer's simulated
+// iteration time under st, built from communication volumes and the link
+// model alone — no compute or DRAM terms. Each phase's duration is
+// max(compute, tileComm) + collective, so the tile and collective terms
+// never exceed the simulated total and pruning candidates whose floor
+// already exceeds a reference time is sound (to within a byte of int64
+// rounding, far below any useful pruning slack). This is the Chen/Demmel-
+// style bound the planner prunes with before invoking the full oracle.
+func (s System) CommFloorSec(l model.Layer, batch int, st comm.Strategy) float64 {
+	if !st.Winograd {
+		return s.collectiveSeconds(comm.SpatialWeightBytes(l.P), s.Workers, s.ringBW(DDp))
+	}
+	tr, err := st.Transform(l.P.K)
+	if err != nil {
+		panic(err)
+	}
+	v := comm.LayerVolumes(tr, l.P, batch, st)
+	tileBytes := int64(float64(v.TileGather)*l.EffectiveGatherScale()) + v.TileScatter + v.PartialSum
+	msg, bw := s.weightCollective(tr, l.P, st)
+	return s.tileSeconds(tileBytes, st.Cell()) + s.collectiveSeconds(msg, st.Nc, bw)
 }
 
 // directPhases models the d_dp baseline: one big matmul per phase

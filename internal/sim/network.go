@@ -30,7 +30,7 @@ type NetworkResult struct {
 // aggregation folds in layer order, keeping the result bit-identical to a
 // sequential run.
 func (s System) SimulateNetwork(net model.Network, c SystemConfig) NetworkResult {
-	layers := parallel.Map(s.workers(), len(net.Layers), func(i int) LayerResult {
+	layers := parallel.Map(s.HostWorkers(), len(net.Layers), func(i int) LayerResult {
 		return s.SimulateLayer(net.Layers[i], net.Batch, c)
 	})
 	return s.assembleNetwork(net, c, layers)
@@ -66,7 +66,7 @@ func (s System) SimulateNetworkWithPlan(net model.Network, c SystemConfig, plan 
 	if len(plan) != len(net.Layers) {
 		panic("sim: plan length does not match network layer count")
 	}
-	layers := parallel.Map(s.workers(), len(net.Layers), func(i int) LayerResult {
+	layers := parallel.Map(s.HostWorkers(), len(net.Layers), func(i int) LayerResult {
 		return s.SimulateLayerStrategy(net.Layers[i], net.Batch, c, plan[i])
 	})
 	return s.assembleNetwork(net, c, layers)
@@ -78,7 +78,7 @@ func (s System) SimulateNetworkWithPlan(net model.Network, c SystemConfig, plan 
 // bit-identical to SimulateNetwork(net, cfgs[i]).
 func (s System) Sweep(net model.Network, cfgs []SystemConfig) []NetworkResult {
 	nl := len(net.Layers)
-	cells := parallel.Map(s.workers(), len(cfgs)*nl, func(i int) LayerResult {
+	cells := parallel.Map(s.HostWorkers(), len(cfgs)*nl, func(i int) LayerResult {
 		return s.SimulateLayer(net.Layers[i%nl], net.Batch, cfgs[i/nl])
 	})
 	out := make([]NetworkResult, len(cfgs))

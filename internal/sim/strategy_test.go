@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mptwino/internal/comm"
@@ -9,13 +10,13 @@ import (
 )
 
 // TestSimulateLayerStrategyMatchesFixedGrid pins the oracle entry point
-// to the existing fixed-grid path: feeding it the (16,16) menu strategy
-// must reproduce SimulateLayer(WMp) bit-exactly.
+// to the fixed-grid config: feeding it the (16,16) two-axis strategy must
+// reproduce SimulateLayer(WMp) bit-exactly.
 func TestSimulateLayerStrategyMatchesFixedGrid(t *testing.T) {
 	s := DefaultSystem()
 	net := model.VGG16()
 	for _, l := range net.Layers {
-		st, _ := comm.StrategyFor(comm.ClusterConfig{Ng: 16, Nc: 16}, l.P.K, false, s.Reductions)
+		st := comm.Strategy{Ng: 16, Nc: 16, Winograd: true}
 		got := s.SimulateLayerStrategy(l, net.Batch, WMp, st)
 		want := s.SimulateLayer(l, net.Batch, WMp)
 		if got.TotalSec() != want.TotalSec() || got.NetBytes != want.NetBytes ||
@@ -68,5 +69,54 @@ func TestExtendedStrategySane(t *testing.T) {
 	}
 	if re.TileBytes <= 0 {
 		t.Fatalf("extended strategy moved no tile bytes")
+	}
+}
+
+// TestStrategiesPerConfig pins how each Table IV config resolves to its
+// strategy list: one data-parallel strategy for d_dp and w_dp, one fixed
+// grid for w_mp and w_mp+ (the survivor menu's head when one is
+// installed), the whole menu for w_mp* and w_mp++, and reductions exactly
+// on the prediction configs.
+func TestStrategiesPerConfig(t *testing.T) {
+	s := DefaultSystem()
+	red := s.Reductions
+	g16, s16 := red.Get(4, 16) // (16,16) on F(2×2,3×3)
+	g4, s4 := red.Get(4, 4)    // (4,64) on F(2×2,3×3)
+	fixed := comm.Strategy{Ng: 16, Nc: 16, Winograd: true}
+	fixedPred := fixed
+	fixedPred.GatherReduction, fixedPred.ScatterReduction = g16, s16
+	menu := comm.DefaultConfigs(256)
+	menuPred := []comm.Strategy{fixedPred,
+		{Ng: 4, Nc: 64, Winograd: true, GatherReduction: g4, ScatterReduction: s4},
+		{Ng: 1, Nc: 256, Winograd: true}}
+	for _, tc := range []struct {
+		c    SystemConfig
+		want []comm.Strategy
+	}{
+		{DDp, []comm.Strategy{{Ng: 1, Nc: 256}}},
+		{WDp, []comm.Strategy{{Ng: 1, Nc: 256, Winograd: true}}},
+		{WMp, []comm.Strategy{fixed}},
+		{WMpPred, []comm.Strategy{fixedPred}},
+		{WMpDyn, menu},
+		{WMpFull, menuPred},
+	} {
+		if got := s.Strategies(tc.c, 3); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: strategies %+v, want %+v", tc.c, got, tc.want)
+		}
+	}
+
+	// Without a menu the fixed grid takes the largest Ng ≤ 16 dividing p;
+	// with a survivor menu, its head.
+	s.Workers = 24
+	if got := s.Strategies(WMp, 3); len(got) != 1 || got[0].Ng != 8 || got[0].Nc != 3 {
+		t.Errorf("p=24 fixed grid %+v, want (8,3)", got)
+	}
+	s.Workers = 255
+	s.Menu = comm.SurvivorConfigs(255)
+	if got := s.Strategies(WMp, 3); len(got) != 1 || got[0].Ng != 16 || got[0].Nc != 15 {
+		t.Errorf("255 survivors: fixed grid %+v, want (16,15)", got)
+	}
+	if got := s.Strategies(WMpDyn, 3); !reflect.DeepEqual(got, s.Menu) {
+		t.Errorf("255 survivors: menu %+v, want %+v", got, s.Menu)
 	}
 }

@@ -173,19 +173,6 @@ func FBFly2D(side int) *Graph {
 	return g
 }
 
-// FullyConnected builds a complete graph with Narrow links — the 4-worker
-// cluster wiring of the (4, 64) configuration, where "tile data can be
-// transferred in a single hop".
-func FullyConnected(n int) *Graph {
-	g := NewGraph(n)
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			g.AddBidirectional(a, b, Narrow)
-		}
-	}
-	return g
-}
-
 // WorkerID maps (group, cluster) coordinates to the node index used by all
 // hybrid builders: group-major, so group g's ring is the contiguous block
 // [g·nc, (g+1)·nc).

@@ -46,14 +46,6 @@ func TestFBFly2D(t *testing.T) {
 	}
 }
 
-func TestFullyConnected(t *testing.T) {
-	g := FullyConnected(4)
-	rt := BuildRoutes(g)
-	if rt.Diameter() != 1 {
-		t.Fatalf("K4 diameter %d, want 1 (single hop, Section IV)", rt.Diameter())
-	}
-}
-
 func TestLinkClassBandwidth(t *testing.T) {
 	if Full.Bandwidth() != 30e9 || Host.Bandwidth() != 30e9 {
 		t.Fatal("full/host bandwidth wrong")
