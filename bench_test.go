@@ -501,11 +501,9 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 // running Figs. 15-18 on the phase model at p=256.
 func BenchmarkCosimValidation(b *testing.B) {
 	spec := cosim.Spec{
-		Tr:    winograd.F2x2_3x3,
+		St:    comm.Strategy{Ng: 4, Nc: 4, Winograd: true, TileM: 2},
 		P:     conv.Params{In: 32, Out: 32, K: 3, Pad: 1, H: 8, W: 8},
 		Batch: 16,
-		Ng:    4,
-		Nc:    4,
 		NDP:   ndp.DefaultConfig(),
 		Net:   noc.DefaultConfig(),
 	}
@@ -522,7 +520,7 @@ func BenchmarkCosimValidation(b *testing.B) {
 		}
 		cycles = r.Cycles
 		sys := sim.DefaultSystem()
-		sys.Workers = spec.Ng * spec.Nc
+		sys.Workers = spec.St.Workers()
 		pr := sys.SimulateLayer(model.Layer{Name: "cosim", P: spec.P}, spec.Batch, sim.WMp)
 		ratio = r.Seconds / pr.TotalSec()
 	}

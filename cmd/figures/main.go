@@ -29,23 +29,40 @@ func main() {
 		}
 		return
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	rs, err := selectFigures(all, *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
 	}
-	printed := 0
-	for _, r := range all {
-		if len(want) > 0 && !want[r.ID] {
-			continue
-		}
+	for _, r := range rs {
 		fmt.Print(figures.Render(r))
-		printed++
 	}
-	if printed == 0 {
-		fmt.Fprintf(os.Stderr, "figures: no figure matched %q\n", *only)
-		os.Exit(1)
+}
+
+// selectFigures returns the figures of all that the -only list names, in
+// all's order; an empty list selects every figure. An id that names no
+// figure is an error, so a typo prints nothing instead of a partial set.
+func selectFigures(all []figures.Result, only string) ([]figures.Result, error) {
+	if only == "" {
+		return all, nil
 	}
+	known := map[string]bool{}
+	for _, r := range all {
+		known[r.ID] = true
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !known[id] {
+			return nil, fmt.Errorf("unknown figure id %q in -only (see -list)", id)
+		}
+		want[id] = true
+	}
+	var out []figures.Result
+	for _, r := range all {
+		if want[r.ID] {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }

@@ -27,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,11 +61,24 @@ type options struct {
 	network model.Network      // -net, resolved in net mode
 }
 
+// modeReads names, per mode, the flags that mode reads besides the ones
+// every mode reads (-workers, -parallel, the -metrics pair, -force and the
+// profiles). Layer mode runs no network, so its trace would hold no event;
+// the scenario matrix runs its own systems, untraced.
+var modeReads = map[string]string{
+	"-scenarios":     "scenarios scenarios-out scenarios-smoke",
+	"-layer":         "layer config batch k breakdown",
+	"-net":           "net config trace trace-report",
+	"-net -faults":   "net config trace trace-report faults",
+	"-net -autoplan": "net config trace trace-report autoplan autoplan-out allow-wide-tiles",
+}
+
 // parseFlags parses args into options on fs and resolves every name the
 // chosen mode runs. It rejects what no run can use: -workers below 1 in
-// every mode, an unknown -config, a missing mode, in layer mode a -batch
-// below 1 (networks use their catalog batch), an unknown -layer or a -k
-// other than 3 or 5, in net mode an unknown -net, and -autoplan with
+// every mode, an unknown -config, a missing mode, a flag the command line
+// set that the chosen mode never reads (modeReads), in layer mode a
+// -batch below 1 (networks use their catalog batch), an unknown -layer or
+// a -k other than 3 or 5, in net mode an unknown -net, and -autoplan with
 // -config all or d_dp (direct convolution has no strategy space to plan);
 // a -faults list that is malformed, names a module outside [0, -workers)
 // or leaves no survivor; and an existing -trace, -trace-report or
@@ -75,20 +89,20 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.layer, "layer", "", "Table II layer: Early, Mid-1, Mid-2, Late-1, Late-2")
 	fs.StringVar(&o.net, "net", "", "network: wrn, resnet34, fractalnet, vgg, alexnet")
-	fs.StringVar(&o.config, "config", "w_mp++", "Table IV config (d_dp,w_dp,w_mp,w_mp+,w_mp*,w_mp++) or 'all'")
+	fs.StringVar(&o.config, "config", "w_mp++", "layer and net mode: Table IV config (d_dp,w_dp,w_mp,w_mp+,w_mp*,w_mp++) or 'all'")
 	fs.IntVar(&o.workers, "workers", 256, "NDP worker count")
 	fs.IntVar(&o.batch, "batch", 256, "total batch size (layer mode only; networks use their catalog batch)")
 	fs.IntVar(&o.k, "k", 3, "kernel size for layer mode: 3 or 5")
 	fs.BoolVar(&o.breakdown, "breakdown", false, "layer mode: show per-resource durations and the binding resource")
-	fs.StringVar(&o.faults, "faults", "", "net mode: comma-separated failed module IDs; re-solves clustering over the survivors and reports healthy vs degraded")
+	fs.StringVar(&o.faults, "faults", "", "net mode, not with -autoplan: comma-separated failed module IDs; re-solves clustering over the survivors and reports healthy vs degraded")
 	fs.BoolVar(&o.scenarios, "scenarios", false, "run the deterministic degraded-fleet scenario matrix and emit the TSV table (byte-identical at any -parallel)")
 	fs.StringVar(&o.scenariosOut, "scenarios-out", "", "with -scenarios: write the table to this file instead of stdout")
 	fs.BoolVar(&o.scenariosSmoke, "scenarios-smoke", false, "with -scenarios: run the trimmed fast subset (the make-verify smoke grid)")
 	fs.BoolVar(&o.autoplan, "autoplan", false, "net mode: search per-layer parallelization strategies with lower-bound pruning and emit the plan TSV (byte-identical at any -parallel)")
 	fs.StringVar(&o.autoplanOut, "autoplan-out", "", "with -autoplan: write the plan dump to this file instead of stdout")
 	fs.BoolVar(&o.allowWideTiles, "allow-wide-tiles", false, "with -autoplan: admit the numerically unsafe F(6x6,3x3) transform into the planner's tile-size axis (inference-grade only)")
-	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) with simulated-cycle timestamps to this file")
-	fs.StringVar(&o.traceReport, "trace-report", "", "write the mpttrace text attribution report (critical path, overlap, idle) for this run to this file")
+	fs.StringVar(&o.trace, "trace", "", "net mode: write a Chrome trace_event JSON (chrome://tracing, Perfetto) with simulated-cycle timestamps to this file")
+	fs.StringVar(&o.traceReport, "trace-report", "", "net mode: write the mpttrace text attribution report (critical path, overlap, idle) for this run to this file")
 	fs.BoolVar(&o.metrics, "metrics", false, "dump the telemetry counters as aligned text on exit")
 	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the telemetry counters as JSON to this file ('-' for stdout)")
 	fs.BoolVar(&o.force, "force", false, "overwrite existing -trace/-metrics-json/-trace-report output files instead of refusing")
@@ -111,28 +125,49 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 		}
 		o.cfgs = []sim.SystemConfig{c}
 	}
+	mode := "-net"
 	switch {
 	case o.scenarios:
+		mode = "-scenarios"
 	case o.layer != "":
+		mode = "-layer"
+	case o.net == "":
+		return o, fmt.Errorf("specify -layer, -net, or -scenarios (see -h)")
+	case o.autoplan:
+		mode = "-net -autoplan"
+	case o.faults != "":
+		mode = "-net -faults"
+	}
+	reads := strings.Fields(modeReads[mode] + " workers parallel metrics metrics-json force cpuprofile memprofile")
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		if unread == nil && !slices.Contains(reads, f.Name) {
+			unread = fmt.Errorf("-%s is not read in %s mode", f.Name, mode)
+		}
+	})
+	if unread != nil {
+		return o, unread
+	}
+	switch mode {
+	case "-scenarios":
+	case "-layer":
 		if o.batch < 1 {
 			return o, fmt.Errorf("-batch %d: need at least 1 sample", o.batch)
 		}
 		if o.layerP, err = findLayer(o.layer, o.k); err != nil {
 			return o, err
 		}
-	case o.net != "":
+	default:
 		if o.network, err = findNetwork(o.net); err != nil {
 			return o, err
 		}
-		if o.autoplan && o.faults == "" && (o.config == "all" || o.cfgs[0] == sim.DDp) {
+		if o.autoplan && (o.config == "all" || o.cfgs[0] == sim.DDp) {
 			return o, fmt.Errorf("-autoplan needs a single Winograd -config, not %q", o.config)
 		}
-	default:
-		return o, fmt.Errorf("specify -layer, -net, or -scenarios (see -h)")
-	}
-	if o.faults != "" {
-		if o.failed, err = parseFaults(o.faults, o.workers); err != nil {
-			return o, err
+		if o.faults != "" {
+			if o.failed, err = parseFaults(o.faults, o.workers); err != nil {
+				return o, err
+			}
 		}
 	}
 	// Telemetry files are never silently overwritten: an existing regular
@@ -271,7 +306,9 @@ func runAutoplan(s sim.System, net model.Network, cfg sim.SystemConfig, outPath 
 	// With -trace attached, execute the plan once so the Chrome timeline
 	// shows the planned per-layer phases (the search itself emits none).
 	if s.Trace.Enabled() {
-		s.SimulateNetworkWithPlan(net, cfg, p.Strategies())
+		if _, err := s.SimulateNetworkWithPlan(net, cfg, p.Strategies()); err != nil {
+			fail(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "mptsim: %s autoplan %.3fms vs menu %.3fms (%.2f%% faster), redistribution %.3fus\n",
 		net.Name, p.ExecSec*1e3, p.MenuExecSec*1e3,

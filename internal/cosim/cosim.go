@@ -13,6 +13,7 @@ package cosim
 import (
 	"fmt"
 
+	"mptwino/internal/comm"
 	"mptwino/internal/conv"
 	"mptwino/internal/ndp"
 	"mptwino/internal/noc"
@@ -23,14 +24,13 @@ import (
 // Spec describes the iteration to co-simulate. P is the (first) layer;
 // Extra chains additional layers behind it (each layer's forward waits for
 // the previous layer's activation, and its backward feeds the previous
-// layer's gradient transform).
+// layer's gradient transform). St is the (Ng, Nc) Winograd strategy every
+// layer runs; its transform follows P's kernel and St.TileM.
 type Spec struct {
-	Tr    *winograd.Transform
+	St    comm.Strategy
 	P     conv.Params
 	Extra []conv.Params
 	Batch int
-	Ng    int
-	Nc    int
 
 	NDP ndp.Config
 	Net noc.Config
@@ -101,6 +101,7 @@ type Result struct {
 // Cosim couples the workers with the network.
 type Cosim struct {
 	spec    Spec
+	tr      *winograd.Transform
 	net     *noc.Network
 	workers []*worker
 	now     int64
@@ -108,51 +109,57 @@ type Cosim struct {
 
 // New builds the co-simulator: the hybrid (Ng, Nc) fabric plus one task
 // pipeline per worker covering fprop, bprop, and the updateGrad ring
-// collective.
+// collective. Filter or channel shards, Section V reductions and direct
+// convolution are errors: the pipelines model none of them.
 func New(spec Spec) (*Cosim, error) {
-	if spec.Ng < 1 || spec.Nc < 1 {
-		return nil, fmt.Errorf("cosim: bad shape Ng=%d Nc=%d", spec.Ng, spec.Nc)
+	st := spec.St
+	if err := st.Validate(); err != nil {
+		return nil, err
+	}
+	if !st.Winograd || st.Extended() || st.GatherReduction != 0 || st.ScatterReduction != 0 {
+		return nil, fmt.Errorf("cosim: strategy %+v is not a plain Winograd (Ng, Nc) grid", st)
+	}
+	tr, err := st.Transform(spec.P.K)
+	if err != nil {
+		return nil, err
 	}
 	for _, lp := range spec.layers() {
 		if err := lp.Validate(); err != nil {
 			return nil, err
 		}
-		if lp.K != spec.Tr.R {
-			return nil, fmt.Errorf("cosim: kernel %d does not match %s", lp.K, spec.Tr)
+		if lp.K != tr.R {
+			return nil, fmt.Errorf("cosim: kernel %d does not match %s", lp.K, tr)
 		}
-	}
-	if spec.Ng > spec.Tr.T*spec.Tr.T {
-		return nil, fmt.Errorf("cosim: %d groups exceed %d tile elements", spec.Ng, spec.Tr.T*spec.Tr.T)
 	}
 	if err := spec.Net.Validate(); err != nil {
 		return nil, err
 	}
-	g := topology.Hybrid(spec.Ng, spec.Nc, false)
-	c := &Cosim{spec: spec, net: noc.New(g, spec.Net)}
-	for id := 0; id < spec.Ng*spec.Nc; id++ {
+	g := topology.Hybrid(st.Ng, st.Nc, false)
+	c := &Cosim{spec: spec, tr: tr, net: noc.New(g, spec.Net)}
+	for id := 0; id < st.Workers(); id++ {
 		c.workers = append(c.workers, c.buildWorker(id))
 	}
 	return c, nil
 }
 
-func (c *Cosim) grp(id int) int { return id / c.spec.Nc }
-func (c *Cosim) clu(id int) int { return id % c.spec.Nc }
+func (c *Cosim) grp(id int) int { return id / c.spec.St.Nc }
+func (c *Cosim) clu(id int) int { return id % c.spec.St.Nc }
 func (c *Cosim) peer(grp, clu int) int {
-	return topology.WorkerID(grp, clu, c.spec.Nc)
+	return topology.WorkerID(grp, clu, c.spec.St.Nc)
 }
 
 // ringNext returns the worker after id on its group's collective ring.
 func (c *Cosim) ringNext(id int) int {
-	return c.peer(c.grp(id), (c.clu(id)+1)%c.spec.Nc)
+	return c.peer(c.grp(id), (c.clu(id)+1)%c.spec.St.Nc)
 }
 
 // collHops is the total ring hops per chunk: Nc−1 to reduce, Nc−1 to
 // broadcast.
 func (c *Cosim) collHops() int {
-	if c.spec.Nc <= 1 {
+	if c.spec.St.Nc <= 1 {
 		return 0
 	}
-	return 2 * (c.spec.Nc - 1)
+	return 2 * (c.spec.St.Nc - 1)
 }
 
 // buildWorker constructs one worker's pipeline across every layer of the
@@ -163,10 +170,10 @@ func (c *Cosim) collHops() int {
 func (c *Cosim) buildWorker(id int) *worker {
 	s := c.spec
 	cfg := s.NDP
-	tr := s.Tr
+	tr, st := c.tr, s.St
 	t2 := int64(tr.T) * int64(tr.T)
-	ng := int64(s.Ng)
-	peers := s.Ng - 1
+	ng := int64(st.Ng)
+	peers := st.Ng - 1
 	layers := s.layers()
 
 	dur := func(computeCycles, dramBytes int64) int64 {
@@ -183,7 +190,7 @@ func (c *Cosim) buildWorker(id int) *worker {
 		base := li * taskCount
 		tilesH := int64((lp.OutH() + tr.M - 1) / tr.M)
 		tilesW := int64((lp.OutW() + tr.M - 1) / tr.M)
-		rows := int64(s.Batch) * tilesH * tilesW / int64(s.Nc)
+		rows := int64(s.Batch) * tilesH * tilesW / int64(st.Nc)
 		if rows < 1 {
 			rows = 1
 		}
@@ -198,7 +205,7 @@ func (c *Cosim) buildWorker(id int) *worker {
 			if bytes <= 0 {
 				return nil
 			}
-			for pg := 0; pg < s.Ng; pg++ {
+			for pg := 0; pg < st.Ng; pg++ {
 				if pg == grp {
 					continue
 				}
@@ -223,7 +230,7 @@ func (c *Cosim) buildWorker(id int) *worker {
 		add("fprop/transform", transformCycles, xformDeps, 0,
 			toPeers(perPeerScatter, tDots))
 
-		elems := float64(t2) / float64(s.Ng)
+		elems := float64(t2) / float64(st.Ng)
 		dotCycles := dur(int64(elems*float64(cfg.MatmulCycles(rows, in, out))),
 			4*rows*in*t2/ng+4*in*out*t2/ng)
 		add("fprop/dots", dotCycles, []int{base + tTransform}, peers,
@@ -246,8 +253,8 @@ func (c *Cosim) buildWorker(id int) *worker {
 			4*(rows*in*t2+rows*out*t2)/ng)
 		shard := int(4 * in * out * t2 / ng)
 		var first []send
-		if s.Nc > 1 {
-			first = []send{{dst: c.ringNext(id), bytes: shard / s.Nc, task: base + tCollective, hop: 0}}
+		if st.Nc > 1 {
+			first = []send{{dst: c.ringNext(id), bytes: shard / st.Nc, task: base + tCollective, hop: 0}}
 		}
 		add("update/dots", gdotCycles, []int{base + tBdots}, 0, first)
 

@@ -13,34 +13,41 @@ import (
 )
 
 // smallSpec is a 16-worker (4,4) MPT layer small enough for flit-level
-// co-simulation.
+// co-simulation. TileM 2 keeps F(2×2,3×3) at every Ng, Ng = 1 included.
 func smallSpec() Spec {
 	return Spec{
-		Tr:    winograd.F2x2_3x3,
+		St:    comm.Strategy{Ng: 4, Nc: 4, Winograd: true, TileM: 2},
 		P:     conv.Params{In: 32, Out: 32, K: 3, Pad: 1, H: 8, W: 8},
 		Batch: 16,
-		Ng:    4,
-		Nc:    4,
 		NDP:   ndp.DefaultConfig(),
 		Net:   noc.DefaultConfig(),
 	}
 }
 
 func TestCosimValidation(t *testing.T) {
+	for name, edit := range map[string]func(*Spec){
+		"Ng=0":            func(s *Spec) { s.St.Ng = 0 },
+		"Ng > T^2":        func(s *Spec) { s.St.Ng = 17 },
+		"Nf=2":            func(s *Spec) { s.St.Nf = 2 },
+		"Ni=2":            func(s *Spec) { s.St.Ni = 2 },
+		"direct":          func(s *Spec) { s.St.Winograd, s.St.TileM = false, 0 },
+		"gather cut":      func(s *Spec) { s.St.GatherReduction = 0.5 },
+		"scatter cut":     func(s *Spec) { s.St.ScatterReduction = 0.5 },
+		"5x5 at TileM 4":  func(s *Spec) { s.St.TileM, s.P.K, s.P.Pad = 4, 5, 2 },
+		"kernel in Extra": func(s *Spec) { s.Extra = []conv.Params{{In: 32, Out: 32, K: 5, Pad: 2, H: 8, W: 8}} },
+	} {
+		s := smallSpec()
+		edit(&s)
+		if _, err := New(s); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// The first layer's transform follows its kernel: a 5×5 layer runs
+	// F(2×2,5×5).
 	s := smallSpec()
-	s.Ng = 0
-	if _, err := New(s); err == nil {
-		t.Fatal("Ng=0 accepted")
-	}
-	s = smallSpec()
-	s.P.K = 5
-	if _, err := New(s); err == nil {
-		t.Fatal("kernel/transform mismatch accepted")
-	}
-	s = smallSpec()
-	s.Ng = 17
-	if _, err := New(s); err == nil {
-		t.Fatal("Ng > T^2 accepted")
+	s.P.K, s.P.Pad = 5, 2
+	if c, err := New(s); err != nil || c.tr != winograd.F2x2_5x5 {
+		t.Errorf("5x5 layer: %v", err)
 	}
 }
 
@@ -90,7 +97,7 @@ func TestCosimDeterminism(t *testing.T) {
 // scatter/gather, only the collective.
 func TestCosimSingleGroup(t *testing.T) {
 	s := smallSpec()
-	s.Ng, s.Nc = 1, 4
+	s.St.Ng, s.St.Nc = 1, 4
 	c, err := New(s)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +117,7 @@ func TestCosimSingleGroup(t *testing.T) {
 // TestCosimSingleClusterHasNoCollective: at Nc=1 there is no ring.
 func TestCosimSingleCluster(t *testing.T) {
 	s := smallSpec()
-	s.Ng, s.Nc = 4, 1
+	s.St.Ng, s.St.Nc = 4, 1
 	c, err := New(s)
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +148,12 @@ func TestCosimTrafficMatchesCommModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := s.Tr
+	tr := winograd.F2x2_3x3
 	inTiles := comm.TileBytes(tr, s.P, s.Batch, s.P.In)
 	outTiles := comm.TileBytes(tr, s.P, s.Batch, s.P.Out)
 	// fprop: X scattered + Y gathered; bprop: dY scattered. K4 clusters →
 	// exactly 1 hop per byte.
-	frac := float64(s.Ng-1) / float64(s.Ng)
+	frac := float64(s.St.Ng-1) / float64(s.St.Ng)
 	wantNarrow := float64(inTiles)*frac + 2*float64(outTiles)*frac
 	gotNarrow := float64(r.NetBytes[1])
 	if rel := abs(gotNarrow-wantNarrow) / wantNarrow; rel > 0.05 {
@@ -154,8 +161,8 @@ func TestCosimTrafficMatchesCommModel(t *testing.T) {
 	}
 	// Collective: p workers each launch one chunk of shard/Nc bytes that
 	// travels 2(Nc−1) hops.
-	shard := comm.WinogradWeightBytes(tr, s.P) / int64(s.Ng)
-	wantFull := float64(s.Ng*s.Nc) * float64(shard/int64(s.Nc)) * float64(2*(s.Nc-1))
+	shard := comm.WinogradWeightBytes(tr, s.P) / int64(s.St.Ng)
+	wantFull := float64(s.St.Workers()) * float64(shard/int64(s.St.Nc)) * float64(2*(s.St.Nc-1))
 	gotFull := float64(r.NetBytes[0])
 	if rel := abs(gotFull-wantFull) / wantFull; rel > 0.05 {
 		t.Fatalf("full bytes %v vs model %v (rel %v)", gotFull, wantFull, rel)
@@ -178,7 +185,7 @@ func TestCosimCrossValidatesPhaseModel(t *testing.T) {
 	}
 
 	sys := sim.DefaultSystem()
-	sys.Workers = spec.Ng * spec.Nc
+	sys.Workers = spec.St.Workers()
 	l := model.Layer{Name: "cosim", P: spec.P}
 	// Fixed (4,4) via the w_mp path at 16 workers (largest Ng dividing 16
 	// is 16; force the comparison through a custom strategy by using the

@@ -32,7 +32,7 @@ func (r *arrivalRecorder) OnDeliver(n *noc.Network, m *noc.Message) {
 // The stepped run must also end on the cycle Run reports.
 func TestSchedulerStartsLowestReadyTask(t *testing.T) {
 	spec := smallSpec()
-	spec.Ng, spec.Nc = 2, 2
+	spec.St.Ng, spec.St.Nc = 2, 2
 	spec.Extra = append(spec.Extra, spec.P)
 	const maxCycles = 50_000_000
 

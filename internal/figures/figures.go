@@ -148,25 +148,17 @@ func Fig15() Result {
 	var b strings.Builder
 	metrics := map[string]float64{}
 	fmt.Fprintf(&b, "%-8s %-7s %3s %10s %10s %10s %12s\n", "layer", "config", "Ng", "fwd(norm)", "bwd(norm)", "tot(norm)", "energy(norm)")
-	var sumDp, sumFull, sumPred float64
+	var sumDp, sumFull float64
 	var sumDpMid, sumPredMid, sumDpLate, sumPredLate float64
 	layers := model.FiveLayers()
 	cfgs := sim.AllConfigs()
-	// Fan every (layer, config) simulation out as one flat cell grid, then
-	// fold sequentially in the original row order so the table and the
-	// metric sums are bit-identical to the sequential loop.
-	refs := parallel.Map(s.Parallel, len(layers), func(i int) sim.LayerResult {
-		return s.SimulateLayer(layers[i], 256, sim.WDp)
-	})
-	cells := parallel.Map(s.Parallel, len(layers)*len(cfgs), func(i int) sim.LayerResult {
-		return s.SimulateLayer(layers[i/len(cfgs)], 256, cfgs[i%len(cfgs)])
-	})
+	runs := s.Sweep(model.Network{Layers: layers, Batch: 256}, cfgs)
 	for li, l := range layers {
-		ref := refs[li]
+		ref := runs[1].Layers[li] // cfgs[1] is w_dp, the normalization
 		refFwd := ref.ForwardSec
 		refEnergy := ref.Energy.Total()
 		for ci, c := range cfgs {
-			r := cells[li*len(cfgs)+ci]
+			r := runs[ci].Layers[li]
 			fmt.Fprintf(&b, "%-8s %-7s %3d %10.2f %10.2f %10.2f %12.2f\n",
 				l.Name, c, r.Ng, r.ForwardSec/refFwd, r.BackwardSec/refFwd,
 				r.TotalSec()/refFwd, r.Energy.Total()/refEnergy)
@@ -177,7 +169,6 @@ func Fig15() Result {
 				sumFull += r.TotalSec()
 			}
 			if c == sim.WMpPred {
-				sumPred += r.TotalSec()
 				if li == 1 || li == 2 {
 					sumDpMid += ref.TotalSec()
 					sumPredMid += r.TotalSec()
@@ -207,6 +198,7 @@ func Fig16() Result {
 	var b strings.Builder
 	metrics := map[string]float64{}
 	fmt.Fprintf(&b, "%-6s %-8s %14s\n", "kernel", "config", "speedup vs w_dp")
+	cfgs := []sim.SystemConfig{sim.WDp, sim.WMp, sim.WMpPred, sim.WMpFull}
 	for _, kcase := range []struct {
 		name   string
 		layers []model.Layer
@@ -214,16 +206,16 @@ func Fig16() Result {
 		{"3x3", model.FiveLayers()},
 		{"5x5", model.FiveLayers5x5()},
 	} {
-		for _, c := range []sim.SystemConfig{sim.WMp, sim.WMpPred, sim.WMpFull} {
+		runs := s.Sweep(model.Network{Layers: kcase.layers, Batch: 256}, cfgs)
+		dp := runs[0]
+		for _, r := range runs[1:] {
 			var mean float64
-			for _, l := range kcase.layers {
-				dp := s.SimulateLayer(l, 256, sim.WDp).TotalSec()
-				v := s.SimulateLayer(l, 256, c).TotalSec()
-				mean += dp / v
+			for li, l := range r.Layers {
+				mean += dp.Layers[li].TotalSec() / l.TotalSec()
 			}
-			mean /= float64(len(kcase.layers))
-			fmt.Fprintf(&b, "%-6s %-8s %13.2fx\n", kcase.name, c, mean)
-			metrics[kcase.name+"_"+c.String()] = mean
+			mean /= float64(len(r.Layers))
+			fmt.Fprintf(&b, "%-6s %-8s %13.2fx\n", kcase.name, r.Config, mean)
+			metrics[kcase.name+"_"+r.Config.String()] = mean
 		}
 	}
 	return Result{
@@ -245,14 +237,8 @@ func Fig17() Result {
 	var dpSum, fullSum, gpu8Sum float64
 	nets := model.AllNetworks()
 	cfgs := sim.AllConfigs()[1:] // skip d_dp for CNN-level
-	// The 1-NDP baselines are full sequential network walks — fan them out
-	// per network; each network's config sweep then fans out its own
-	// (layer, config) cells through sim.Sweep.
-	bases := parallel.Map(s.Parallel, len(nets), func(i int) sim.NetworkResult {
-		return sim.SingleWorkerBaseline(nets[i])
-	})
-	for ni, net := range nets {
-		base := bases[ni]
+	for _, net := range nets {
+		base := sim.SingleWorkerBaseline(net)
 		fmt.Fprintf(&b, "%s (batch %d, 1-NDP baseline %.2f img/s)\n", net.Name, net.Batch, base.ImagesPerSec)
 		sweep := s.Sweep(net, cfgs)
 		for ci, c := range cfgs {

@@ -1,8 +1,14 @@
 package figures
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mptwino/internal/parallel"
 )
 
 // TestAllFiguresProduceTablesAndMetrics runs every generator (including
@@ -44,17 +50,45 @@ func TestAllFiguresProduceTablesAndMetrics(t *testing.T) {
 	}
 }
 
-// TestFastFiguresDeterministic: the analytic figures must be bit-identical
-// across runs (the numeric ones are seeded and tested in their packages).
+var update = flag.Bool("update", false, "rewrite testdata/figures_golden.txt")
+
+// TestFastFiguresDeterministic pins the analytic figures: Fig. 1/6/7/15/16/
+// 17/18 render byte for byte as testdata/figures_golden.txt, the output of
+// `figures -only fig01,fig06,fig07,fig15,fig16,fig17,fig18`, with the same
+// metrics, at host worker counts 1, 2 and 8. The numeric figures are
+// seeded and tested in their packages. -update rewrites the golden.
 func TestFastFiguresDeterministic(t *testing.T) {
-	for _, gen := range []func() Result{Fig01, Fig06, Fig07, Fig15, Fig16, Fig17, Fig18} {
-		a, b := gen(), gen()
-		if a.Table != b.Table {
-			t.Fatalf("%s: non-deterministic table", a.ID)
+	golden := filepath.Join("testdata", "figures_golden.txt")
+	defer parallel.SetDefaultWorkers(parallel.DefaultWorkers())
+	var ref []Result
+	for _, workers := range []int{1, 2, 8} {
+		parallel.SetDefaultWorkers(workers)
+		var rs []Result
+		var got strings.Builder
+		for _, gen := range []func() Result{Fig01, Fig06, Fig07, Fig15, Fig16, Fig17, Fig18} {
+			r := gen()
+			rs = append(rs, r)
+			got.WriteString(Render(r))
 		}
-		for k, v := range a.Metrics {
-			if b.Metrics[k] != v {
-				t.Fatalf("%s: metric %q differs across runs", a.ID, k)
+		if *update && ref == nil {
+			if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("read golden (run with -update to create): %v", err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("workers=%d: figures drifted from %s\n--- got ---\n%s", workers, golden, got.String())
+		}
+		if ref == nil {
+			ref = rs
+			continue
+		}
+		for i, r := range rs {
+			if !reflect.DeepEqual(r.Metrics, ref[i].Metrics) {
+				t.Errorf("workers=%d: %s metrics differ from workers=1", workers, r.ID)
 			}
 		}
 	}

@@ -74,7 +74,10 @@ func TestPlanBeatsMenu(t *testing.T) {
 		if p.ExecSec > p.MenuExecSec {
 			t.Errorf("%s: plan exec %.3fus exceeds menu exec %.3fus", net.Name, p.ExecSec*1e6, p.MenuExecSec*1e6)
 		}
-		exec := sys.SimulateNetworkWithPlan(net, sim.WMpFull, p.Strategies())
+		exec, err := sys.SimulateNetworkWithPlan(net, sim.WMpFull, p.Strategies())
+		if err != nil {
+			t.Fatal(err)
+		}
 		menu := sys.SimulateNetwork(net, sim.WMpFull)
 		if exec.IterationSec > menu.IterationSec {
 			t.Errorf("%s: executed plan %.3fus loses to menu %.3fus",
@@ -127,7 +130,10 @@ func TestPlanBeatsMenuWideTiles(t *testing.T) {
 			t.Errorf("%s: wide-tile plan %.3fus worse than default plan %.3fus — wider axis must not regress",
 				net.Name, p.ExecSec*1e6, base.ExecSec*1e6)
 		}
-		exec := sys.SimulateNetworkWithPlan(net, sim.WMpFull, p.Strategies())
+		exec, err := sys.SimulateNetworkWithPlan(net, sim.WMpFull, p.Strategies())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if exec.IterationSec != p.ExecSec {
 			t.Errorf("%s: executed wide-tile plan %.6gs != plan ExecSec %.6gs", net.Name, exec.IterationSec, p.ExecSec)
 		}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"mptwino/internal/comm"
 	"mptwino/internal/energy"
 	"mptwino/internal/model"
@@ -25,15 +27,49 @@ type NetworkResult struct {
 }
 
 // SimulateNetwork runs every layer of net under config c and sums the
-// iteration. Layer Repeat counts multiply both time and energy. Layers are
-// independent, so they fan out across s.Parallel goroutines; the
-// aggregation folds in layer order, keeping the result bit-identical to a
-// sequential run.
+// iteration, each layer's Repeat count multiplying its time and energy. It
+// is the one-config Sweep.
 func (s System) SimulateNetwork(net model.Network, c SystemConfig) NetworkResult {
-	layers := parallel.Map(s.HostWorkers(), len(net.Layers), func(i int) LayerResult {
-		return s.SimulateLayer(net.Layers[i], net.Batch, c)
+	return s.Sweep(net, []SystemConfig{c})[0]
+}
+
+// SimulateNetworkWithPlan runs layer i of net under plan[i] — the
+// executable form of the auto-search planner's Plan — through the same
+// fan-out and fold as SimulateNetwork. Redistribution between adjacent
+// layers is priced by the planner, not here. A plan that does not hold one
+// strategy per layer is an error.
+func (s System) SimulateNetworkWithPlan(net model.Network, c SystemConfig, plan []comm.Strategy) (NetworkResult, error) {
+	if len(plan) != len(net.Layers) {
+		return NetworkResult{}, fmt.Errorf("sim: plan has %d strategies for %d layers", len(plan), len(net.Layers))
+	}
+	return s.sweep(net, []SystemConfig{c}, plan)[0], nil
+}
+
+// Sweep simulates net under every config in cfgs; entry i is bit-identical
+// to SimulateNetwork(net, cfgs[i]).
+func (s System) Sweep(net model.Network, cfgs []SystemConfig) []NetworkResult {
+	return s.sweep(net, cfgs, nil)
+}
+
+// sweep is the one network runner: a single fan-out over every (config,
+// layer) cell, then one in-order assembleNetwork fold per config. Without
+// a plan, SimulateLayer resolves each config's strategies; with one, layer
+// i runs plan[i]. It is one Map in all, not one per config, because the
+// telemetry digest pins parallel.calls.
+func (s System) sweep(net model.Network, cfgs []SystemConfig, plan []comm.Strategy) []NetworkResult {
+	nl := len(net.Layers)
+	cells := parallel.Map(s.HostWorkers(), len(cfgs)*nl, func(i int) LayerResult {
+		l, c := net.Layers[i%nl], cfgs[i/nl]
+		if plan != nil {
+			return s.SimulateLayerStrategy(l, net.Batch, c, plan[i%nl])
+		}
+		return s.SimulateLayer(l, net.Batch, c)
 	})
-	return s.assembleNetwork(net, c, layers)
+	out := make([]NetworkResult, len(cfgs))
+	for ci, c := range cfgs {
+		out[ci] = s.assembleNetwork(net, c, cells[ci*nl:(ci+1)*nl])
+	}
+	return out
 }
 
 // assembleNetwork folds per-layer results (indexed like net.Layers) into a
@@ -54,38 +90,6 @@ func (s System) assembleNetwork(net model.Network, c SystemConfig, layers []Laye
 	s.recordFleetSpeeds()
 	s.traceNetwork(net, c, res)
 	return res
-}
-
-// SimulateNetworkWithPlan runs every layer of net under its planned
-// strategy (indexed like net.Layers) — the executable form of the
-// auto-search planner's Plan — and assembles the iteration exactly like
-// SimulateNetwork. Redistribution cost between differently-configured
-// adjacent layers is the planner's concern (it selects the plan with that
-// cost included); the per-layer simulation itself is unchanged.
-func (s System) SimulateNetworkWithPlan(net model.Network, c SystemConfig, plan []comm.Strategy) NetworkResult {
-	if len(plan) != len(net.Layers) {
-		panic("sim: plan length does not match network layer count")
-	}
-	layers := parallel.Map(s.HostWorkers(), len(net.Layers), func(i int) LayerResult {
-		return s.SimulateLayerStrategy(net.Layers[i], net.Batch, c, plan[i])
-	})
-	return s.assembleNetwork(net, c, layers)
-}
-
-// Sweep simulates net under every config in cfgs, fanning one goroutine
-// out per (layer, config) cell — the full Table IV sweep as a single flat
-// work list. The returned slice is indexed like cfgs, and each entry is
-// bit-identical to SimulateNetwork(net, cfgs[i]).
-func (s System) Sweep(net model.Network, cfgs []SystemConfig) []NetworkResult {
-	nl := len(net.Layers)
-	cells := parallel.Map(s.HostWorkers(), len(cfgs)*nl, func(i int) LayerResult {
-		return s.SimulateLayer(net.Layers[i%nl], net.Batch, cfgs[i/nl])
-	})
-	out := make([]NetworkResult, len(cfgs))
-	for ci, c := range cfgs {
-		out[ci] = s.assembleNetwork(net, c, cells[ci*nl:(ci+1)*nl])
-	}
-	return out
 }
 
 // SingleWorkerBaseline simulates the 1-NDP system Fig. 17 normalizes to:

@@ -120,3 +120,49 @@ func TestStrategiesPerConfig(t *testing.T) {
 		t.Errorf("255 survivors: menu %+v, want %+v", got, s.Menu)
 	}
 }
+
+// TestSimulateNetworkWithPlan runs a plan through the network runner: a
+// plan cycling through the clustering menu runs each layer under its own
+// strategy, the fixed-grid config's own strategy per layer reproduces
+// SimulateNetwork bit for bit, and a plan one entry short or one entry
+// too long returns an error and no result.
+func TestSimulateNetworkWithPlan(t *testing.T) {
+	s := DefaultSystem()
+	net := model.AlexNet()
+	mixed := make([]comm.Strategy, len(net.Layers))
+	fixed := make([]comm.Strategy, len(net.Layers))
+	for i, l := range net.Layers {
+		mixed[i] = s.Strategies(WMpDyn, l.P.K)[i%3]
+		fixed[i] = s.Strategies(WMp, l.P.K)[0]
+	}
+	got, err := s.SimulateNetworkWithPlan(net, WMp, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range net.Layers {
+		if want := s.SimulateLayerStrategy(l, net.Batch, WMp, mixed[i]); !reflect.DeepEqual(got.Layers[i], want) {
+			t.Errorf("%s: planned layer %+v, want %+v", l.Name, got.Layers[i], want)
+		}
+	}
+	got, err = s.SimulateNetworkWithPlan(net, WMp, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := s.SimulateNetwork(net, WMp); !reflect.DeepEqual(got, want) {
+		t.Errorf("fixed-grid plan %+v, want SimulateNetwork's %+v", got, want)
+	}
+
+	for name, bad := range map[string][]comm.Strategy{
+		"one short":    fixed[:len(fixed)-1],
+		"one too long": append(fixed[:len(fixed):len(fixed)], fixed[0]),
+		"nil":          nil,
+	} {
+		r, err := s.SimulateNetworkWithPlan(net, WMp, bad)
+		if err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if !reflect.DeepEqual(r, NetworkResult{}) {
+			t.Errorf("%s: returned a result %+v with the error", name, r)
+		}
+	}
+}

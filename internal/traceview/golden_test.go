@@ -33,7 +33,9 @@ func autoplanRun(t *testing.T, net model.Network, par int) (*telemetry.Registry,
 	s.Trace = tracer
 	cfg := defaultConfig(t)
 	p := planner.Build(net, planner.Options{System: s, Config: cfg})
-	s.SimulateNetworkWithPlan(net, cfg, p.Strategies())
+	if _, err := s.SimulateNetworkWithPlan(net, cfg, p.Strategies()); err != nil {
+		t.Fatal(err)
+	}
 	return reg, tracer
 }
 
