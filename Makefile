@@ -122,9 +122,12 @@ scenarios-smoke:
 # CPU + heap profiles. The first recipe profiles the timing simulator via
 # mptsim's -cpuprofile/-memprofile flags; the second profiles the numeric
 # hot paths (blocked GEMM + fused transforms) through the steady-state
-# layer benchmarks. Inspect with `go tool pprof <binary-or-blank> cpu.pprof`.
+# layer benchmarks; the third profiles the flit simulator on perfbench's
+# noc-hybrid traffic (BenchmarkNoCHybrid: New plus Run on Hybrid(16,16)).
+# Inspect with `go tool pprof <binary-or-blank> cpu.pprof`.
 profile:
 	$(GO) run ./cmd/mptsim -net wrn -config all -cpuprofile sim_cpu.pprof -memprofile sim_mem.pprof
 	$(GO) test -run '^$$' -bench 'Gemm|LayerFprop|LayerBprop|LayerUpdateGrad' -benchtime 2s \
 		-cpuprofile kernel_cpu.pprof -memprofile kernel_mem.pprof .
-	@echo "profiles: sim_cpu.pprof sim_mem.pprof kernel_cpu.pprof kernel_mem.pprof"
+	$(GO) test -run '^$$' -bench 'NoCHybrid' -benchtime 3s -cpuprofile noc_cpu.pprof .
+	@echo "profiles: sim_cpu.pprof sim_mem.pprof kernel_cpu.pprof kernel_mem.pprof noc_cpu.pprof"

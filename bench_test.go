@@ -12,7 +12,7 @@
 //	BenchmarkFig16WeightSize        Fig. 16
 //	BenchmarkFig17FullCNN           Fig. 17
 //	BenchmarkFig18IsoPower          Fig. 18
-//	BenchmarkNoC*                   network-simulator validation
+//	BenchmarkNoC*                   network-simulator validation and host time
 //	BenchmarkKernel*                numeric kernel micro-benchmarks
 //	BenchmarkPredictSteady          steady-state activation prediction
 //	BenchmarkTrainStep              whole mpt.Net training step
@@ -213,6 +213,44 @@ func BenchmarkNoCStepSteady(b *testing.B) {
 		}
 		n.Step(d)
 	}
+}
+
+// BenchmarkNoCHybrid times one New plus Run of perfbench's noc-hybrid
+// traffic with its sizes undealt: on Hybrid(16,16), a ring collective per
+// group (256-480 B per member) and an all-to-all per cluster (32-60 B per
+// pair), all at once. The simulated cycles and flit hops are model
+// metrics; `make profile` writes noc_cpu.pprof from this benchmark.
+func BenchmarkNoCHybrid(b *testing.B) {
+	const ng, nc = 16, 16
+	g := topology.Hybrid(ng, nc, false)
+	traffic := func() noc.Driver {
+		var ds []noc.Driver
+		for grp := 0; grp < ng; grp++ {
+			ring := make([]int, nc)
+			for c := range ring {
+				ring[c] = topology.WorkerID(grp, c, nc)
+			}
+			ds = append(ds, &noc.RingCollective{Members: ring, Bytes: 256 + 32*(grp%8)})
+		}
+		for c := 0; c < nc; c++ {
+			cluster := make([]int, ng)
+			for grp := range cluster {
+				cluster[grp] = topology.WorkerID(grp, c, nc)
+			}
+			ds = append(ds, &noc.AllToAll{Members: cluster, Bytes: 32 + 4*(c%8)})
+		}
+		return noc.NewMultiDriver(ds...)
+	}
+	var st noc.Stats
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if st, err = noc.New(g, noc.DefaultConfig()).Run(traffic(), 10_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Cycles), "cycles")
+	b.ReportMetric(float64(st.FlitHops), "flit_hops")
 }
 
 // --- numeric kernel micro-benchmarks (the actual Go implementations) ---

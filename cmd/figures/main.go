@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,33 +23,42 @@ func main() {
 	list := flag.Bool("list", false, "list available figure ids and exit")
 	flag.Parse()
 
-	all := figures.All()
-	if *list {
-		for _, r := range all {
-			fmt.Printf("%-6s %s\n", r.ID, r.Title)
-		}
-		return
-	}
-	rs, err := selectFigures(all, *only)
-	if err != nil {
+	if err := run(os.Stdout, *only, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
-	for _, r := range rs {
-		fmt.Print(figures.Render(r))
-	}
 }
 
-// selectFigures returns the figures of all that the -only list names, in
-// all's order; an empty list selects every figure. An id that names no
+// run writes the figure index (list) or the figures the -only list names
+// to w, building only the figures it prints.
+func run(w io.Writer, only string, list bool) error {
+	if list {
+		for _, e := range figures.Catalog() {
+			r := e.Build()
+			fmt.Fprintf(w, "%-6s %s\n", r.ID, r.Title)
+		}
+		return nil
+	}
+	es, err := selectFigures(figures.Catalog(), only)
+	if err != nil {
+		return err
+	}
+	for _, e := range es {
+		fmt.Fprint(w, figures.Render(e.Build()))
+	}
+	return nil
+}
+
+// selectFigures returns the entries of cat that the -only list names, in
+// catalog order; an empty list selects every entry. An id that names no
 // figure is an error, so a typo prints nothing instead of a partial set.
-func selectFigures(all []figures.Result, only string) ([]figures.Result, error) {
+func selectFigures(cat []figures.Entry, only string) ([]figures.Entry, error) {
 	if only == "" {
-		return all, nil
+		return cat, nil
 	}
 	known := map[string]bool{}
-	for _, r := range all {
-		known[r.ID] = true
+	for _, e := range cat {
+		known[e.ID] = true
 	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(only, ",") {
@@ -58,10 +68,10 @@ func selectFigures(all []figures.Result, only string) ([]figures.Result, error) 
 		}
 		want[id] = true
 	}
-	var out []figures.Result
-	for _, r := range all {
-		if want[r.ID] {
-			out = append(out, r)
+	var out []figures.Entry
+	for _, e := range cat {
+		if want[e.ID] {
+			out = append(out, e)
 		}
 	}
 	return out, nil

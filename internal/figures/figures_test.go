@@ -11,14 +11,19 @@ import (
 	"mptwino/internal/parallel"
 )
 
-// TestAllFiguresProduceTablesAndMetrics runs every generator (including
-// the slow numeric ones) and checks structural validity.
+// TestAllFiguresProduceTablesAndMetrics runs every catalog generator
+// (including the slow numeric ones) and checks structural validity and
+// that each builds the figure its entry names.
 func TestAllFiguresProduceTablesAndMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figures regeneration is slow")
 	}
 	seen := map[string]bool{}
-	for _, r := range All() {
+	for _, e := range Catalog() {
+		r := e.Build()
+		if r.ID != e.ID {
+			t.Fatalf("catalog entry %q builds figure %q", e.ID, r.ID)
+		}
 		if r.ID == "" || r.Title == "" {
 			t.Fatalf("figure missing identity: %+v", r)
 		}
@@ -45,7 +50,7 @@ func TestAllFiguresProduceTablesAndMetrics(t *testing.T) {
 		"fig01", "fig06", "fig07", "fig12", "fig14", "fig15", "fig16", "fig17", "fig18", "noc"}
 	for _, id := range want {
 		if !seen[id] {
-			t.Fatalf("figure %s missing from All()", id)
+			t.Fatalf("figure %s missing from Catalog()", id)
 		}
 	}
 }

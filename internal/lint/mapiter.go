@@ -10,8 +10,9 @@ import (
 // iteration order into a result: appending to a slice, accumulating a
 // float, or sending on a channel. This is the exact bug class that was
 // fixed by hand in internal/noc — ejection/failure sweeps originally
-// ranged over maps and produced schedule-dependent results until the
-// inOrder construction replaced them (DESIGN.md §7). A range that only
+// ranged over maps and produced schedule-dependent results until
+// construction-ordered port lists (now Network.inPorts) replaced them
+// (DESIGN.md §7). A range that only
 // *reads* the map, or that writes to a slot keyed by the map key, is
 // order-independent and not flagged; collecting keys and sorting them
 // immediately after the loop is also recognized and allowed.

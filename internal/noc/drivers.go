@@ -23,6 +23,18 @@ type RingCollective struct {
 
 	remaining int
 	chunk     int
+	msgs      messageSlab
+}
+
+// messageSlab hands out a driver's messages from one array sized to the
+// driver's message count up front, so a run allocates, and the collector
+// marks, one object per driver rather than one per message.
+type messageSlab []Message
+
+// next stores m in the slab's next free slot and returns that slot.
+func (s *messageSlab) next(m Message) *Message {
+	*s = append(*s, m)
+	return &(*s)[len(*s)-1]
 }
 
 // Start injects hop 0 of every chunk.
@@ -35,13 +47,14 @@ func (r *RingCollective) Start(n *Network) {
 	}
 	r.chunk = (r.Bytes + nm - 1) / nm
 	r.remaining = nm * 2 * (nm - 1)
+	r.msgs = make(messageSlab, 0, r.remaining)
 	for k := 0; k < nm; k++ {
-		n.Inject(&Message{
+		n.Inject(r.msgs.next(Message{
 			Src:   r.Members[k],
 			Dst:   r.Members[(k+1)%nm],
 			Bytes: r.chunk,
 			Tag:   k<<16 | 0, // chunk index, step 0
-		})
+		}))
 	}
 }
 
@@ -56,12 +69,12 @@ func (r *RingCollective) OnDeliver(n *Network, m *Message) {
 	}
 	// The member that just received the chunk forwards it on.
 	pos := r.memberIndex(m.Dst)
-	n.Inject(&Message{
+	n.Inject(r.msgs.next(Message{
 		Src:   m.Dst,
 		Dst:   r.Members[(pos+1)%nm],
 		Bytes: r.chunk,
 		Tag:   (m.Tag &^ 0xffff) | (step + 1),
-	})
+	}))
 }
 
 func (r *RingCollective) memberIndex(node int) int {
@@ -92,12 +105,13 @@ func (a *AllToAll) Start(n *Network) {
 	if a.Bytes <= 0 {
 		return
 	}
+	msgs := make(messageSlab, 0, len(a.Members)*(len(a.Members)-1))
 	for _, s := range a.Members {
 		for _, d := range a.Members {
 			if s == d {
 				continue
 			}
-			n.Inject(&Message{Src: s, Dst: d, Bytes: a.Bytes})
+			n.Inject(msgs.next(Message{Src: s, Dst: d, Bytes: a.Bytes}))
 			a.remaining++
 		}
 	}
@@ -125,11 +139,12 @@ func (h *Hotspot) Start(n *Network) {
 	if h.Bytes <= 0 {
 		return
 	}
+	msgs := make(messageSlab, 0, len(h.Members))
 	for _, s := range h.Members {
 		if s == h.Dst {
 			continue
 		}
-		n.Inject(&Message{Src: s, Dst: h.Dst, Bytes: h.Bytes})
+		n.Inject(msgs.next(Message{Src: s, Dst: h.Dst, Bytes: h.Bytes}))
 		h.remaining++
 	}
 }

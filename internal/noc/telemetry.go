@@ -64,13 +64,17 @@ func (n *Network) traceMessages() {
 	if !n.tel.tracer.Enabled() {
 		return
 	}
+	why := make(map[int]string, len(n.lost))
+	for _, r := range n.lost {
+		why[r.m.ID] = r.why
+	}
 	for _, m := range n.messages {
 		name := fmt.Sprintf("msg %d->%d", m.Src, m.Dst)
 		args := map[string]any{"id": m.ID, "bytes": m.Bytes, "retries": m.Retries, "tv": "comm.noc"}
 		end := m.DeliveredAt
 		if m.lost {
 			name = "LOST " + name
-			args["why"] = m.lossWhy
+			args["why"] = why[m.ID]
 			end = n.now
 		}
 		n.tel.tracer.Span(telemetry.PIDNoC, m.Src, name, "noc.msg", m.InjectedAt, end-m.InjectedAt, args)
