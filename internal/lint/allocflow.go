@@ -76,13 +76,6 @@ var sanctionedCallees = map[string]string{
 	"(*mptwino/internal/tensor.Arena).MatZ":         "replay arena, grow-only slots; steady state replays storage",
 	"(*mptwino/internal/tensor.Arena).Floats":       "replay arena, grow-only slots; steady state replays storage",
 
-	// The ring all-reduce's reduce block stores a first-arriving chunk in
-	// the buffer handed back through Recycle; the engine hands back every
-	// chunk's own storage, so the fresh-storage branch only serves callers
-	// that never recycle (TestTrainStepAllocationFree pins the warm
-	// training step at 0 allocs).
-	"(*mptwino/internal/ndp.ReduceBlock).storage": "fresh chunk storage only when no buffer was handed back; the engine ring always hands one back",
-
 	// Lazy grow-only staging of the training-loop Domains: their shapes
 	// depend on the first call's batch size, so they cannot move to the
 	// constructor; later calls at the same shape reuse the storage ("after

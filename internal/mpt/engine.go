@@ -2,11 +2,11 @@
 // parallel training: it really runs the paper's distributed computation —
 // batch shards across Nc clusters, tile elements across Ng groups, tile
 // scatter/gather inside clusters, and a chunked ring all-reduce of each
-// group's weight-gradient shard across clusters (built on the ndp Reduce
-// blocks) — and produces results numerically equal to single-worker
-// training. It is the executable specification the timing simulator
-// (internal/sim) abstracts, and it measures real traffic byte counts that
-// validate the closed-form model in internal/comm.
+// group's weight-gradient shard across clusters — and produces results
+// numerically equal to single-worker training. It is the executable
+// specification the timing simulator (internal/sim) abstracts, and it
+// measures real traffic byte counts that validate the closed-form model
+// in internal/comm.
 package mpt
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
-	"mptwino/internal/ndp"
 	"mptwino/internal/parallel"
 	"mptwino/internal/quant"
 	"mptwino/internal/tensor"
@@ -45,10 +44,9 @@ type Config struct {
 	// comm.ClusterSpeeds) and switches the batch shard from the equal
 	// B/Nc split to largest-remainder apportionment proportional to
 	// speed (comm.LoadAwareShards). len(Speeds) must equal Nc. Empty
-	// keeps the exact historical equal-split bounds, so homogeneous
-	// fleets are bit-identical to pre-profile builds. Identical
-	// (grid, Speeds) pairs always produce identical bounds, which is
-	// what makes post-rebalance recovery trajectories bit-exact.
+	// keeps the equal split (comm.EqualShards). Identical (grid, Speeds)
+	// pairs always produce identical bounds, which is what makes
+	// post-rebalance recovery trajectories bit-exact.
 	Speeds []float64
 }
 
@@ -194,30 +192,27 @@ func (e *Engine) shardBounds(batch int) ([][2]int, error) {
 	return shardBoundsFor(batch, e.Cfg.Nc, e.Cfg.Speeds)
 }
 
-// shardBoundsFor computes the [lo,hi) image ranges the Nc clusters own.
-// With no speeds it reproduces the historical c*batch/Nc formula exactly
-// (bit-compatible with pre-profile builds); with speeds it accumulates
-// comm.LoadAwareShards. Both paths are pure functions of (batch, nc,
+// shardBoundsFor computes the [lo,hi) image ranges the Nc clusters own by
+// accumulating their shares: comm.EqualShards with no speeds,
+// comm.LoadAwareShards with them. Both are pure functions of (batch, nc,
 // speeds), so equal inputs always shard — and therefore accumulate
 // floating-point reductions — identically.
 func shardBoundsFor(batch, nc int, speeds []float64) ([][2]int, error) {
 	if batch < nc {
 		return nil, fmt.Errorf("mpt: batch %d smaller than Nc=%d", batch, nc)
 	}
-	out := make([][2]int, nc)
+	shares := comm.EqualShards(batch, nc)
 	if len(speeds) > 0 {
 		if err := checkSpeeds(nc, speeds); err != nil {
 			return nil, err
 		}
-		lo := 0
-		for c, share := range comm.LoadAwareShards(batch, speeds) {
-			out[c] = [2]int{lo, lo + share}
-			lo += share
-		}
-		return out, nil
+		shares = comm.LoadAwareShards(batch, speeds)
 	}
-	for c := 0; c < nc; c++ {
-		out[c] = [2]int{c * batch / nc, (c + 1) * batch / nc}
+	out := make([][2]int, nc)
+	lo := 0
+	for c, share := range shares {
+		out[c] = [2]int{lo, lo + share}
+		lo += share
 	}
 	return out, nil
 }
@@ -528,10 +523,10 @@ func (e *Engine) Bprop(dy *tensor.Tensor) (*tensor.Tensor, error) {
 // UpdateGrad computes the Winograd-domain weight gradient distributed
 // across the 2-D worker grid: each cluster produces a partial dW for every
 // group's elements from its own batch shard; each group then ring-reduces
-// its shard across the Nc clusters using chunked, pipelined transfers
-// through ndp.ReduceBlock (Fig. 13(c)), and the reduced result is
-// broadcast back. Fprop (or FpropReLU) must run first, on the same batch
-// and grid.
+// its shard across the Nc clusters in chunks, each hop adding one
+// cluster's contribution in place (the Reduce block's adds, Fig. 13(c)),
+// and the reduced result is broadcast back. Fprop (or FpropReLU) must run
+// first, on the same batch and grid.
 func (e *Engine) UpdateGrad(dy *tensor.Tensor) (*winograd.Weights, error) {
 	if err := e.checkGrad(dy); err != nil {
 		return nil, err
@@ -644,12 +639,11 @@ func (e *Engine) partialLen() int { return len(e.W.El) * e.P.In * e.P.Out }
 
 // ringAllReduce reduces the clusters' partials of one group's elements
 // into dw using a chunked ring schedule: chunk k starts at cluster k and
-// accumulates through Nc−1 hops (each hop an ndp.ReduceBlock accept),
-// then is broadcast Nc−1 hops. Traffic is charged per hop. The running
-// sum of chunk k stays in cluster k's ring region: each hop hands it back
-// to the reduce block, which adds the next cluster's contribution in
-// place — the same additions, in the same order, as a fresh buffer per
-// hop.
+// accumulates through Nc−1 hops, then is broadcast Nc−1 hops. Traffic is
+// charged per hop. The running sum of chunk k stays in cluster k's ring
+// region, and each hop adds the next cluster's slice of the chunk into
+// it in place, so chunk k sums as p_k + p_{k+1} + … + p_{k+Nc−1}
+// (indices mod Nc) in float32, in that order.
 func (e *Engine) ringAllReduce(els []int, dw *winograd.Weights) {
 	nc, n := len(e.bounds), e.partialLen()
 	elLen := e.P.In * e.P.Out
@@ -660,7 +654,6 @@ func (e *Engine) ringAllReduce(els []int, dw *winograd.Weights) {
 		putFlat(dw, off, region[off:off+shardLen])
 		return
 	}
-	rb := e.ws.rb
 	for s := 0; s < nc-1; s++ {
 		for k := 0; k < nc; k++ {
 			// After step s, cluster (k+s+1) mod nc holds the running sum
@@ -668,16 +661,10 @@ func (e *Engine) ringAllReduce(els []int, dw *winograd.Weights) {
 			dst := (k + s + 1) % nc
 			lo, hi := off+k*shardLen/nc, off+(k+1)*shardLen/nc
 			run := region[k*n+lo : k*n+hi]
-			rb.Reset(k)
-			rb.Recycle(run)
-			if _, err := rb.Accept(ndp.Chunk{MsgID: k, Index: s, Data: run}); err != nil {
-				panic(err)
+			for i, v := range region[dst*n+lo : dst*n+hi] {
+				run[i] += v
 			}
-			sum, err := rb.Accept(ndp.Chunk{MsgID: k, Index: s, Data: region[dst*n+lo : dst*n+hi]})
-			if err != nil || sum == nil {
-				panic(fmt.Sprintf("mpt: reduce block did not release chunk %d at step %d: %v", k, s, err))
-			}
-			e.Traffic.CollectiveBytes += int64(4 * len(sum))
+			e.Traffic.CollectiveBytes += int64(4 * len(run))
 		}
 	}
 	// All-gather (broadcast) costs the same traffic again.

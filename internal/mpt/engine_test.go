@@ -6,6 +6,7 @@ import (
 
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
+	"mptwino/internal/parallel"
 	"mptwino/internal/tensor"
 	"mptwino/internal/winograd"
 )
@@ -112,6 +113,110 @@ func TestDistributedUpdateGradExact(t *testing.T) {
 				d := math.Abs(float64(want.El[el].Data[i] - got.El[el].Data[i]))
 				if d > 1e-3 {
 					t.Fatalf("cfg %+v: dW element %d diverges by %v", cfg, el, d)
+				}
+			}
+		}
+	}
+}
+
+// TestRingAllReduceMatchesRingOrderSum pins the ring's addition order:
+// UpdateGrad's dW equals, bit for bit, every chunk k of a group's shard
+// summed in float32 as p_k + p_{k+1} + … + p_{k+Nc−1} (indices mod Nc),
+// where p_c is cluster c's partial dW from an Nc = 1 engine on its shard.
+// In·Out = 77 is odd and prime to 3 and 5, so a group's shard of 16
+// (Ng = 1) or 4 (Ng = 4) elements of 77 values splits into uneven chunks
+// at Nc = 3 and 5, and at Nc = 8 with Ng = 4; every F(2×2) shard length
+// is even and Ng = 1's is a multiple of 16, so Nc = 1 and 2, and Nc = 8
+// with Ng = 1, cut even ones. Each grid runs at workers {1, 2, 8}: the
+// scatter phase writes every cluster's partial into its ring region, and
+// the ring reads them after the fan-out.
+func TestRingAllReduceMatchesRingOrderSum(t *testing.T) {
+	p := conv.Params{In: 7, Out: 11, K: 3, Pad: 1, H: 4, W: 4}
+	tr := winograd.F2x2_3x3
+	const batch = 9
+	rng := tensor.NewRNG(61)
+	x := tensor.New(batch, p.In, p.H, p.W)
+	dy := tensor.New(batch, p.Out, p.OutH(), p.OutW())
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(dy, 0, 1)
+	spatial := tensor.New(p.Out, p.In, p.K, p.K)
+	rng.FillHe(spatial, p.In*p.K*p.K)
+	w := winograd.TransformWeights(tr, spatial)
+	flat := func(w *winograd.Weights) []float32 {
+		var out []float32
+		for _, el := range w.El {
+			out = append(out, el.Data...)
+		}
+		return out
+	}
+	// The ring's CollectiveBytes per (Nc, Ng), pinned.
+	wantBytes := map[[2]int]int64{
+		{1, 1}: 0, {1, 4}: 0,
+		{2, 1}: 9856, {2, 4}: 9856,
+		{3, 1}: 19711, {3, 4}: 19708,
+		{5, 1}: 39422, {5, 4}: 39412,
+		{8, 1}: 68992, {8, 4}: 68992,
+	}
+	elLen := p.In * p.Out
+	for _, nc := range []int{1, 2, 3, 5, 8} {
+		for _, ng := range []int{1, 4} {
+			cfg := Config{Ng: ng, Nc: nc}
+			bounds, err := shardBoundsFor(batch, nc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts := make([][]float32, nc)
+			for c, b := range bounds {
+				ref, err := NewEngine(tr, p, Config{Ng: ng, Nc: 1}, tensor.NewRNG(7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.SetWeights(w)
+				var xs, dys tensor.Tensor
+				if _, err := ref.Fprop(shardView(&xs, x, b[0], b[1])); err != nil {
+					t.Fatal(err)
+				}
+				dw, err := ref.UpdateGrad(shardView(&dys, dy, b[0], b[1]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts[c] = flat(dw)
+			}
+			want := append([]float32(nil), parts[0]...)
+			for g := 0; g < ng; g++ {
+				els := winograd.GroupElements(tr.T, ng, g)
+				off, shardLen := els[0]*elLen, len(els)*elLen
+				for k := 0; k < nc; k++ {
+					lo, hi := off+k*shardLen/nc, off+(k+1)*shardLen/nc
+					sum := want[lo:hi]
+					copy(sum, parts[k][lo:hi])
+					for j := 1; j < nc; j++ {
+						for i, v := range parts[(k+j)%nc][lo:hi] {
+							sum[i] += v
+						}
+					}
+				}
+			}
+			for _, workers := range []int{1, 2, 8} {
+				prev := parallel.SetDefaultWorkers(workers)
+				e, err := NewEngine(tr, p, cfg, tensor.NewRNG(7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetWeights(w)
+				if _, err := e.Fprop(x); err != nil {
+					t.Fatal(err)
+				}
+				dw, err := e.UpdateGrad(dy)
+				parallel.SetDefaultWorkers(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i, ok := sameBits(flat(dw), want); !ok {
+					t.Errorf("Nc=%d Ng=%d workers=%d: dW differs from the ring-order sum at %d", nc, ng, workers, i)
+				}
+				if got := e.Traffic.CollectiveBytes; got != wantBytes[[2]int{nc, ng}] {
+					t.Errorf("Nc=%d Ng=%d workers=%d: CollectiveBytes %d, want %d", nc, ng, workers, got, wantBytes[[2]int{nc, ng}])
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
-	"mptwino/internal/telemetry"
 	"mptwino/internal/tensor"
 	"mptwino/internal/winograd"
 )
@@ -150,11 +149,9 @@ func TestLoadAwareExactness(t *testing.T) {
 
 // TestRebalanceMovedBytes checks the migration accounting: installing a
 // straggler profile on a fresh equal-split net moves images whose byte
-// bill matches the hand-computed overlap, and telemetry records it.
+// bill matches the hand-computed overlap.
 func TestRebalanceMovedBytes(t *testing.T) {
 	n := recoveryNet(t, 4, 4, 41)
-	reg := telemetry.NewRegistry()
-	n.Instrument(reg, nil)
 
 	const batch = 28
 	speeds := []float64{1, 0.5, 1, 1}
@@ -193,15 +190,6 @@ func TestRebalanceMovedBytes(t *testing.T) {
 	}
 	if moved <= 0 {
 		t.Fatal("straggler rebalance moved nothing")
-	}
-	if got := reg.Counter("mpt.rebalance_moved_bytes").Load(); got != moved {
-		t.Fatalf("counter mpt.rebalance_moved_bytes = %d, want %d", got, moved)
-	}
-	if reg.Counter("mpt.rebalances").Load() != 1 {
-		t.Fatal("mpt.rebalances not incremented")
-	}
-	if reg.Gauge("mpt.imbalance_permille").Load() <= 0 {
-		t.Fatal("imbalance gauge not set by unequal rebalance")
 	}
 
 	// Rebalancing to the same speeds again moves nothing.

@@ -27,10 +27,6 @@ type Net struct {
 	grads      []*tensor.Tensor
 	dws        []*winograd.Weights
 	forwarded  bool // masks and engine caches hold the last Forward
-
-	// telemetry handles + logical step clock (zero value = disabled; see
-	// Instrument in telemetry.go)
-	tel netTel
 }
 
 // NewNet builds engines for each geometry in params; layer i's output
@@ -262,9 +258,6 @@ func (n *Net) TrainStepMSE(x, target *tensor.Tensor, lr float32) (float64, error
 		loss += 0.5 * float64(v) * float64(v)
 	}
 	n.backward(dy, lr)
-	if d, trace := n.recordStep(); trace {
-		n.traceStep(d) //nolint:allocflow -- trace events carry map args; they are emitted only while a tracer is attached
-	}
 	return loss, nil
 }
 

@@ -3,7 +3,6 @@ package mpt
 import (
 	"fmt"
 
-	"mptwino/internal/comm"
 	"mptwino/internal/winograd"
 )
 
@@ -66,8 +65,6 @@ func (n *Net) Checkpoint() *NetCheckpoint {
 	for _, e := range n.Engines {
 		cp.weights = append(cp.weights, e.Checkpoint())
 	}
-	n.tel.checkpoints.Inc()
-	n.event("checkpoint", map[string]any{"layers": len(n.Engines)})
 	return cp
 }
 
@@ -82,8 +79,6 @@ func (n *Net) Restore(cp *NetCheckpoint) error {
 		e.Restore(cp.weights[i])
 	}
 	n.forwarded = false
-	n.tel.restores.Inc()
-	n.event("restore", map[string]any{"layers": len(n.Engines)})
 	return nil
 }
 
@@ -110,8 +105,6 @@ func (n *Net) Reconfigure(ng, nc int) error {
 		n.Cfg.Speeds = nil
 	}
 	n.forwarded = false
-	n.tel.reconfigs.Inc()
-	n.event("reconfigure", map[string]any{"ng": ng, "nc": nc})
 	return nil
 }
 
@@ -174,17 +167,5 @@ func (n *Net) Rebalance(batch int, speeds []float64) (int64, error) {
 		n.Cfg.Speeds = append([]float64(nil), speeds...)
 	}
 	n.forwarded = false
-
-	shares := make([]int, nc)
-	for c, b := range newBounds {
-		shares[c] = b[1] - b[0]
-	}
-	n.tel.rebalances.Inc()
-	n.tel.rebalanceMoved.Add(movedBytes)
-	n.tel.imbalance.Set(comm.ImbalancePermille(shares))
-	n.event("rebalance", map[string]any{
-		"moved_images": moved, "moved_bytes": movedBytes,
-		"imbalance_permille": comm.ImbalancePermille(shares),
-	})
 	return movedBytes, nil
 }

@@ -1,10 +1,13 @@
 package mpt
 
 import (
+	"math"
 	"testing"
 
 	"mptwino/internal/comm"
 	"mptwino/internal/conv"
+	"mptwino/internal/parallel"
+	"mptwino/internal/telemetry"
 	"mptwino/internal/tensor"
 	"mptwino/internal/winograd"
 )
@@ -210,6 +213,100 @@ func TestFailureRecoveryLossTrajectory(t *testing.T) {
 	}
 	if recovered[steps-1] >= recovered[0] {
 		t.Fatalf("loss not decreasing after recovery: %v", recovered)
+	}
+}
+
+// TestRecoveryCycleDeterministicAcrossWorkers trains a network with
+// prediction and zero-skip on through a checkpoint/reconfigure/restore
+// cycle at worker counts {1, 2, 8}: every loss, every layer's final
+// weights, the traffic totals and the GEMM FLOP counter agree bit for bit.
+func TestRecoveryCycleDeterministicAcrossWorkers(t *testing.T) {
+	type result struct {
+		losses  []float64
+		weights []*winograd.Weights
+		traffic Traffic
+		flops   int64
+	}
+	run := func(workers int) result {
+		t.Helper()
+		prev := parallel.SetDefaultWorkers(workers)
+		defer parallel.SetDefaultWorkers(prev)
+		// parallel.Attach is deliberately absent: the engine-usage counters
+		// measure actual fan-out entries, and the winograd Into kernels
+		// bypass the engine on the closure-free one-slot path (scratch.go),
+		// so those counts vary with the worker count by design.
+		reg := telemetry.NewRegistry()
+		tensor.Attach(reg)
+		defer tensor.Attach(nil)
+
+		rng := tensor.NewRNG(7)
+		net, err := NewNet(winograd.F2x2_3x3, chainParams(),
+			Config{Ng: 4, Nc: 2, Predict: true, ZeroSkip: true}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(4, 2, 8, 8)
+		rng.FillNormal(x, 0, 1)
+		target := tensor.New(4, 2, 8, 8)
+		rng.FillNormal(target, 0, 1)
+
+		var r result
+		step := func() {
+			loss, err := net.TrainStepMSE(x, target, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.losses = append(r.losses, loss)
+		}
+		step()
+		step()
+		cp := net.Checkpoint()
+		if err := net.Reconfigure(2, 4); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		if err := net.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		for _, e := range net.Engines {
+			r.weights = append(r.weights, e.W)
+		}
+		r.traffic = net.TotalTraffic()
+		r.flops = reg.Counter("tensor.gemm_flops").Load()
+		return r
+	}
+
+	ref := run(1)
+	if ref.traffic.CollectiveBytes == 0 {
+		t.Error("CollectiveBytes = 0, want ring all-reduce traffic")
+	}
+	if raw, c := ref.traffic.ScatterRawBytes, ref.traffic.ScatterBytes; raw < c || raw == 0 {
+		t.Errorf("zero-skip compression inverted: ScatterRawBytes %d < ScatterBytes %d", raw, c)
+	}
+	if ref.flops == 0 {
+		t.Error("tensor.gemm_flops = 0, want counted element GEMMs")
+	}
+	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		for i, loss := range got.losses {
+			if math.Float64bits(loss) != math.Float64bits(ref.losses[i]) {
+				t.Errorf("workers=%d: step %d loss %v, workers=1 %v", workers, i, loss, ref.losses[i])
+			}
+		}
+		for l, w := range got.weights {
+			for el := range w.El {
+				if i, ok := sameBits(w.El[el].Data, ref.weights[l].El[el].Data); !ok {
+					t.Errorf("workers=%d: layer %d element %d weights differ from workers=1 at %d", workers, l, el, i)
+				}
+			}
+		}
+		if got.traffic != ref.traffic {
+			t.Errorf("workers=%d: traffic %+v, workers=1 %+v", workers, got.traffic, ref.traffic)
+		}
+		if got.flops != ref.flops {
+			t.Errorf("workers=%d: tensor.gemm_flops %d, workers=1 %d", workers, got.flops, ref.flops)
+		}
 	}
 }
 

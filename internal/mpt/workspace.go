@@ -3,7 +3,6 @@ package mpt
 import (
 	"fmt"
 
-	"mptwino/internal/ndp"
 	"mptwino/internal/parallel"
 	"mptwino/internal/tensor"
 	"mptwino/internal/winograd"
@@ -11,10 +10,10 @@ import (
 
 // workspace holds the buffers a pass's phased fan-out reuses from call to
 // call: the pool workers' scratch slots, the whole-batch Winograd-domain
-// staging the per-element products write, the ring all-reduce's
-// partial-gradient buffers and its reduce block. A Net's engines run one
-// at a time, so they share one workspace, which grows to the largest
-// layer; a lone Engine owns its own.
+// staging the per-element products write, and the ring all-reduce's
+// partial-gradient buffers, which the ring sums in place. A Net's engines
+// run one at a time, so they share one workspace, which grows to the
+// largest layer; a lone Engine owns its own.
 //
 // Everything is sized by reserve, outside the pass; the pass itself only
 // re-fits the reserved storage to the running layer's shapes, which never
@@ -31,7 +30,6 @@ type workspace struct {
 
 	ring     []float32     // per cluster: a full T²·In·Out partial dW, cluster-major
 	partials []weightsView // per cluster: the partial dW over its ring region
-	rb       *ndp.ReduceBlock
 }
 
 // clusterWorkers returns how many pool workers run a grid's nc
@@ -79,7 +77,6 @@ func (ws *workspace) reserve(e *Engine, batch int) {
 		ws.workers = parallel.DefaultWorkers()
 		ws.slots = winograd.NewScratch()
 		ws.splits = make([][]*winograd.Scratch, ws.workers)
-		ws.rb = ndp.NewReduceBlock(0, 2)
 	}
 	nc, t2 := e.Cfg.Nc, e.Tr.T*e.Tr.T
 	ws.split(ws.clusterWorkers(nc))

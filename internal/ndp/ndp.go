@@ -1,10 +1,13 @@
 // Package ndp models one near-data-processing worker of Section VI: the
 // logic-layer compute units (systolic array + vector processor), the
-// 3D-stacked DRAM bandwidth, the double-buffered SRAM, and the two
-// communication processing elements (packing DMA for tile transfer, Reduce
-// blocks for ring collectives). The §VI-A task scheduler with its
-// update-counter dependency checks runs in internal/cosim, which drives
-// each worker's task pipeline at this package's timing model.
+// 3D-stacked DRAM bandwidth, the double-buffered SRAM, and the packing DMA
+// for tile transfer. The other communication processing element, the
+// Reduce block of ring collectives (Fig. 13(c)), is modelled where its two
+// halves act: internal/cosim holds ring chunks that arrive before the
+// local gradient (pendingFwd), and internal/mpt's ring adds each hop's
+// contribution in place. The §VI-A task scheduler with its update-counter
+// dependency checks runs in internal/cosim, which drives each worker's
+// task pipeline at this package's timing model.
 package ndp
 
 // Config is the per-worker hardware configuration of Section VI-B /

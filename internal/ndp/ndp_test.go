@@ -1,7 +1,6 @@
 package ndp
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -164,122 +163,4 @@ func TestPackingDMAPanicsOnBadLengths(t *testing.T) {
 		}
 	}()
 	dma.Pack([]float32{1, 2, 3}, m)
-}
-
-func TestReduceBlockInOrder(t *testing.T) {
-	rb := NewReduceBlock(7, 2)
-	out, err := rb.Accept(Chunk{MsgID: 7, Index: 0, Data: []float32{1, 2}})
-	if err != nil || out != nil {
-		t.Fatalf("first contribution should buffer: %v %v", out, err)
-	}
-	out, err = rb.Accept(Chunk{MsgID: 7, Index: 0, Data: []float32{10, 20}})
-	if err != nil || out == nil {
-		t.Fatalf("second contribution should release: %v %v", out, err)
-	}
-	if out[0] != 11 || out[1] != 22 {
-		t.Fatalf("reduced = %v", out)
-	}
-	if rb.Adds() != 2 {
-		t.Fatalf("adds = %d", rb.Adds())
-	}
-	if rb.Pending() != 0 {
-		t.Fatal("chunk not released")
-	}
-}
-
-func TestReduceBlockOutOfOrderAcrossChunks(t *testing.T) {
-	// Chunks 3 and 1 arrive interleaved from link and local compute — the
-	// exact scenario the multiple communication buffers exist for.
-	rb := NewReduceBlock(1, 2)
-	mustNil := func(c Chunk) {
-		t.Helper()
-		out, err := rb.Accept(c)
-		if err != nil || out != nil {
-			t.Fatalf("unexpected release: %v %v", out, err)
-		}
-	}
-	mustNil(Chunk{MsgID: 1, Index: 3, Data: []float32{1}})
-	mustNil(Chunk{MsgID: 1, Index: 1, Data: []float32{2}})
-	if rb.Pending() != 2 {
-		t.Fatalf("pending = %d", rb.Pending())
-	}
-	out, _ := rb.Accept(Chunk{MsgID: 1, Index: 1, Data: []float32{5}})
-	if out == nil || out[0] != 7 {
-		t.Fatalf("chunk 1 reduce = %v", out)
-	}
-	out, _ = rb.Accept(Chunk{MsgID: 1, Index: 3, Data: []float32{10}})
-	if out == nil || out[0] != 11 {
-		t.Fatalf("chunk 3 reduce = %v", out)
-	}
-}
-
-func TestReduceBlockErrors(t *testing.T) {
-	rb := NewReduceBlock(1, 2)
-	if _, err := rb.Accept(Chunk{MsgID: 2, Index: 0, Data: []float32{1}}); err == nil {
-		t.Fatal("foreign message accepted")
-	}
-	rb.Accept(Chunk{MsgID: 1, Index: 0, Data: []float32{1, 2}})
-	if _, err := rb.Accept(Chunk{MsgID: 1, Index: 0, Data: []float32{1}}); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("contributions<1 accepted")
-		}
-	}()
-	NewReduceBlock(0, 0)
-}
-
-// TestReduceBlockResetAndRecycle: a reset block serves a new message with
-// nothing pending, a handed-back buffer stores the next first-arriving
-// chunk (in place when it is the chunk's own data) but only when its
-// length holds the chunk, and rejected chunks report a ChunkError.
-func TestReduceBlockResetAndRecycle(t *testing.T) {
-	rb := NewReduceBlock(1, 2)
-	rb.Accept(Chunk{MsgID: 1, Index: 0, Data: []float32{1}})
-	rb.Reset(5)
-	if rb.MsgID != 5 || rb.Pending() != 0 || rb.Adds() != 0 {
-		t.Fatalf("after Reset: msg %d, %d pending, %d adds", rb.MsgID, rb.Pending(), rb.Adds())
-	}
-	var ce ChunkError
-	if _, err := rb.Accept(Chunk{MsgID: 1, Index: 0, Data: []float32{1}}); !errors.As(err, &ce) || ce.BlockMsg != 5 {
-		t.Fatalf("foreign chunk after Reset: %v", err)
-	}
-
-	run := []float32{1, 2, 3}
-	rb.Recycle(run)
-	if out, err := rb.Accept(Chunk{MsgID: 5, Index: 0, Data: run}); out != nil || err != nil {
-		t.Fatalf("first arrival released %v, %v", out, err)
-	}
-	out, err := rb.Accept(Chunk{MsgID: 5, Index: 0, Data: []float32{10, 20, 30}})
-	if err != nil || &out[0] != &run[0] {
-		t.Fatalf("reduced chunk not stored in the handed-back buffer: %v", err)
-	}
-	if run[0] != 11 || run[1] != 22 || run[2] != 33 {
-		t.Fatalf("in-place reduce = %v", run)
-	}
-
-	// A buffer too small for the chunk is not used.
-	small := make([]float32, 1)
-	rb.Recycle(small)
-	rb.Accept(Chunk{MsgID: 5, Index: 1, Data: []float32{4, 5}})
-	out, _ = rb.Accept(Chunk{MsgID: 5, Index: 1, Data: []float32{1, 1}})
-	if len(out) != 2 || out[0] != 5 || out[1] != 6 || small[0] != 0 {
-		t.Fatalf("reduce past a too-small hand-back = %v (hand-back %v)", out, small)
-	}
-	// Nor is one whose capacity, but not length, holds the chunk: the
-	// memory past its length still belongs to the caller.
-	big := []float32{0, -1}
-	rb.Recycle(big[:1])
-	rb.Accept(Chunk{MsgID: 5, Index: 3, Data: []float32{4, 5}})
-	out, _ = rb.Accept(Chunk{MsgID: 5, Index: 3, Data: []float32{1, 1}})
-	if len(out) != 2 || out[0] != 5 || out[1] != 6 || big[0] != 0 || big[1] != -1 {
-		t.Fatalf("reduce past a short hand-back = %v (hand-back %v)", out, big)
-	}
-	if _, err := rb.Accept(Chunk{MsgID: 5, Index: 2, Data: []float32{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.Accept(Chunk{MsgID: 5, Index: 2, Data: []float32{1, 2}}); !errors.As(err, &ce) || ce.Stored != 1 {
-		t.Fatalf("size mismatch: %v", err)
-	}
 }

@@ -26,11 +26,10 @@ type Event struct {
 
 // Shared pid lanes: each instrumented subsystem renders as its own
 // process row in the Chrome trace viewer. Packages use these constants so
-// a combined trace from sim + NoC + MPT lands in predictable lanes.
+// a combined trace from sim + NoC lands in predictable lanes.
 const (
 	PIDSim = 1 // internal/sim: per-layer phases and sweep cells
 	PIDNoC = 2 // internal/noc: message lifetimes, fault/retransmit events
-	PIDMPT = 3 // internal/mpt: training-step phases, checkpoint/recovery
 )
 
 // A Tracer accumulates cycle-domain events for Chrome trace_event export.

@@ -11,8 +11,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden trace file")
 
+// pidThird is a third lane beside PIDSim and PIDNoC, so the golden spans
+// three processes.
+const pidThird = 3
+
 // goldenTracer builds a small fixed scenario spanning every event kind and
-// all three pid lanes, emitted deliberately out of lane order so the test
+// three pid lanes, emitted deliberately out of lane order so the test
 // also pins the canonical (pid, tid, ts) export ordering.
 func goldenTracer() *Tracer {
 	tr := NewTracer()
@@ -20,14 +24,14 @@ func goldenTracer() *Tracer {
 	tr.NameThread(PIDSim, 0, "config w_mp++")
 	tr.NameProcess(PIDNoC, "noc")
 	tr.NameThread(PIDNoC, 3, "node 3")
-	tr.NameProcess(PIDMPT, "mpt")
-	tr.NameThread(PIDMPT, 0, "training steps")
+	tr.NameProcess(pidThird, "mpt")
+	tr.NameThread(pidThird, 0, "training steps")
 
-	tr.Span(PIDMPT, 0, "step", "mpt.phase", 0, 1, map[string]any{"loss": 0.5})
+	tr.Span(pidThird, 0, "step", "mpt.phase", 0, 1, map[string]any{"loss": 0.5})
 	tr.Span(PIDSim, 0, "Early fwd", "sim.phase", 0, 1200, map[string]any{"ng": 16, "nc": 16})
 	tr.Instant(PIDNoC, 3, "retransmit", "noc.fault", 420, map[string]any{"msg": 7})
 	tr.Span(PIDSim, 0, "Early bwd", "sim.phase", 1200, 2400, nil)
-	tr.CounterSample(PIDMPT, 0, "traffic", 1, map[string]any{
+	tr.CounterSample(pidThird, 0, "traffic", 1, map[string]any{
 		"scatter_bytes": 4096, "gather_bytes": 1024,
 	})
 	return tr

@@ -8,8 +8,8 @@ import (
 )
 
 // measureFpropError returns the max absolute fprop error of transform tr
-// against direct convolution on a fixed random layer, normalized by the
-// output magnitude.
+// against direct convolution on a fixed random layer: the raw difference,
+// not normalised by the output magnitude.
 func measureFpropError(t *testing.T, tr *Transform) float64 {
 	t.Helper()
 	p := conv.Params{In: 4, Out: 4, K: tr.R, Pad: conv.SamePad(tr.R), H: 16, W: 16}
@@ -20,10 +20,6 @@ func measureFpropError(t *testing.T, tr *Transform) float64 {
 	rng.FillHe(w, p.In*p.K*p.K)
 	want := conv.Fprop(p, x, w)
 	got := Fprop(tr, p, x, w)
-	scale := want.L2Norm() / float64(len(want.Data))
-	if scale == 0 {
-		scale = 1
-	}
 	return got.MaxAbsDiff(want)
 }
 
