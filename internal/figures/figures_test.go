@@ -55,7 +55,7 @@ func TestAllFiguresProduceTablesAndMetrics(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/figures_golden.txt")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata")
 
 // TestFastFiguresDeterministic pins the analytic figures: Fig. 1/6/7/15/16/
 // 17/18 render byte for byte as testdata/figures_golden.txt, the output of
@@ -162,7 +162,9 @@ func TestFig14Equivalence(t *testing.T) {
 }
 
 // TestNoCValidationRatios: the flit-level simulator must sit at or above
-// the analytic bounds, within the documented factors.
+// the analytic bounds, within the documented factors, and the validation
+// renders byte for byte as testdata/noc_golden.txt, the output of
+// `figures -only noc`. -update rewrites the golden.
 func TestNoCValidationRatios(t *testing.T) {
 	r := NoCValidation()
 	if r.Metrics["ring_ratio"] < 0.8 || r.Metrics["ring_ratio"] > 1.5 {
@@ -170,6 +172,20 @@ func TestNoCValidationRatios(t *testing.T) {
 	}
 	if r.Metrics["a2a_ratio"] < 1.0 || r.Metrics["a2a_ratio"] > 4.0 {
 		t.Fatalf("all-to-all ratio %v outside [1,4]", r.Metrics["a2a_ratio"])
+	}
+	golden := filepath.Join("testdata", "noc_golden.txt")
+	got := Render(r)
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("NoC validation drifted from %s\n--- got ---\n%s", golden, got)
 	}
 }
 
