@@ -5,67 +5,35 @@ import (
 	"strings"
 
 	"mptwino/internal/noc"
-	"mptwino/internal/topology"
+	"mptwino/internal/sim"
 )
 
 // NoCValidation cross-checks the analytic link-bandwidth model the system
 // simulator uses against the flit-level network simulator on the paper's
-// two traffic patterns: pipelined ring collectives (weight gradients) and
-// cluster all-to-all (tile transfer). Message sizes are scaled down from
-// the full gradients so the flit-level run stays tractable on one core;
-// both model and simulator scale linearly in message size in this regime.
+// two traffic patterns over one 16-worker MPT group: a pipelined ring
+// collective (weight gradients, sim.RingCheck) and a cluster all-to-all
+// on the 4×4 FBFLY (tile transfer, sim.CellCheck). Message sizes are
+// scaled down from the full gradients so the flit-level run stays
+// tractable on one core; both model and simulator scale linearly in
+// message size in this regime.
 func NoCValidation() Result {
 	var b strings.Builder
 	metrics := map[string]float64{}
 	cfg := noc.DefaultConfig()
 
 	fmt.Fprintf(&b, "%-28s %12s %12s %8s\n", "pattern", "model (us)", "flit sim(us)", "ratio")
-
-	// Ring collective over one MPT group (16 workers, full links).
-	{
-		const workers, msg = 16, 64 * 1024
-		g := topology.Ring(workers)
-		n := noc.New(g, cfg)
-		members := make([]int, workers)
-		for i := range members {
-			members[i] = i
-		}
-		st, err := n.Run(&noc.RingCollective{Members: members, Bytes: msg}, 50_000_000)
-		if err != nil {
-			panic(err)
-		}
-		simUS := st.Duration(cfg.ClockHz) * 1e6
-		modelUS := (2*float64(msg)*float64(workers-1)/float64(workers)/30e9 +
-			2*float64(workers-1)*(5e-9+256.0/30e9)) * 1e6
-		fmt.Fprintf(&b, "%-28s %12.2f %12.2f %8.2f\n", "ring-16 collective 64KB", modelUS, simUS, simUS/modelUS)
-		metrics["ring_model_us"] = modelUS
-		metrics["ring_sim_us"] = simUS
-		metrics["ring_ratio"] = simUS / modelUS
+	for _, c := range []struct {
+		name, key string
+		check     sim.NoCCheck
+	}{
+		{"ring-16 collective 64KB", "ring", sim.RingCheck(cfg, 16, 64*1024)},
+		{"fbfly-16 all-to-all 4KB", "a2a", sim.CellCheck(cfg, 16, 4*1024)},
+	} {
+		fmt.Fprintf(&b, "%-28s %12.2f %12.2f %8.2f\n", c.name, c.check.ModelUS, c.check.SimUS, c.check.Ratio)
+		metrics[c.key+"_model_us"] = c.check.ModelUS
+		metrics[c.key+"_sim_us"] = c.check.SimUS
+		metrics[c.key+"_ratio"] = c.check.Ratio
 	}
-
-	// All-to-all over one 16-worker FBFLY cluster (narrow links).
-	{
-		const pairBytes = 4 * 1024
-		g := topology.FBFly2D(4)
-		n := noc.New(g, cfg)
-		members := make([]int, 16)
-		for i := range members {
-			members[i] = i
-		}
-		st, err := n.Run(&noc.AllToAll{Members: members, Bytes: pairBytes}, 50_000_000)
-		if err != nil {
-			panic(err)
-		}
-		simUS := st.Duration(cfg.ClockHz) * 1e6
-		// Model: each worker sources 15·pair bytes over 6 narrow links at
-		// 10 B/cycle, derated by the 1.6 mean hop count.
-		modelUS := float64(15*pairBytes) * 1.6 / 60.0 / cfg.ClockHz * 1e6
-		fmt.Fprintf(&b, "%-28s %12.2f %12.2f %8.2f\n", "fbfly-16 all-to-all 4KB", modelUS, simUS, simUS/modelUS)
-		metrics["a2a_model_us"] = modelUS
-		metrics["a2a_sim_us"] = simUS
-		metrics["a2a_ratio"] = simUS / modelUS
-	}
-
 	fmt.Fprintf(&b, "ratios near 1.0 validate the bandwidth x hop model used by internal/sim\n")
 	return Result{
 		ID:      "noc",

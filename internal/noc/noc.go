@@ -26,7 +26,6 @@ import (
 	"runtime"
 
 	"mptwino/internal/fault"
-	"mptwino/internal/telemetry"
 	"mptwino/internal/topology"
 )
 
@@ -285,14 +284,12 @@ type Network struct {
 
 	scratch stepScratch // the cycle loop's workspace (step.go)
 
-	// Stats
+	// Running totals, which Stats reports: with Stats and each Message's
+	// cycles and retries they are the simulator's one record of a run.
 	BytesByClass map[topology.LinkClass]int64
 	FlitHops     int64
 	DroppedFlits int64
 	Retransmits  int64
-
-	// telemetry handles (zero value = disabled; see Instrument)
-	tel instruments
 }
 
 // New builds a network simulator over graph g. It panics on an invalid
@@ -439,11 +436,6 @@ func (n *Network) FailNode(v int) {
 		return
 	}
 	n.failed[v] = true
-	n.tel.failures.Inc()
-	if n.tel.tracer.Enabled() {
-		n.tel.tracer.Instant(telemetry.PIDNoC, v, "node_failure", "noc.fault", n.now,
-			map[string]any{"node": v})
-	}
 	// Every cursor moves on under its router's present port count up to
 	// the next transmission stage before buildArb shortens the lists.
 	n.settleCursors(n.txDone + 1)
@@ -538,7 +530,6 @@ func (n *Network) dropForFailure(f flit, v int) {
 		return
 	}
 	n.DroppedFlits++
-	n.tel.dropped.Inc()
 	if m.Src == v || m.Dst == v {
 		n.markLost(m, fmt.Sprintf("module %d failed", v))
 		return
@@ -629,11 +620,6 @@ func (n *Network) markLost(m *Message, why string) {
 	m.lost = true
 	m.droppedBytes = 0
 	n.lost = append(n.lost, lossRecord{m: m, why: why})
-	n.tel.lost.Inc()
-	if n.tel.tracer.Enabled() {
-		n.tel.tracer.Instant(telemetry.PIDNoC, m.Src, "message_lost", "noc.fault", n.now,
-			map[string]any{"id": m.ID, "dst": m.Dst, "why": why})
-	}
 }
 
 // processRetries fires due retransmit timers: a message with dropped bytes
@@ -669,11 +655,6 @@ func (n *Network) processRetries() {
 		}
 		m.Retries++
 		n.Retransmits++
-		n.tel.retransmits.Inc()
-		if n.tel.tracer.Enabled() {
-			n.tel.tracer.Instant(telemetry.PIDNoC, m.Src, "retransmit", "noc.fault", n.now,
-				map[string]any{"id": m.ID, "dst": m.Dst, "bytes": m.droppedBytes, "retry": m.Retries})
-		}
 		n.enqueue(m, m.droppedBytes, hop)
 		m.droppedBytes = 0
 	}
@@ -916,7 +897,6 @@ func (n *Network) deliverFlit(d Driver, f flit) {
 	if m.receivedBytes >= m.Bytes && !m.delivered {
 		m.delivered = true
 		m.DeliveredAt = n.now
-		n.tel.delivered.Inc()
 		d.OnDeliver(n, m)
 	}
 }
@@ -954,7 +934,6 @@ func (n *Network) stats() Stats {
 				continue
 			}
 			u := float64(l.busyFlits) / (float64(n.now) * float64(l.flitsPerCyc))
-			n.tel.linkUtil.Observe(u)
 			sum += u
 			active++
 			if u > s.MaxLinkUtil {
@@ -965,6 +944,5 @@ func (n *Network) stats() Stats {
 			s.MeanLinkUtil = sum / float64(active)
 		}
 	}
-	n.traceMessages()
 	return s
 }

@@ -51,7 +51,6 @@ func (sc *stepScratch) resetTransmit() {
 // arrivals, ejection, then output arbitration and transmission.
 func (n *Network) step(d Driver) {
 	n.now++
-	n.tel.cycles.Inc()
 
 	// 0. Fire scheduled module failures and due retransmit timers.
 	for len(n.pendingFailures) > 0 && n.pendingFailures[0].At <= n.now {
@@ -343,12 +342,9 @@ func (n *Network) applyTransmit(sc *stepScratch) {
 	n.FlitHops += sc.flitHops
 	n.sinceYield += sc.flitHops
 	n.DroppedFlits += sc.dropped
-	n.tel.flitHops.Add(sc.flitHops)
-	n.tel.dropped.Add(sc.dropped)
 	for class, b := range sc.bytesByClass {
 		if b != 0 {
 			n.BytesByClass[topology.LinkClass(class)] += b
-			n.tel.bytesClass[class].Add(b)
 		}
 	}
 	for _, ev := range sc.drops {

@@ -2,103 +2,35 @@ package planner
 
 import (
 	"mptwino/internal/noc"
-	"mptwino/internal/topology"
+	"mptwino/internal/sim"
 )
 
-// NoCCheck is one flit-level cross-check of a fabric the plan relies on.
-type NoCCheck struct {
-	Pattern string // "cell-a2a" or "cluster-ring"
-	Size    int    // cell size / ring member count
-	Bytes   int64  // payload per pair / collective message
-	ModelUS float64
-	SimUS   float64
-	Ratio   float64 // sim / model
-}
-
 // ValidateNoC replays the plan's chosen fabrics on the flit-level
-// network simulator — the same methodology as figures.NoCValidation, but
-// driven by the plan instead of the fixed (16,16) grid. Each distinct
-// cell size gets an all-to-all over its FBFLY (tile scatter/gather and
-// partial-sum traffic), and each distinct cluster count gets a pipelined
-// ring collective (weight gradients), with message sizes scaled down so
-// flit-level runs stay tractable; both model and simulator are linear in
-// message size in this regime. Rings larger than 16 members are sampled
-// at 16 — the per-hop model error the check guards against does not grow
-// with ring length. Deterministic: checks appear in plan order, one per
-// distinct size.
-func ValidateNoC(p Plan) []NoCCheck {
+// network simulator — the checks figures.NoCValidation runs on the fixed
+// (16,16) grid, driven by the plan. Each distinct cell size gets a
+// sim.CellCheck of 2 KB per pair (tile scatter/gather and partial-sum
+// traffic), and each distinct cluster count gets a sim.RingCheck of a
+// 64 KB message (weight gradients), scaled down so flit-level runs stay
+// tractable; both model and simulator are linear in message size in this
+// regime. Rings larger than 16 members are sampled at 16 — the per-hop
+// model error the check guards against does not grow with ring length.
+// Deterministic: checks appear in plan order, one per distinct size.
+func ValidateNoC(p Plan) []sim.NoCCheck {
 	cfg := noc.DefaultConfig()
-	var out []NoCCheck
+	var out []sim.NoCCheck
 	seenCell := make(map[int]bool)
 	seenRing := make(map[int]bool)
 
 	for _, ch := range p.Choices {
 		if d := ch.St.Cell(); d > 1 && !seenCell[d] {
 			seenCell[d] = true
-			out = append(out, cellCheck(cfg, d))
+			out = append(out, sim.CellCheck(cfg, d, 2*1024))
 		}
-		n := ch.St.Nc
-		if n > 16 {
-			n = 16
-		}
+		n := min(ch.St.Nc, 16)
 		if n > 1 && !seenRing[n] {
 			seenRing[n] = true
-			out = append(out, ringCheck(cfg, n))
+			out = append(out, sim.RingCheck(cfg, n, 64*1024))
 		}
 	}
 	return out
-}
-
-// cellCheck runs an all-to-all across one d-worker cell on its
-// side×side flattened butterfly (narrow links: FlitBytes per cycle,
-// 2·(side−1) of them per router).
-func cellCheck(cfg noc.Config, d int) NoCCheck {
-	side := 1
-	for side*side < d {
-		side++
-	}
-	const pairBytes = 2 * 1024
-	g := topology.FBFly2D(side)
-	n := noc.New(g, cfg)
-	members := make([]int, d)
-	for i := range members {
-		members[i] = i
-	}
-	st, err := n.Run(&noc.AllToAll{Members: members, Bytes: pairBytes}, 50_000_000)
-	if err != nil {
-		panic(err)
-	}
-	simUS := st.Duration(cfg.ClockHz) * 1e6
-	// Analytic model: each worker sources (d−1)·pair bytes over its
-	// 2·(side−1) narrow links, derated by the mean hop count 2s/(s+1).
-	hops := 2 * float64(side) / float64(side+1)
-	linkBytesPerCycle := float64(2*(side-1)) * float64(cfg.FlitBytes)
-	modelUS := float64(int64(d-1)*pairBytes) * hops / linkBytesPerCycle / cfg.ClockHz * 1e6
-	return NoCCheck{
-		Pattern: "cell-a2a", Size: d, Bytes: pairBytes,
-		ModelUS: modelUS, SimUS: simUS, Ratio: simUS / modelUS,
-	}
-}
-
-// ringCheck runs a pipelined ring collective over n members with full
-// links, mirroring the bandwidth+fill closed form sim uses.
-func ringCheck(cfg noc.Config, n int) NoCCheck {
-	const msg = 64 * 1024
-	g := topology.Ring(n)
-	nw := noc.New(g, cfg)
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	st, err := nw.Run(&noc.RingCollective{Members: members, Bytes: msg}, 50_000_000)
-	if err != nil {
-		panic(err)
-	}
-	simUS := st.Duration(cfg.ClockHz) * 1e6
-	modelUS := (2*float64(msg)*float64(n-1)/float64(n)/30e9 +
-		2*float64(n-1)*(5e-9+256.0/30e9)) * 1e6
-	return NoCCheck{
-		Pattern: "cluster-ring", Size: n, Bytes: msg,
-		ModelUS: modelUS, SimUS: simUS, Ratio: simUS / modelUS,
-	}
 }

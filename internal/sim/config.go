@@ -4,7 +4,7 @@
 // execution time, a four-factor energy breakdown, and traffic counts. The
 // phase durations come from the ndp timing model and a link-bandwidth ×
 // hop-count network model whose parameters match the flit-level noc
-// simulator (which validates them in the bench suite).
+// simulator (CellCheck and RingCheck run the two side by side).
 package sim
 
 import (
@@ -108,7 +108,7 @@ type System struct {
 	// hotspots). Calibrated against the flit-level noc simulator: the
 	// measured FBFLY all-to-all time is ~2.4× the hop-weighted bandwidth
 	// bound, of which 1.6× is mean hop count, leaving ~1.5× congestion
-	// (see figures.NoCValidation).
+	// (CellCheck at d = 16, which figures.NoCValidation reports).
 	TileCongestion float64
 
 	// ChunkBytes is the collective packet size (256 B).

@@ -15,7 +15,7 @@ import (
 type Event struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"` // "X" complete, "i" instant, "C" counter sample, "M" metadata
+	Ph   string         `json:"ph"` // "X" complete, "i" instant, "M" metadata
 	TS   int64          `json:"ts"` // simulated cycles
 	Dur  int64          `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
@@ -24,13 +24,9 @@ type Event struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// Shared pid lanes: each instrumented subsystem renders as its own
-// process row in the Chrome trace viewer. Packages use these constants so
-// a combined trace from sim + NoC lands in predictable lanes.
-const (
-	PIDSim = 1 // internal/sim: per-layer phases and sweep cells
-	PIDNoC = 2 // internal/noc: message lifetimes, fault/retransmit events
-)
+// PIDSim is internal/sim's pid lane (per-layer phases and sweep cells),
+// which renders as its own process row in the Chrome trace viewer.
+const PIDSim = 1
 
 // A Tracer accumulates cycle-domain events for Chrome trace_event export.
 // A nil *Tracer drops every event (the disabled state), so instrumented
@@ -80,19 +76,6 @@ func (t *Tracer) Instant(pid, tid int, name, cat string, ts int64, args map[stri
 	t.mu.Lock()
 	t.events = append(t.events, Event{
 		Name: name, Cat: cat, Ph: "i", TS: ts, PID: pid, TID: tid, S: "t", Args: args,
-	})
-	t.mu.Unlock()
-}
-
-// CounterSample records a counter ("C") event: the viewer draws a stacked
-// time series of the args values. No-op on nil.
-func (t *Tracer) CounterSample(pid, tid int, name string, ts int64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, Event{
-		Name: name, Ph: "C", TS: ts, PID: pid, TID: tid, Args: args,
 	})
 	t.mu.Unlock()
 }

@@ -11,9 +11,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden trace file")
 
-// pidThird is a third lane beside PIDSim and PIDNoC, so the golden spans
+// pidNoC and pidThird are two lanes beside PIDSim, so the golden spans
 // three processes.
-const pidThird = 3
+const (
+	pidNoC   = 2
+	pidThird = 3
+)
 
 // goldenTracer builds a small fixed scenario spanning every event kind and
 // three pid lanes, emitted deliberately out of lane order so the test
@@ -22,18 +25,15 @@ func goldenTracer() *Tracer {
 	tr := NewTracer()
 	tr.NameProcess(PIDSim, "sim")
 	tr.NameThread(PIDSim, 0, "config w_mp++")
-	tr.NameProcess(PIDNoC, "noc")
-	tr.NameThread(PIDNoC, 3, "node 3")
+	tr.NameProcess(pidNoC, "noc")
+	tr.NameThread(pidNoC, 3, "node 3")
 	tr.NameProcess(pidThird, "mpt")
 	tr.NameThread(pidThird, 0, "training steps")
 
 	tr.Span(pidThird, 0, "step", "mpt.phase", 0, 1, map[string]any{"loss": 0.5})
 	tr.Span(PIDSim, 0, "Early fwd", "sim.phase", 0, 1200, map[string]any{"ng": 16, "nc": 16})
-	tr.Instant(PIDNoC, 3, "retransmit", "noc.fault", 420, map[string]any{"msg": 7})
+	tr.Instant(pidNoC, 3, "retransmit", "noc.fault", 420, map[string]any{"msg": 7})
 	tr.Span(PIDSim, 0, "Early bwd", "sim.phase", 1200, 2400, nil)
-	tr.CounterSample(pidThird, 0, "traffic", 1, map[string]any{
-		"scatter_bytes": 4096, "gather_bytes": 1024,
-	})
 	return tr
 }
 
@@ -80,7 +80,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no traceEvents")
 	}
-	valid := map[string]bool{"X": true, "i": true, "C": true, "M": true}
+	valid := map[string]bool{"X": true, "i": true, "M": true}
 	for i, ev := range doc.TraceEvents {
 		for _, key := range []string{"name", "ph", "ts", "pid", "tid"} {
 			if _, ok := ev[key]; !ok {

@@ -69,7 +69,8 @@ type Run struct {
 
 	// Metrics holds the flat snapshot (-metrics-json / Registry.Snapshot)
 	// keyed by instrument name; nil when no snapshot was attached. Values
-	// are float64 because the JSON dump may carry histogram percentiles.
+	// are float64 so that older dumps, whose histogram percentile entries
+	// were fractional, still load.
 	Metrics map[string]float64
 }
 
