@@ -206,11 +206,8 @@ func WeightShardBytes(tr *winograd.Transform, p conv.Params, s Strategy) int64 {
 //   - bprop:  scatter output-gradient tiles dY, gather input-gradient dX
 //   - updateGrad: ring collective of the worker's weight-gradient shard
 //
-// The tile terms are PhaseVolumes summed over both phases. One-worker
-// cells (direct convolution, w_dp) have no tile transfer; single-cluster
-// Winograd strategies (Nc=1) have no weight collective. When the group
-// count lets each worker hold whole tile lines, the 1-D transform
-// optimization shrinks gathered tiles by m/T (Section IV).
+// The tile terms are TileVolumes' (direct convolution moves no tiles);
+// single-cluster Winograd strategies (Nc=1) have no weight collective.
 func LayerVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) Volumes {
 	if err := s.Validate(); err != nil {
 		panic(err)
@@ -218,14 +215,23 @@ func LayerVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) 
 	// A sharded weight is replicated once per cluster; a spatial replica
 	// of direct convolution sits on every worker.
 	ring := s.Nc
-	if !s.Winograd {
+	var v Volumes
+	if s.Winograd {
+		v = TileVolumes(tr, p, batch, s)
+	} else {
 		ring = s.Workers()
 	}
-	v := Volumes{Weight: RingCollectivePerWorker(WeightShardBytes(tr, p, s), ring)}
-	if !s.Winograd {
-		return v
-	}
+	v.Weight = RingCollectivePerWorker(WeightShardBytes(tr, p, s), ring)
+	return v
+}
 
+// TileVolumes returns the tile terms of a Winograd strategy's
+// LayerVolumes: PhaseVolumes summed over both phases, with the Section V
+// reductions applied to the scatter and gather (Weight stays 0). A
+// one-worker cell (w_dp) moves no tiles. When the group count lets each
+// worker hold whole tile lines, the 1-D transform optimization shrinks
+// gathered tiles by m/T (Section IV).
+func TileVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) Volumes {
 	fwd, bwd := PhaseVolumes(tr, p, batch, s)
 	gather := fwd.Gather + bwd.Gather // Y, dX
 	if winograd.HoldsWholeLines(tr.T, s.Ng) && s.Ng > 1 {
@@ -233,10 +239,11 @@ func LayerVolumes(tr *winograd.Transform, p conv.Params, batch int, s Strategy) 
 		// source: gathered data shrinks from T to m values per line.
 		gather = gather * int64(tr.M) / int64(tr.T)
 	}
-	v.TileGather = int64(float64(gather) * (1 - s.GatherReduction))
-	v.TileScatter = int64(float64(fwd.Scatter+bwd.Scatter) * (1 - s.ScatterReduction)) // X, dY
-	v.PartialSum = fwd.Partial + bwd.Partial
-	return v
+	return Volumes{
+		TileGather:  int64(float64(gather) * (1 - s.GatherReduction)),
+		TileScatter: int64(float64(fwd.Scatter+bwd.Scatter) * (1 - s.ScatterReduction)), // X, dY
+		PartialSum:  fwd.Partial + bwd.Partial,
+	}
 }
 
 // NetworkVolumes sums per-worker volumes over a network's layers for a

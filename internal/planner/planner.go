@@ -6,16 +6,18 @@
 // sim.SimulateNetworkWithPlan and mpt consume in place of the paper's
 // fixed three-config menu.
 //
-// The search has three deterministic stages:
+// The search has three deterministic stages. The first two run per
+// layer, each layer's whole search serially on one host worker, and the
+// layers fan out across the pool:
 //
-//  1. Enumerate. comm.Factorizations(p) filtered per layer (Ng ≤ T²,
-//     Nc ≤ batch, Nf ≤ Out, Ni ≤ In), plus the three menu wirings as
-//     anchors and the direct-convolution baseline.
-//  2. Prune. Each candidate gets a communication-time lower bound
-//     (sim.CommFloorSec, Chen/Demmel-style: link model × unavoidable
-//     volume, no compute terms). The menu anchors are simulated first;
-//     any non-anchor whose bound already exceeds the best anchor time by
-//     the slack factor is dominated and never reaches the full oracle.
+//  1. Enumerate. comm.Factorizations(p), listed once per Build, filtered
+//     per layer (Ng ≤ T², Nc ≤ batch, Nf ≤ Out, Ni ≤ In), plus the three
+//     menu wirings as anchors and the direct-convolution baseline.
+//  2. Prune. The menu anchors are simulated first. Each other candidate
+//     gets a communication-time lower bound (sim.CommFloorSec,
+//     Chen/Demmel-style: link model × unavoidable volume, no compute
+//     terms); one whose bound already exceeds the best anchor time by the
+//     slack factor is dominated and never reaches the full oracle.
 //     Anchors are exempt, which guarantees the plan never loses to the
 //     fixed menu under the same accounting.
 //  3. Choose. A shortest-path DP over the layer sequence adds an
@@ -81,8 +83,6 @@ type Candidate struct {
 	// anchors are never pruned, so the DP's solution space always
 	// contains the whole menu.
 	Anchor bool
-	// FloorSec is the communication-time lower bound used for pruning.
-	FloorSec float64
 }
 
 // LayerChoice is the plan's decision for one layer.
@@ -157,97 +157,34 @@ type node struct {
 	bound    int64
 }
 
-// Build runs the search and returns the plan for net.
+// Build runs the search and returns the plan for net. A network with no
+// layers gets a plan with no choices and zero times.
 func Build(net model.Network, opts Options) Plan {
 	sys := opts.System
 	cfg := opts.config()
-	p := sys.Workers
-	workers := sys.HostWorkers()
+	plan := Plan{Network: net.Name, Workers: sys.Workers, Config: cfg, Slack: DefaultSlack}
 
-	plan := Plan{Network: net.Name, Workers: p, Config: cfg, Slack: DefaultSlack}
-	nodes := make([][]node, len(net.Layers))
-	anchorNodes := make([][]node, len(net.Layers))
-	candTotals := make([]int, len(net.Layers))
-	prunedTotals := make([]int, len(net.Layers))
+	// One fan-out: each item is one layer's whole search, enumerated into
+	// its worker's candidate buffer, which the worker's next layer reuses.
+	enum := newEnumerator(sys.Workers, cfg.UsesPrediction(), sys.Reductions, opts.AllowWideTiles)
+	n, workers := len(net.Layers), sys.HostWorkers()
+	layers := make([]layerSearch, n)
+	bufs := make([][]Candidate, parallel.Workers(workers, n))
+	parallel.ForEachWorker(workers, n, func(w, i int) {
+		if bufs[w] == nil {
+			bufs[w] = make([]Candidate, 0, enum.maxLen) // no layer regrows it
+		}
+		l := net.Layers[i]
+		bufs[w] = enum.appendCandidates(bufs[w][:0], l, net.Batch)
+		layers[i] = searchLayer(&sys, cfg, l, net.Batch, bufs[w])
+	})
 
-	for i, l := range net.Layers {
-		cands := Candidates(l, net.Batch, p, cfg.UsesPrediction(), sys.Reductions, opts.AllowWideTiles)
-		for ci := range cands {
-			cands[ci].FloorSec = sys.CommFloorSec(l, net.Batch, cands[ci].St)
-		}
-		rep := float64(l.EffectiveRepeat())
-
-		// Anchors sit at the head of the candidate list — the menu
-		// wirings first, then the direct baseline. They are simulated
-		// unconditionally; the best MENU anchor sets both the acceptance
-		// bar (MenuExecSec reproduces SimulateNetwork's dynamic-
-		// clustering choice) and the pruning threshold, which is a pure
-		// function of those results, so every other candidate's pruning
-		// decision is order-independent.
-		na := 0
-		for na < len(cands) && cands[na].Anchor {
-			na++
-		}
-		menuN := na - 1 // the direct baseline closes the anchors
-		anchorRes := parallel.Map(workers, na, func(j int) sim.LayerResult {
-			return sys.SimulateLayerStrategy(l, net.Batch, cfg, cands[j].St)
-		})
-		anchorBest := math.Inf(1)
-		for _, r := range anchorRes[:menuN] {
-			if t := r.TotalSec(); t < anchorBest {
-				anchorBest = t
-			}
-		}
-		plan.MenuExecSec += anchorBest * rep
-
-		var rest []Candidate
-		pruned := 0
-		for _, c := range cands[na:] {
-			if c.FloorSec <= anchorBest*DefaultSlack {
-				rest = append(rest, c)
-			} else {
-				pruned++
-			}
-		}
-		restRes := parallel.Map(workers, len(rest), func(j int) sim.LayerResult {
-			return sys.SimulateLayerStrategy(l, net.Batch, cfg, rest[j].St)
-		})
-
-		// The menu anchors go to anchorNodes for the menu-restricted DP.
-		// The plan's DP runs over the dominance-filtered set: any
-		// candidate (anchor or not) whose layer time loses to the best
-		// menu anchor is excluded, which guarantees the executed plan
-		// (Σ layer times) never exceeds the fixed menu's result, no
-		// matter how the DP trades redistribution. The best anchor
-		// itself always qualifies, so the DP is never infeasible.
-		mkNode := func(c Candidate, r sim.LayerResult) node {
-			nd := node{st: c.St, m: 1, timeSec: r.TotalSec() * rep, achieved: r.NetBytes, bound: r.BoundBytes}
-			if c.St.Winograd {
-				tr, _ := c.St.Transform(l.P.K) // simulated, so feasible
-				nd.m = tr.M
-			}
-			return nd
-		}
-		anchorNodes[i] = make([]node, menuN)
-		for j := 0; j < menuN; j++ {
-			anchorNodes[i][j] = mkNode(cands[j], anchorRes[j])
-		}
-		var layerNodes []node
-		for j, r := range anchorRes {
-			if r.TotalSec() <= anchorBest {
-				layerNodes = append(layerNodes, mkNode(cands[j], r))
-			}
-		}
-		for j, r := range restRes {
-			if r.TotalSec() <= anchorBest {
-				layerNodes = append(layerNodes, mkNode(rest[j], r))
-			}
-		}
-		nodes[i] = layerNodes
-		candTotals[i] = len(cands)
-		prunedTotals[i] = pruned
+	nodes := make([][]node, n)
+	anchorNodes := make([][]node, n)
+	for i, ls := range layers {
+		plan.MenuExecSec += ls.menuSec
+		nodes[i], anchorNodes[i] = ls.nodes, ls.anchors
 	}
-
 	total, picks := solveDP(sys, net, nodes)
 	menuTotal, _ := solveDP(sys, net, anchorNodes)
 
@@ -262,8 +199,8 @@ func Build(net model.Network, opts Options) Plan {
 			LayerSec:      nd.timeSec,
 			AchievedBytes: nd.achieved,
 			BoundBytes:    nd.bound,
-			Candidates:    candTotals[i],
-			Pruned:        prunedTotals[i],
+			Candidates:    layers[i].candidates,
+			Pruned:        layers[i].pruned,
 		}
 		if i > 0 {
 			ch.RedistSec = redistSec(sys, net.Layers[i-1], net.Batch, nodes[i-1][picks[i-1]], nd)
@@ -276,11 +213,85 @@ func Build(net model.Network, opts Options) Plan {
 	return plan
 }
 
+// layerSearch is one layer's search result.
+type layerSearch struct {
+	menuSec float64 // the best menu anchor's repeat-scaled time
+	anchors []node  // the menu anchors, for the menu-restricted DP
+	nodes   []node  // the menu-dominating candidates, for the plan's DP
+
+	candidates, pruned int
+}
+
+// searchLayer runs stages 1 and 2 for one layer on the calling goroutine
+// over its enumerated candidates.
+//
+// Anchors sit at the head of the candidate list — the menu wirings first,
+// then the direct baseline. They are simulated unconditionally; the best
+// MENU anchor sets both the acceptance bar (menuSec reproduces
+// SimulateNetwork's dynamic-clustering choice) and the pruning threshold,
+// which is a pure function of those results, so every other candidate's
+// pruning decision is order-independent.
+//
+// The menu anchors also go to anchors for the menu-restricted DP. The
+// plan's DP runs over the dominance-filtered set: any candidate (anchor or
+// not) whose layer time loses to the best menu anchor is excluded, which
+// guarantees the executed plan (Σ layer times) never exceeds the fixed
+// menu's result, no matter how the DP trades redistribution. The best
+// anchor itself always qualifies, so the DP is never infeasible.
+func searchLayer(sys *sim.System, cfg sim.SystemConfig, l model.Layer, batch int, cands []Candidate) layerSearch {
+	rep := float64(l.EffectiveRepeat())
+	na := 0
+	for na < len(cands) && cands[na].Anchor {
+		na++
+	}
+	menuN := na - 1 // the direct baseline closes the anchors
+	anchors := make([]node, na)
+	secs := make([]float64, na)
+	best := math.Inf(1)
+	for j := range anchors {
+		r := sys.SimulateLayerStrategy(l, batch, cfg, cands[j].St)
+		anchors[j], secs[j] = newNode(l, cands[j].St, r, rep), r.TotalSec()
+		if j < menuN && secs[j] < best {
+			best = secs[j]
+		}
+	}
+
+	ls := layerSearch{menuSec: best * rep, anchors: anchors[:menuN], candidates: len(cands)}
+	for j, nd := range anchors {
+		if secs[j] <= best {
+			ls.nodes = append(ls.nodes, nd)
+		}
+	}
+	for _, c := range cands[na:] {
+		if sys.CommFloorSec(l, batch, c.St) > best*DefaultSlack {
+			ls.pruned++
+			continue
+		}
+		if r := sys.SimulateLayerStrategy(l, batch, cfg, c.St); r.TotalSec() <= best {
+			ls.nodes = append(ls.nodes, newNode(l, c.St, r, rep))
+		}
+	}
+	return ls
+}
+
+// newNode records a simulated candidate of layer l as a DP node.
+func newNode(l model.Layer, st comm.Strategy, r sim.LayerResult, rep float64) node {
+	nd := node{st: st, m: 1, timeSec: r.TotalSec() * rep, achieved: r.NetBytes, bound: r.BoundBytes}
+	if st.Winograd {
+		tr, _ := st.Transform(l.P.K) // simulated, so feasible
+		nd.m = tr.M
+	}
+	return nd
+}
+
 // solveDP runs the layer-sequence shortest path: dp[i][j] =
 // min_k dp[i−1][k] + redist(k, j) + time[i][j]. Ties break to the
 // earliest predecessor, keeping the picks deterministic.
 func solveDP(sys sim.System, net model.Network, nodes [][]node) (float64, []int) {
 	n := len(nodes)
+	if n == 0 {
+		return 0, nil
+	}
 	prev := make([]float64, len(nodes[0]))
 	for j := range nodes[0] {
 		prev[j] = nodes[0][j].timeSec
@@ -330,25 +341,60 @@ func solveDP(sys sim.System, net model.Network, nodes [][]node) (float64, []int)
 // outnumber batch samples, and shard counts cannot outnumber the channels
 // they split.
 func Candidates(l model.Layer, batch, p int, predictive bool, red comm.Reductions, wideTiles bool) []Candidate {
+	return newEnumerator(p, predictive, red, wideTiles).appendCandidates(nil, l, batch)
+}
+
+// tileMs is the tile-size axis: the paper rule (0) first, then each
+// explicit m, the last (6) only behind wideTiles.
+var tileMs = [...]int{0, 2, 4, 6}
+
+// enumerator lists Candidates for the layers of one fleet; the fleet's
+// factorizations are listed once.
+type enumerator struct {
+	p          int
+	predictive bool
+	red        comm.Reductions
+	nt         int // how many of tileMs the axis takes
+	facts      []comm.Factorization
+	maxLen     int // an upper bound on one layer's candidate count
+}
+
+func newEnumerator(p int, predictive bool, red comm.Reductions, wideTiles bool) *enumerator {
+	nt := len(tileMs)
+	if !wideTiles {
+		nt--
+	}
+	e := &enumerator{p: p, predictive: predictive, red: red, nt: nt, facts: comm.Factorizations(p)}
+	// The menu wirings and the direct baseline, then at most one
+	// candidate per (factorization, tile size).
+	e.maxLen = len(comm.DefaultConfigs(p)) + 1 + nt*len(e.facts)
+	return e
+}
+
+// appendCandidates appends l's candidates to dst in Candidates order.
+func (e *enumerator) appendCandidates(dst []Candidate, l model.Layer, batch int) []Candidate {
 	cfg := sim.WMpDyn
-	if predictive {
+	if e.predictive {
 		cfg = sim.WMpFull
 	}
-	menu := sim.System{Workers: p, Reductions: red}.Strategies(cfg, l.P.K)
-	var out []Candidate
+	menu := sim.System{Workers: e.p, Reductions: e.red}.Strategies(cfg, l.P.K)
 	for _, st := range menu {
-		out = append(out, Candidate{St: st, Anchor: true})
+		dst = append(dst, Candidate{St: st, Anchor: true})
 	}
 	// The direct-convolution baseline is part of the space (and of
 	// Table IV); it anchors too, so pruning can never hide it.
-	out = append(out, Candidate{St: comm.Strategy{Ng: 1, Nc: p}, Anchor: true})
+	dst = append(dst, Candidate{St: comm.Strategy{Ng: 1, Nc: e.p}, Anchor: true})
 
-	tileMs := [4]int{0, 2, 4, 6}
-	nt := 3
-	if wideTiles {
-		nt = 4
+	// The layer's transforms, resolved once: an explicit m gives the same
+	// F(m×m) whatever the group count (nil where the kernel has none), and
+	// trs[0], the paper rule's, is resolved again only when Ng changes.
+	var buf [len(tileMs)]*winograd.Transform
+	trs := buf[:e.nt]
+	for j := 1; j < e.nt; j++ {
+		trs[j], _ = winograd.ForKernelTile(l.P.K, 1, tileMs[j])
 	}
-	for _, f := range comm.Factorizations(p) {
+	ruleNg := 0
+	for _, f := range e.facts {
 		if f.Nc > batch || f.Nf > l.P.Out || f.Ni > l.P.In {
 			continue
 		}
@@ -356,23 +402,22 @@ func Candidates(l model.Layer, batch, p int, predictive bool, red comm.Reduction
 		anchor := f.Nf*f.Ni == 1 && slices.ContainsFunc(menu, func(a comm.Strategy) bool {
 			return a.Ng == f.Ng && a.Nc == f.Nc
 		})
-		var rule *winograd.Transform // the paper rule's transform for this Ng
-		for _, tm := range tileMs[:nt] {
-			tr, err := winograd.ForKernelTile(l.P.K, f.Ng, tm)
-			if tm == 0 {
-				rule = tr
-			}
-			if err != nil || f.Ng > tr.T*tr.T || (tm == 0 && anchor) || (tm != 0 && tr == rule) {
+		if f.Ng != ruleNg {
+			ruleNg = f.Ng
+			trs[0], _ = winograd.ForKernel(l.P.K, f.Ng)
+		}
+		for j, tr := range trs {
+			if tr == nil || f.Ng > tr.T*tr.T || (j == 0 && anchor) || (j != 0 && tr == trs[0]) {
 				continue
 			}
-			st := comm.Strategy{Ng: f.Ng, Nc: f.Nc, Nf: f.Nf, Ni: f.Ni, Winograd: true, TileM: tm}
-			if predictive {
-				st.GatherReduction, st.ScatterReduction = red.Get(tr.T, f.Ng)
+			st := comm.Strategy{Ng: f.Ng, Nc: f.Nc, Nf: f.Nf, Ni: f.Ni, Winograd: true, TileM: tileMs[j]}
+			if e.predictive {
+				st.GatherReduction, st.ScatterReduction = e.red.Get(tr.T, f.Ng)
 			}
-			out = append(out, Candidate{St: st})
+			dst = append(dst, Candidate{St: st})
 		}
 	}
-	return out
+	return dst
 }
 
 // redistSec prices moving layer prev's output activations from node a's

@@ -141,24 +141,76 @@ func TestPlanBeatsMenuWideTiles(t *testing.T) {
 }
 
 // TestPlanDeterminism cross-checks byte-identical plans at host worker
-// counts 1, 2 and 8 — the repo-wide bit-determinism contract.
+// counts 1, 2 and 8 — the repo-wide bit-determinism contract — under the
+// default search, w_mp and the wide tile axis, and on a one-layer
+// network, which leaves every worker but one without a layer.
 func TestPlanDeterminism(t *testing.T) {
-	for _, net := range planNets() {
-		var ref []byte
-		for _, w := range []int{1, 2, 8} {
-			sys := sim.DefaultSystem()
-			sys.Parallel = w
-			p := Build(net, Options{System: sys})
-			var buf bytes.Buffer
-			if err := p.WriteTSV(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = buf.Bytes()
-			} else if !bytes.Equal(ref, buf.Bytes()) {
-				t.Fatalf("%s: plan differs between workers=1 and workers=%d", net.Name, w)
+	conv2 := model.AlexNet()
+	conv2.Name, conv2.Layers = "AlexNet-conv2", conv2.Layers[:1]
+	for _, net := range append(planNets(), conv2) {
+		for _, opts := range []Options{{}, {Config: sim.WMp}, {AllowWideTiles: true}} {
+			var ref []byte
+			for _, w := range []int{1, 2, 8} {
+				opts.System = sim.DefaultSystem()
+				opts.System.Parallel = w
+				var buf bytes.Buffer
+				if err := Build(net, opts).WriteTSV(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = buf.Bytes()
+				} else if !bytes.Equal(ref, buf.Bytes()) {
+					t.Fatalf("%s %s wide=%v: plan differs between workers=1 and workers=%d",
+						net.Name, opts.config(), opts.AllowWideTiles, w)
+				}
 			}
 		}
+	}
+}
+
+// TestBuildAllocs guards Build's allocations on AlexNet at one host
+// worker, so that enumerating each layer into a fresh or regrown
+// candidate list cannot come back unnoticed: that costs one allocation
+// per doubling, nine or ten a layer for AlexNet's 152–301 candidates. The
+// bound, by allocation site (counted at runtime.MemProfileRate = 1):
+//   - 3 per oracle call, a layer's Candidates − Pruned: the menu list
+//     comm.LowerBoundBytes reads, which comm.DefaultConfigs grows by
+//     append to capacities 1, 2 and 4 (153 here);
+//   - 16 per layer: the anchor menu and its list (4), the anchor nodes
+//     and times (2), the node list's growth, both DPs' rows (4 after the
+//     first layer), the two gauge names (2) and, on a 5×5 kernel, the
+//     error of its missing F(4×4) transform (2) (57 here);
+//   - 48 per Build: the enumerator with its factorization list and menu
+//     size (13), the closure, the layer table, the buffer table, the one
+//     candidate buffer, the System the closure shares (5), the node
+//     tables (2), both DPs' fixed tables (6) and the choice list (3) (29
+//     here).
+//
+// AlexNet's 51 oracle calls and 4 layers give 265, against 239 made.
+func TestBuildAllocs(t *testing.T) {
+	net := model.AlexNet()
+	opts := Options{System: sim.DefaultSystem()}
+	opts.System.Parallel = 1
+	calls := 0
+	for _, c := range Build(net, opts).Choices {
+		calls += c.Candidates - c.Pruned
+	}
+	bound := float64(3*calls + 16*len(net.Layers) + 48)
+	if got := testing.AllocsPerRun(5, func() { Build(net, opts) }); got > bound {
+		t.Errorf("Build(AlexNet) at one worker: %v allocations, bound %v for %d oracle calls", got, bound, calls)
+	}
+}
+
+// TestBuildEmptyNetwork: a network with no layers plans to no choices and
+// zero times.
+func TestBuildEmptyNetwork(t *testing.T) {
+	p := Build(model.Network{Name: "empty", Batch: 8}, Options{System: sim.DefaultSystem()})
+	if len(p.Choices) != 0 || p.ExecSec != 0 || p.MenuExecSec != 0 ||
+		p.TotalSec != 0 || p.RedistSec != 0 || p.MenuTotalSec != 0 {
+		t.Fatalf("empty network: %+v, want no choices and zero times", p)
+	}
+	if err := p.WriteTSV(&bytes.Buffer{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -168,7 +168,7 @@ func (s System) HostWorkers() int {
 }
 
 // menu returns the (Ng, Nc) wirings dynamic clustering optimizes over.
-func (s System) menu() []comm.Strategy {
+func (s *System) menu() []comm.Strategy {
 	if s.Menu != nil {
 		return s.Menu
 	}
@@ -213,7 +213,7 @@ func (s System) Strategies(c SystemConfig, k int) []comm.Strategy {
 // ringBW returns the per-worker outgoing bandwidth available to weight
 // collectives under the config: data-parallel configs use all four links
 // as rings; MPT gives half to the FBFLY.
-func (s System) ringBW(c SystemConfig) float64 {
+func (s *System) ringBW(c SystemConfig) float64 {
 	if c.isMPT() {
 		return s.LinkBW / 2
 	}

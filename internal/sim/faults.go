@@ -132,7 +132,7 @@ func survivorModules(modules, failed []int) []int {
 // or the full spatial replica for data-parallel layers) over the host
 // link. Workers load in parallel, so the time is the per-worker byte total
 // at hostLinkBW.
-func (s System) reshardSeconds(net model.Network, c SystemConfig, degraded NetworkResult) float64 {
+func (s *System) reshardSeconds(net model.Network, c SystemConfig, degraded NetworkResult) float64 {
 	var perWorker int64
 	for i, l := range net.Layers {
 		r := degraded.Layers[i]

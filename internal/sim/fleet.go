@@ -36,13 +36,13 @@ type fleetFactors struct {
 }
 
 // fleetActive reports whether the System carries capability profiles.
-func (s System) fleetActive() bool {
+func (s *System) fleetActive() bool {
 	return len(s.ComputeSpeeds) > 0 || len(s.LinkSpeeds) > 0
 }
 
 // activeModules returns the physical module ids behind the first n grid
 // slots (identity when no survivor compaction installed a mapping).
-func (s System) activeModules(n int) []int {
+func (s *System) activeModules(n int) []int {
 	if s.ActiveModules != nil {
 		if n > len(s.ActiveModules) {
 			n = len(s.ActiveModules)
@@ -59,7 +59,7 @@ func (s System) activeModules(n int) []int {
 // fleetFactors computes the stretches for one strategy. With
 // all-1.0 speed slices every factor is exactly 1.0, so multiplying the
 // phase durations reproduces the homogeneous results bit-for-bit.
-func (s System) fleetFactors(st comm.Strategy, batch int) fleetFactors {
+func (s *System) fleetFactors(st comm.Strategy, batch int) fleetFactors {
 	modules := s.activeModules(st.Workers())
 	cs := comm.ClusterSpeeds(s.ComputeSpeeds, modules, st.Cell(), st.Nc)
 	ls := comm.ClusterSpeeds(s.LinkSpeeds, modules, st.Cell(), st.Nc)
@@ -125,7 +125,7 @@ func (ff fleetFactors) apply(p *phase) {
 // fleet.link_speed.m<id> (SerDes). Only derated modules get a gauge, so
 // the registry stays small on a 256-module fleet with one straggler. Set
 // is idempotent, so repeated network assemblies stay byte-identical.
-func (s System) recordFleetSpeeds() {
+func (s *System) recordFleetSpeeds() {
 	if s.Metrics == nil {
 		return
 	}

@@ -232,7 +232,8 @@ func (s System) SimulateLayerStrategy(l model.Layer, batch int, c SystemConfig, 
 
 // CommFloorSec returns a cheap lower bound on the layer's simulated
 // iteration time under st, built from communication volumes and the link
-// model alone — no compute or DRAM terms. Each phase's duration is
+// model alone — no compute or DRAM terms: comm.TileVolumes' bytes on the
+// cell fabric plus the weight ring's collective. Each phase's duration is
 // max(compute, tileComm) + collective, so the tile and collective terms
 // never exceed the simulated total and pruning candidates whose floor
 // already exceeds a reference time is sound (to within a byte of int64
@@ -243,10 +244,13 @@ func (s System) CommFloorSec(l model.Layer, batch int, st comm.Strategy) float64
 		return s.collectiveSeconds(comm.SpatialWeightBytes(l.P), s.Workers, s.ringBW(DDp))
 	}
 	tr, err := st.Transform(l.P.K)
+	if err == nil {
+		err = st.Validate()
+	}
 	if err != nil {
 		panic(err)
 	}
-	v := comm.LayerVolumes(tr, l.P, batch, st)
+	v := comm.TileVolumes(tr, l.P, batch, st)
 	tileBytes := int64(float64(v.TileGather)*l.EffectiveGatherScale()) + v.TileScatter + v.PartialSum
 	msg, bw := s.weightCollective(tr, l.P, st)
 	return s.tileSeconds(tileBytes, st.Cell()) + s.collectiveSeconds(msg, st.Nc, bw)
@@ -254,7 +258,7 @@ func (s System) CommFloorSec(l model.Layer, batch int, st comm.Strategy) float64
 
 // directPhases models the d_dp baseline: one big matmul per phase
 // (im2col-lowered), full spatial data movement, spatial weight collective.
-func (s System) directPhases(p conv.Params, batch int) (fwd, bwd phase) {
+func (s *System) directPhases(p conv.Params, batch int) (fwd, bwd phase) {
 	pw := int64(s.Workers)
 	oh, ow := int64(p.OutH()), int64(p.OutW())
 	rowsPerWorker := (int64(batch)*oh*ow + pw - 1) / pw // output pixels per worker
@@ -290,7 +294,7 @@ func (s System) directPhases(p conv.Params, batch int) (fwd, bwd phase) {
 // shards, transforms on the vector unit, tile transfer and partial sums on
 // the D = Ng·Nf·Ni cell fabric, and the weight collective across the Nc
 // clusters.
-func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *winograd.Transform, gatherScale float64) (fwd, bwd phase) {
+func (s *System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *winograd.Transform, gatherScale float64) (fwd, bwd phase) {
 	// Active workers in the grid. For healthy divisible configurations this
 	// equals s.Workers; survivor menus may idle a remainder (e.g. (16,15)
 	// uses 240 of 255 survivors), and idle workers contribute no compute or
@@ -353,7 +357,7 @@ func (s System) winogradPhases(p conv.Params, batch int, st comm.Strategy, tr *w
 // chargeTiles puts one phase's tile traffic on the cell fabric. The
 // Section V reductions, gather scaling and the 1-D gather shrink apply to
 // the scatter and gather; partial sums move as they are.
-func (s System) chargeTiles(ph *phase, v comm.TileTraffic, st comm.Strategy, tr *winograd.Transform, gatherScale float64) {
+func (s *System) chargeTiles(ph *phase, v comm.TileTraffic, st comm.Strategy, tr *winograd.Transform, gatherScale float64) {
 	scatter := float64(v.Scatter) * (1 - st.ScatterReduction)
 	gather := float64(v.Gather) * (1 - st.GatherReduction) * gatherScale
 	if winograd.HoldsWholeLines(tr.T, st.Ng) && st.Ng > 1 {
@@ -371,7 +375,7 @@ func (s System) chargeTiles(ph *phase, v comm.TileTraffic, st comm.Strategy, tr 
 // (comm.WeightShardBytes) and its ring bandwidth: a one-worker cell keeps
 // data-parallel spatial weights on all links, a larger cell rings its
 // Winograd-domain shard on the MPT half.
-func (s System) weightCollective(tr *winograd.Transform, p conv.Params, st comm.Strategy) (msg int64, bw float64) {
+func (s *System) weightCollective(tr *winograd.Transform, p conv.Params, st comm.Strategy) (msg int64, bw float64) {
 	cls := WMp
 	if st.Cell() == 1 {
 		cls = WDp
@@ -383,7 +387,7 @@ func (s System) weightCollective(tr *winograd.Transform, p conv.Params, st comm.
 // tiles and spatial data split across all workers; the weight shard is
 // the cell-local 1/D share and is re-read once per systolic pass when it
 // exceeds the double-buffered SRAM.
-func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, rows int64) int64 {
+func (s *System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, rows int64) int64 {
 	pw := int64(st.Workers())
 	b := (cst.TileBytes + cst.SpatialBytes) / pw
 	shard := cst.WeightBytes / int64(st.Cell())
@@ -404,7 +408,7 @@ func (s System) winogradDRAMBytes(cst winograd.Cost, st comm.Strategy, rows int6
 // cell on the MPT half of the link budget, derated by the mean hop count
 // (intermediate hops consume link capacity) plus the diameter's SerDes
 // latency.
-func (s System) tileSeconds(bytes int64, cell int) float64 {
+func (s *System) tileSeconds(bytes int64, cell int) float64 {
 	if bytes == 0 || cell <= 1 {
 		return 0
 	}
@@ -421,7 +425,7 @@ func (s System) tileSeconds(bytes int64, cell int) float64 {
 // msg-byte payload over an n-worker ring: bandwidth term 2·msg·(n−1)/n at
 // the per-worker ring bandwidth, plus the pipeline fill of 2(n−1) hops of
 // one chunk.
-func (s System) collectiveSeconds(msg int64, n int, bw float64) float64 {
+func (s *System) collectiveSeconds(msg int64, n int, bw float64) float64 {
 	if n <= 1 || msg <= 0 {
 		return 0
 	}
@@ -431,7 +435,7 @@ func (s System) collectiveSeconds(msg int64, n int, bw float64) float64 {
 }
 
 // energyOf charges one phase's energy for the whole p-worker system.
-func (s System) energyOf(ph phase, wallSec float64, c SystemConfig, st comm.Strategy) energy.Breakdown {
+func (s *System) energyOf(ph phase, wallSec float64, c SystemConfig, st comm.Strategy) energy.Breakdown {
 	e := s.Energy
 	var b energy.Breakdown
 	b.Add(e.MACs(ph.macs))
@@ -447,7 +451,7 @@ func (s System) energyOf(ph phase, wallSec float64, c SystemConfig, st comm.Stra
 // activeLinks returns the per-worker powered link count for a phase,
 // honoring the paper's "unused links are turned-off ... while maintaining
 // minimal connectivity to the host".
-func (s System) activeLinks(c SystemConfig, st comm.Strategy, ph phase) int {
+func (s *System) activeLinks(c SystemConfig, st comm.Strategy, ph phase) int {
 	switch {
 	case ph.collBytes > 0 && ph.tileCommBytes > 0:
 		return 4

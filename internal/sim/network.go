@@ -56,7 +56,7 @@ func (s System) Sweep(net model.Network, cfgs []SystemConfig) []NetworkResult {
 // a plan, SimulateLayer resolves each config's strategies; with one, layer
 // i runs plan[i]. It is one Map in all, not one per config, because the
 // telemetry digest pins parallel.calls.
-func (s System) sweep(net model.Network, cfgs []SystemConfig, plan []comm.Strategy) []NetworkResult {
+func (s *System) sweep(net model.Network, cfgs []SystemConfig, plan []comm.Strategy) []NetworkResult {
 	nl := len(net.Layers)
 	cells := parallel.Map(s.HostWorkers(), len(cfgs)*nl, func(i int) LayerResult {
 		l, c := net.Layers[i%nl], cfgs[i/nl]
@@ -74,7 +74,7 @@ func (s System) sweep(net model.Network, cfgs []SystemConfig, plan []comm.Strate
 
 // assembleNetwork folds per-layer results (indexed like net.Layers) into a
 // NetworkResult in deterministic layer order.
-func (s System) assembleNetwork(net model.Network, c SystemConfig, layers []LayerResult) NetworkResult {
+func (s *System) assembleNetwork(net model.Network, c SystemConfig, layers []LayerResult) NetworkResult {
 	res := NetworkResult{Network: net.Name, Config: c, Workers: s.Workers}
 	for i, lr := range layers {
 		rep := float64(net.Layers[i].EffectiveRepeat())

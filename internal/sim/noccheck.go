@@ -51,7 +51,8 @@ func RingCheck(cfg noc.Config, n, msg int) NoCCheck {
 		panic(err)
 	}
 	simUS := st.Duration(cfg.ClockHz) * 1e6
-	modelUS := DefaultSystem().collectiveSeconds(int64(msg), n, topology.Full.Bandwidth()) * 1e6
+	sys := DefaultSystem()
+	modelUS := sys.collectiveSeconds(int64(msg), n, topology.Full.Bandwidth()) * 1e6
 	return NoCCheck{
 		Pattern: "cluster-ring", Size: n, Bytes: int64(msg),
 		ModelUS: modelUS, SimUS: simUS, Ratio: simUS / modelUS,

@@ -34,7 +34,7 @@ import (
 // is what lets traceview prove (or gate) overlap claims machine-checkably.
 
 // countLayer mirrors one simulated layer's traffic into the registry.
-func (s System) countLayer(lr LayerResult) {
+func (s *System) countLayer(lr LayerResult) {
 	if s.Metrics == nil {
 		return
 	}
@@ -50,7 +50,7 @@ func (s System) countLayer(lr LayerResult) {
 // phaseCycles converts one pass's breakdown to integer-cycle child
 // durations: the double-buffered compute block, the concurrent tile
 // transfer, and the serialized collective.
-func (s System) phaseCycles(b Breakdown) (compute, tile, coll int64) {
+func (s *System) phaseCycles(b Breakdown) (compute, tile, coll int64) {
 	compute = int64(ndp.PhaseSeconds(b.SystolicSec, b.VectorSec, b.DRAMSec) * s.NDP.ClockHz)
 	tile = int64(b.TileCommSec * s.NDP.ClockHz)
 	coll = int64(b.CollSec * s.NDP.ClockHz)
@@ -59,7 +59,7 @@ func (s System) phaseCycles(b Breakdown) (compute, tile, coll int64) {
 
 // tracePhase emits one layer pass: the root phase span plus its
 // compute/tile/coll children, returning the phase's wall cycles.
-func (s System) tracePhase(tid int, layer, pass string, t int64, b Breakdown, args map[string]any) int64 {
+func (s *System) tracePhase(tid int, layer, pass string, t int64, b Breakdown, args map[string]any) int64 {
 	tr := s.Trace
 	compute, tile, coll := s.phaseCycles(b)
 	wall := compute
@@ -96,7 +96,7 @@ func (s System) tracePhase(tid int, layer, pass string, t int64, b Breakdown, ar
 
 // traceNetwork emits the per-layer phase spans of one assembled network
 // result into the telemetry.PIDSim lane, one thread row per system config.
-func (s System) traceNetwork(net model.Network, c SystemConfig, res NetworkResult) {
+func (s *System) traceNetwork(net model.Network, c SystemConfig, res NetworkResult) {
 	tr := s.Trace
 	if !tr.Enabled() {
 		return
