@@ -67,12 +67,12 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff
 
 # Deterministic cycle-domain telemetry walkthrough (DESIGN.md §10): sweep
-# VGG-16 over every Table IV config plus a fault-recovery run, write the
+# VGG-16 over every Table IV config plus a fault-recovery run and write the
 # Chrome trace_event timeline to trace.json (open in chrome://tracing or
-# https://ui.perfetto.dev), and dump the counter registry. Timestamps are
-# simulated cycles, so the output is byte-identical at any -parallel value.
+# https://ui.perfetto.dev). Timestamps are simulated cycles, so the output
+# is byte-identical at any -parallel value.
 trace:
-	$(GO) run ./cmd/mptsim -net vgg -config all -faults 17 -trace trace.json -metrics -force
+	$(GO) run ./cmd/mptsim -net vgg -config all -faults 17 -trace trace.json -force
 
 # Trace-analysis walkthrough (DESIGN.md §15): execute the vgg16 autoplan
 # under the tracer, then analyze it with mpttrace — critical path, overlap

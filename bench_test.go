@@ -129,50 +129,28 @@ func BenchmarkFig18IsoPower(b *testing.B) {
 	})
 }
 
-// BenchmarkNoCCollective measures the flit-level ring all-reduce and
-// reports its overhead over the analytic bandwidth bound.
+// BenchmarkNoCCollective runs sim.RingCheck, the flit-level 16-member
+// ring all-reduce of 64 KB, and reports its ratio to the closed form the
+// phase model charges (the ring row of `figures -only noc`).
 func BenchmarkNoCCollective(b *testing.B) {
-	const workers, msg = 16, 64 * 1024
-	g := topology.Ring(workers)
-	members := make([]int, workers)
-	for i := range members {
-		members[i] = i
-	}
-	var cycles int64
+	var c sim.NoCCheck
 	for i := 0; i < b.N; i++ {
-		n := noc.New(g, noc.DefaultConfig())
-		st, err := n.Run(&noc.RingCollective{Members: members, Bytes: msg}, 50_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = st.Cycles
+		c = sim.RingCheck(noc.DefaultConfig(), 16, 64*1024)
 	}
-	bound := 2.0 * float64(msg) * float64(workers-1) / float64(workers) / 30.0
-	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(cycles)/bound, "vs_bw_bound_x")
+	b.ReportMetric(float64(c.Cycles), "cycles")
+	b.ReportMetric(c.Ratio, "vs_model_x")
 }
 
-// BenchmarkNoCAllToAll measures FBFLY tile-transfer traffic and reports
-// the congestion factor that calibrates sim.System.TileCongestion.
+// BenchmarkNoCAllToAll runs sim.CellCheck, the FBFLY-16 all-to-all of 4 KB
+// per pair, and reports its ratio to the hop-weighted bandwidth bound: the
+// congestion factor that calibrates sim.System.TileCongestion.
 func BenchmarkNoCAllToAll(b *testing.B) {
-	g := topology.FBFly2D(4)
-	members := make([]int, 16)
-	for i := range members {
-		members[i] = i
-	}
-	const pair = 4 * 1024
-	var cycles int64
+	var c sim.NoCCheck
 	for i := 0; i < b.N; i++ {
-		n := noc.New(g, noc.DefaultConfig())
-		st, err := n.Run(&noc.AllToAll{Members: members, Bytes: pair}, 50_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = st.Cycles
+		c = sim.CellCheck(noc.DefaultConfig(), 16, 4*1024)
 	}
-	bound := float64(15*pair) * 1.6 / 60.0
-	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(cycles)/bound, "vs_hop_bound_x")
+	b.ReportMetric(float64(c.Cycles), "cycles")
+	b.ReportMetric(c.Ratio, "vs_hop_bound_x")
 }
 
 // BenchmarkNoCStepSteady times one warm cycle of the flit simulator: the
@@ -749,7 +727,7 @@ func BenchmarkTrainStep(b *testing.B) {
 }
 
 // The *SteadyTelemetry twins run the same hot loops with a live metrics
-// registry attached to the engine-level hooks, proving the enabled path
+// registry attached to the GEMM hook, proving the enabled path
 // is also allocation-free (the benchdiff zero-alloc gate covers them like
 // their twins; benchdiff additionally prints the wall-time ratio against
 // the detached twin as an informational overhead report). The counted
@@ -757,11 +735,7 @@ func BenchmarkTrainStep(b *testing.B) {
 func attachTelemetry() (*telemetry.Registry, func()) {
 	reg := telemetry.NewRegistry()
 	tensor.Attach(reg)
-	parallel.Attach(reg)
-	return reg, func() {
-		tensor.Attach(nil)
-		parallel.Attach(nil)
-	}
+	return reg, func() { tensor.Attach(nil) }
 }
 
 func benchSteadyTelemetry(b *testing.B, step func(l *winograd.Layer, x, y, dy, dx *tensor.Tensor, dw *winograd.Weights)) {

@@ -10,14 +10,15 @@
 //	mptsim -layer Mid-1 -k 5 -batch 512            # 5x5 kernels
 //	mptsim -net wrn -faults 17                     # module 17 fails; show recovery
 //	mptsim -net wrn -faults 3,7,200 -config w_mp*  # multiple failures
-//	mptsim -net vgg -trace out.json -metrics       # cycle-domain Chrome trace + counters
+//	mptsim -net vgg -config all -trace out.json    # cycle-domain Chrome trace
 //	mptsim -scenarios                              # degraded-fleet scenario matrix (TSV)
 //	mptsim -scenarios -scenarios-out table.tsv     # ... to a file (CI artifact)
 //	mptsim -net alexnet -autoplan                  # per-layer strategy auto-search (TSV plan)
 //	mptsim -net vgg -autoplan -autoplan-out p.tsv  # ... plan dump to a file (CI artifact)
+//	mptsim -net vgg -autoplan -metrics-json m.json # ... plus the planner's gauges
 //
 // Telemetry output is deterministic: for a fixed invocation the trace
-// JSON and metrics dumps are byte-identical at any -parallel setting
+// JSON and metrics dump are byte-identical at any -parallel setting
 // (timestamps are simulated cycles, never wall clock).
 package main
 
@@ -32,7 +33,6 @@ import (
 	"strings"
 
 	"mptwino/internal/model"
-	"mptwino/internal/parallel"
 	"mptwino/internal/planner"
 	"mptwino/internal/scenario"
 	"mptwino/internal/sim"
@@ -52,7 +52,7 @@ type options struct {
 	autoplan, allowWideTiles    bool
 	autoplanOut                 string
 	trace, traceReport          string
-	metrics, force              bool
+	force                       bool
 	metricsJSON                 string
 	cpuProfile, memProfile      string
 
@@ -62,15 +62,16 @@ type options struct {
 }
 
 // modeReads names, per mode, the flags that mode reads besides the ones
-// every mode reads (-workers, -parallel, the -metrics pair, -force and the
-// profiles). Layer mode runs no network, so its trace would hold no event;
-// the scenario matrix runs its own systems, untraced.
+// every mode reads (-workers, -parallel, -force and the profiles). Layer
+// mode runs no network, so its trace would hold no event; the scenario
+// matrix runs its own systems, untraced. Only the planner publishes to the
+// registry, so only autoplan mode reads -metrics-json.
 var modeReads = map[string]string{
 	"-scenarios":     "scenarios scenarios-out scenarios-smoke",
 	"-layer":         "layer config batch k breakdown",
 	"-net":           "net config trace trace-report",
 	"-net -faults":   "net config trace trace-report faults",
-	"-net -autoplan": "net config trace trace-report autoplan autoplan-out allow-wide-tiles",
+	"-net -autoplan": "net config trace trace-report autoplan autoplan-out allow-wide-tiles metrics-json",
 }
 
 // parseFlags parses args into options on fs and resolves every name the
@@ -103,8 +104,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.allowWideTiles, "allow-wide-tiles", false, "with -autoplan: admit the numerically unsafe F(6x6,3x3) transform into the planner's tile-size axis (inference-grade only)")
 	fs.StringVar(&o.trace, "trace", "", "net mode: write a Chrome trace_event JSON (chrome://tracing, Perfetto) with simulated-cycle timestamps to this file")
 	fs.StringVar(&o.traceReport, "trace-report", "", "net mode: write the mpttrace text attribution report (critical path, overlap, idle) for this run to this file")
-	fs.BoolVar(&o.metrics, "metrics", false, "dump the telemetry counters as aligned text on exit")
-	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the telemetry counters as JSON to this file ('-' for stdout)")
+	fs.StringVar(&o.metricsJSON, "metrics-json", "", "with -autoplan: write the planner's gauges and counters as JSON to this file ('-' for stdout)")
 	fs.BoolVar(&o.force, "force", false, "overwrite existing -trace/-metrics-json/-trace-report output files instead of refusing")
 	fs.IntVar(&o.parallel, "parallel", 0, "host goroutines for the sweep fan-out (0 = GOMAXPROCS); results and telemetry are byte-identical for every value")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -138,7 +138,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	case o.faults != "":
 		mode = "-net -faults"
 	}
-	reads := strings.Fields(modeReads[mode] + " workers parallel metrics metrics-json force cpuprofile memprofile")
+	reads := strings.Fields(modeReads[mode] + " workers parallel force cpuprofile memprofile")
 	var unread error
 	fs.Visit(func(f *flag.Flag) {
 		if unread == nil && !slices.Contains(reads, f.Name) {
@@ -215,21 +215,21 @@ func main() {
 	s.Workers = o.workers
 	s.Parallel = o.parallel
 
-	// Telemetry: any of -trace/-trace-report/-metrics/-metrics-json turns
-	// the registry on; -trace and -trace-report additionally record the
-	// cycle-domain event stream.
+	// Telemetry: -trace and -trace-report record the cycle-domain event
+	// stream. The registry holds only the planner's gauges, so it is built
+	// in autoplan mode when -trace-report joins them or -metrics-json
+	// dumps them.
 	var reg *telemetry.Registry
 	var tracer *telemetry.Tracer
-	if o.trace != "" || o.traceReport != "" || o.metrics || o.metricsJSON != "" {
+	if o.autoplan && (o.traceReport != "" || o.metricsJSON != "") {
 		reg = telemetry.NewRegistry()
-		parallel.Attach(reg)
 	}
 	if o.trace != "" || o.traceReport != "" {
 		tracer = telemetry.NewTracer()
 	}
 	s.Metrics = reg
 	s.Trace = tracer
-	defer writeTelemetry(reg, tracer, o.trace, o.traceReport, o.metrics, o.metricsJSON)
+	defer writeTelemetry(reg, tracer, o.trace, o.traceReport, o.metricsJSON)
 
 	cfgs := o.cfgs
 	switch {
@@ -429,12 +429,11 @@ func checkOverwrite(path string, force bool) error {
 }
 
 // writeTelemetry flushes the run's telemetry: the Chrome trace_event JSON
-// to tracePath, the mpttrace attribution report to reportPath, the counter
-// registry as aligned text to stdout (-metrics) and/or JSON to jsonPath
-// ('-' = stdout). All output is canonical bytes — sorted counter names,
-// stable-sorted events — so runs at different -parallel settings diff
-// clean.
-func writeTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, tracePath, reportPath string, text bool, jsonPath string) {
+// to tracePath, the mpttrace attribution report to reportPath and the
+// registry as JSON to jsonPath ('-' = stdout). All output is canonical
+// bytes — sorted counter names, stable-sorted events — so runs at
+// different -parallel settings diff clean.
+func writeTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, tracePath, reportPath, jsonPath string) {
 	if tracer != nil && tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
@@ -450,9 +449,7 @@ func writeTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, tracePath
 	}
 	if tracer != nil && reportPath != "" {
 		run := traceview.FromTrace(tracer.Export())
-		if reg != nil {
-			run.Metrics = traceview.FromSnapshot(reg.Snapshot())
-		}
+		run.Metrics = reg.Snapshot() // empty without a registry: no join
 		rep := traceview.Analyze(run, traceview.Options{})
 		f, err := os.Create(reportPath)
 		if err != nil {
@@ -465,15 +462,6 @@ func writeTelemetry(reg *telemetry.Registry, tracer *telemetry.Tracer, tracePath
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "mptsim: wrote attribution report to %s\n", reportPath)
-	}
-	if reg == nil {
-		return
-	}
-	if text {
-		fmt.Println()
-		if err := reg.WriteText(os.Stdout); err != nil {
-			fail(err)
-		}
 	}
 	if jsonPath != "" {
 		w := os.Stdout

@@ -56,7 +56,8 @@ func parseArgs(args string) (options, error) {
 // batch below 1 in layer mode, a -faults list that is malformed, names a
 // module outside [0, -workers) or fails every worker, an unknown -config,
 // -layer, -k or -net, a missing mode, -autoplan with -config all or d_dp,
-// and every set flag the chosen mode never reads; valid command lines
+// every set flag the chosen mode never reads (-metrics-json outside
+// autoplan mode among them) and the removed -metrics; valid command lines
 // parse, among them every mptsim command line of the Makefile, CI and
 // README.
 func TestParseFlagsRejectsBadCounts(t *testing.T) {
@@ -109,10 +110,20 @@ func TestParseFlagsRejectsBadCounts(t *testing.T) {
 		{"-scenarios -trace t.json", "-trace is not read in -scenarios mode"},
 		{"-scenarios -trace-report r.txt", "-trace-report is not read in -scenarios mode"},
 		{"-scenarios", ""},
-		{"-layer Early -workers 64 -parallel 2 -metrics -metrics-json m.json -force", ""},
+		{"-layer Early -workers 64 -parallel 2 -force -cpuprofile c.pprof -memprofile m.pprof", ""},
+
+		// Only the planner publishes to the registry, so only autoplan
+		// mode reads -metrics-json; the text dump is gone.
+		{"-layer Early -metrics-json m.json", "-metrics-json is not read in -layer mode"},
+		{"-scenarios -metrics-json m.json", "-metrics-json is not read in -scenarios mode"},
+		{"-net vgg -config all -metrics-json m.json", "-metrics-json is not read in -net mode"},
+		{"-net wrn -faults 17 -metrics-json m.json", "-metrics-json is not read in -net -faults mode"},
+		{"-net vgg -config all -metrics", "flag provided but not defined: -metrics"},
+		{"-net vgg -autoplan -metrics", "flag provided but not defined: -metrics"},
+		{"-net vgg -autoplan -metrics-json m.json", ""},
 
 		// The Makefile's, CI's and README's command lines.
-		{"-net vgg -config all -faults 17 -trace trace.json -metrics -force", ""},
+		{"-net vgg -config all -faults 17 -trace trace.json -force", ""},
 		{"-net vgg -autoplan -autoplan-out /dev/null -trace trace_vgg16.json -metrics-json metrics_vgg16.json -force", ""},
 		{"-scenarios -scenarios-out scenarios.tsv", ""},
 		{"-net alexnet -autoplan -autoplan-out plan_alexnet.tsv", ""},
@@ -122,11 +133,11 @@ func TestParseFlagsRejectsBadCounts(t *testing.T) {
 		{"-net wrn -config all -cpuprofile sim_cpu.pprof -memprofile sim_mem.pprof", ""},
 		{"-net alexnet -autoplan -autoplan-out /dev/null -trace plan_trace.json", ""},
 		{"-net alexnet -autoplan -autoplan-out /dev/null -trace trace_alexnet.json -metrics-json metrics_alexnet.json", ""},
-		{"-net vgg -autoplan -autoplan-out /dev/null -trace trace_vgg16_b.json -metrics-json metrics_vgg16_b.json", ""},
+		{"-net vgg -autoplan -autoplan-out /dev/null -trace trace_vgg16_b.json", ""},
 		{"-net fractalnet -config all", ""},
 		{"-net vgg -config w_mp++ -trace out.json", ""},
-		{"-net vgg -config all -metrics", ""},
-		{"-net wrn -faults 17 -metrics-json m.json", ""},
+		{"-net vgg -config all -trace out.json", ""},
+		{"-net vgg -autoplan -autoplan-out /dev/null -metrics-json m.json", ""},
 		{"-net vgg -trace a.json -parallel 1", ""},
 		{"-net vgg -autoplan -autoplan-out /dev/null -trace t.json -metrics-json m.json", ""},
 		{"-net alexnet -autoplan -autoplan-out /dev/null -trace-report r.txt", ""},
@@ -138,7 +149,6 @@ func TestParseFlagsRejectsBadCounts(t *testing.T) {
 		{"-layer Mid-1 -k 5 -batch 512", ""},
 		{"-net wrn -config all -workers 64", ""},
 		{"-net wrn -faults 3,7,200 -config w_mp*", ""},
-		{"-net vgg -trace out.json -metrics", ""},
 	} {
 		_, err := parseArgs(tc.args)
 		if tc.wantErr == "" && err != nil {
@@ -193,6 +203,7 @@ func TestRejectedRunLeavesProfileUnchanged(t *testing.T) {
 		"-scenarios -net wrn",
 		"-scenarios -config d_dp",
 		"-scenarios -trace " + filepath.Join(dir, "t.json"),
+		"-net wrn -faults 17 -metrics-json " + filepath.Join(dir, "m.json"),
 	} {
 		args := append(strings.Fields(bad), "-cpuprofile", prof)
 		code, stderr := runMain(t, args...)
@@ -204,7 +215,7 @@ func TestRejectedRunLeavesProfileUnchanged(t *testing.T) {
 				t.Errorf("%q: %s now holds %q (%v), want %q", bad, filepath.Base(f), got, err, keep)
 			}
 		}
-		for _, f := range []string{"x.tsv", "t.json"} {
+		for _, f := range []string{"x.tsv", "t.json", "m.json"} {
 			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
 				t.Errorf("%q: created %s (%v)", bad, f, err)
 			}

@@ -1,14 +1,14 @@
 // Command mpttrace analyzes the deterministic cycle-domain traces the
-// simulator emits (mptsim -trace) together with their metrics snapshots
-// (mptsim -metrics-json): it reconstructs per-lane timelines and the
-// critical path, attributes time to compute / communication / idle, joins
-// the planner's achieved-vs-bound traffic gauges, and gates model-time
-// regressions exactly.
+// simulator emits (mptsim -trace) together with the planner's metrics
+// snapshot (mptsim -autoplan -metrics-json): it reconstructs per-lane
+// timelines and the critical path, attributes time to compute /
+// communication / idle, joins the planner's achieved-vs-bound traffic
+// gauges, and gates model-time regressions exactly.
 //
 // Usage:
 //
 //	mpttrace report [-metrics m.json] [-format text|json|html] [-top 5] [-o out] trace.json
-//	mpttrace diff [-metrics-a a.json] [-metrics-b b.json] [-max-delta-cycles N] [-max-delta-frac F] [-exact] a.json b.json
+//	mpttrace diff [-max-delta-cycles N] [-max-delta-frac F] [-exact] a.json b.json
 //	mpttrace check [-metrics m.json] [-min-overlap F] [-max-idle F] [-max-bound-ratio F] [-max-critical-cycles N] trace.json
 //
 // Every input is byte-stable for a fixed simulation (simulated cycles,
@@ -17,8 +17,13 @@
 // regression; -exact fails on any difference at all), and `check` turns
 // overlap/idle/bound claims into CI assertions.
 //
+// `diff` compares cycle counts only, so it reads no metrics snapshot.
+// `check` fails when it has nothing to check: a trace with no phase lane,
+// or -max-bound-ratio without a joined planner gauge.
+//
 // Exit codes: 0 success, 1 regression or failed assertion, 2 usage or I/O
-// error.
+// error (a malformed trace, such as a span with a negative start or
+// duration, among them).
 package main
 
 import (
@@ -53,7 +58,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   mpttrace report [-metrics m.json] [-format text|json|html] [-top 5] [-o out] trace.json
-  mpttrace diff [-metrics-a a.json] [-metrics-b b.json] [-max-delta-cycles N] [-max-delta-frac F] [-exact] a.json b.json
+  mpttrace diff [-max-delta-cycles N] [-max-delta-frac F] [-exact] a.json b.json
   mpttrace check [-metrics m.json] [-min-overlap F] [-max-idle F] [-max-bound-ratio F] [-max-critical-cycles N] trace.json`)
 	os.Exit(2)
 }
@@ -118,17 +123,15 @@ func cmdReport(args []string) {
 
 // diffOptions are the parsed flags of `mpttrace diff`.
 type diffOptions struct {
-	metricsA, metricsB, out string
-	a, b                    string // the two trace files
-	opt                     traceview.DiffOptions
+	out  string
+	a, b string // the two trace files
+	opt  traceview.DiffOptions
 }
 
 // parseDiff parses diff's command line on fs and validates it: exactly two
 // trace files. cmdDiff calls it before it reads any input or opens -o.
 func parseDiff(fs *flag.FlagSet, args []string) (diffOptions, error) {
 	var o diffOptions
-	fs.StringVar(&o.metricsA, "metrics-a", "", "metrics snapshot JSON for run A")
-	fs.StringVar(&o.metricsB, "metrics-b", "", "metrics snapshot JSON for run B")
 	fs.Int64Var(&o.opt.MaxDeltaCycles, "max-delta-cycles", 0, "allowed absolute model-time increase per metric")
 	fs.Float64Var(&o.opt.MaxDeltaFrac, "max-delta-frac", 0, "allowed relative increase per metric (0.02 = +2%)")
 	fs.BoolVar(&o.opt.Exact, "exact", false, "fail on any difference, improvements included (golden-gate mode)")
@@ -149,8 +152,8 @@ func cmdDiff(args []string) {
 		usageFail("diff", err)
 	}
 
-	repA := traceview.Analyze(loadRun(o.a, o.metricsA), traceview.Options{})
-	repB := traceview.Analyze(loadRun(o.b, o.metricsB), traceview.Options{})
+	repA := traceview.Analyze(loadRun(o.a, ""), traceview.Options{})
+	repB := traceview.Analyze(loadRun(o.b, ""), traceview.Options{})
 	d := traceview.Diff(repA, repB, o.opt)
 
 	w, closeFn := openOut(o.out)

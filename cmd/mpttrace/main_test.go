@@ -61,8 +61,8 @@ func parseArgs(sub, args string) error {
 // TestParseFlagsRejectsBadCommandLines checks the command-line gate each
 // subcommand runs before it reads any input or opens any output: report
 // needs one trace file, a known -format and -top ≥ 1; diff two trace
-// files; check one trace file and at least one assertion. Valid command
-// lines parse.
+// files and no metrics snapshot; check one trace file and at least one
+// assertion. Valid command lines parse.
 func TestParseFlagsRejectsBadCommandLines(t *testing.T) {
 	for _, tc := range []struct {
 		sub, args string
@@ -79,6 +79,7 @@ func TestParseFlagsRejectsBadCommandLines(t *testing.T) {
 		{"diff", "a.json", "exactly two trace files"},
 		{"diff", "a.json b.json c.json", "exactly two trace files"},
 		{"diff", "-exact -max-delta-frac 0.02 a.json b.json", ""},
+		{"diff", "-metrics-a a.m.json a.json b.json", "flag provided but not defined: -metrics-a"},
 		{"check", "t.json", "no assertions enabled"},
 		{"check", "-max-idle 0.5", "exactly one trace file"},
 		{"check", "-max-idle 0.5 -min-overlap 0.1 t.json", ""},
@@ -131,5 +132,33 @@ func TestRejectedReportLeavesOutputUnchanged(t *testing.T) {
 	}
 	if got, err := os.ReadFile(out); err != nil || !bytes.HasPrefix(got, []byte("# mpttrace attribution report")) {
 		t.Errorf("valid report wrote %q (%v), want the text report", got, err)
+	}
+}
+
+// TestMalformedTraceExits2 runs the whole command on a trace whose one
+// span has a negative duration: report, check and diff each exit 2 naming
+// the event. A well-formed trace with no phase lane gives check nothing to
+// check, which fails (exit 1).
+func TestMalformedTraceExits2(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.json")
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(bad, []byte(`{"traceEvents":[{"name":"s","ph":"X","ts":5,"dur":-3,"pid":1,"tid":0}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, []byte(`{}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"report", bad},
+		{"check", "-min-overlap", "0", bad},
+		{"diff", bad, bad},
+	} {
+		if code, stderr := runMain(t, args...); code != 2 || !strings.Contains(stderr, `event 0 ("s")`) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming the event", args, code, stderr)
+		}
+	}
+	if code, stderr := runMain(t, "check", "-min-overlap", "0", empty); code != 1 || !strings.Contains(stderr, "no phase lane") {
+		t.Errorf("check on a trace with no phase lane: exit %d, stderr %q; want exit 1", code, stderr)
 	}
 }

@@ -31,7 +31,7 @@ import (
 // parameters/fields) are likewise not analyzable and are reported,
 // because an unseen callee is exactly how an allocation sneaks onto a
 // steady-state path. Telemetry needs no rule of its own: the nil-safe
-// atomic updates (Counter.Add, Gauge.Max, ...) walk clean, while a
+// atomic updates (Counter.Add, Gauge.Set, ...) walk clean, while a
 // Registry lookup locks and allocates, so kernels resolve handles at
 // attach time and only bump them in the loop.
 //

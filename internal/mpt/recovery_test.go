@@ -231,10 +231,6 @@ func TestRecoveryCycleDeterministicAcrossWorkers(t *testing.T) {
 		t.Helper()
 		prev := parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(prev)
-		// parallel.Attach is deliberately absent: the engine-usage counters
-		// measure actual fan-out entries, and the winograd Into kernels
-		// bypass the engine on the closure-free one-slot path (scratch.go),
-		// so those counts vary with the worker count by design.
 		reg := telemetry.NewRegistry()
 		tensor.Attach(reg)
 		defer tensor.Attach(nil)

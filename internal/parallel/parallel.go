@@ -101,7 +101,6 @@ func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	countFanout(n)
 	w := Workers(workers, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
@@ -122,7 +121,6 @@ func ForEachWorker(workers, n int, fn func(worker, item int)) {
 	if n <= 0 {
 		return
 	}
-	countFanout(n)
 	w := Workers(workers, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {

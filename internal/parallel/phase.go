@@ -22,15 +22,13 @@ import (
 // caller once its phase has drained (lowest item index wins); the phases
 // after it do not run.
 func ForEachPhase(workers int, n []int, fn func(phase, worker, item int)) {
-	most, total := 0, 0
+	most := 0
 	for _, k := range n {
 		most = max(most, k)
-		total += k
 	}
 	if most == 0 {
 		return
 	}
-	countFanout(total)
 	w := Workers(workers, most)
 	if w == 1 {
 		for p, k := range n {

@@ -463,8 +463,9 @@ func axisOverlap(a, b int) float64 {
 	return float64(b) / float64(a)
 }
 
-// emitTelemetry publishes the plan's achieved-vs-bound bytes and search
-// statistics on the system's registry (nil-safe no-ops when detached).
+// emitTelemetry publishes the plan's achieved-vs-bound bytes, which
+// traceview joins into its layer rows, and the search counts perfbench
+// reads, on the system's registry (nil-safe no-ops when detached).
 func emitTelemetry(sys sim.System, p Plan) {
 	for _, c := range p.Choices {
 		sys.Metrics.Gauge("planner.achieved_bytes." + c.Layer).Set(c.AchievedBytes)
@@ -472,6 +473,4 @@ func emitTelemetry(sys sim.System, p Plan) {
 		sys.Metrics.Counter("planner.candidates").Add(int64(c.Candidates))
 		sys.Metrics.Counter("planner.pruned").Add(int64(c.Pruned))
 	}
-	sys.Metrics.Gauge("planner.plan_us").Set(int64(p.TotalSec * 1e6))
-	sys.Metrics.Gauge("planner.menu_us").Set(int64(p.MenuTotalSec * 1e6))
 }

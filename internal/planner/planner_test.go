@@ -5,11 +5,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mptwino/internal/comm"
 	"mptwino/internal/model"
 	"mptwino/internal/sim"
+	"mptwino/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden plan dumps")
@@ -211,6 +213,28 @@ func TestBuildEmptyNetwork(t *testing.T) {
 	}
 	if err := p.WriteTSV(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildRegistryKeys pins what Build publishes on an attached registry:
+// exactly the per-layer achieved and bound bytes traceview joins and the
+// candidate and prune counts perfbench reads, each equal to the plan's
+// own field.
+func TestBuildRegistryKeys(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	opts := Options{System: sim.DefaultSystem()}
+	opts.System.Metrics = reg
+	p := Build(model.AlexNet(), opts)
+
+	want := map[string]int64{}
+	for _, c := range p.Choices {
+		want["planner.achieved_bytes."+c.Layer] = c.AchievedBytes
+		want["planner.bound_bytes."+c.Layer] = c.BoundBytes
+		want["planner.candidates"] += int64(c.Candidates)
+		want["planner.pruned"] += int64(c.Pruned)
+	}
+	if got := reg.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("registry after Build(AlexNet):\n got %v\nwant %v", got, want)
 	}
 }
 

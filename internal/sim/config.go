@@ -134,12 +134,11 @@ type System struct {
 	// counterpart of the paper's B/Nc split (comm.LoadAwareShards).
 	LoadAware bool
 
-	// Metrics and Trace attach the deterministic telemetry layer (nil =
-	// disabled, the default). Counters are atomic sums bumped from the
-	// sweep's worker goroutines (order-independent, so totals are
-	// bit-identical at any Parallel setting); trace spans are emitted only
-	// from the index-ordered assembly fold, with timestamps in simulated
-	// cycles at NDP.ClockHz. See internal/telemetry and DESIGN.md §10.
+	// Metrics is the registry planner.Build publishes its search results
+	// to; the simulator itself records nothing there. Trace records the
+	// cycle-domain timeline, emitted only from the index-ordered assembly
+	// fold with timestamps in simulated cycles at NDP.ClockHz. Both are
+	// nil (disabled) by default. See internal/telemetry and DESIGN.md §10.
 	Metrics *telemetry.Registry
 	Trace   *telemetry.Tracer
 }

@@ -101,7 +101,6 @@ func (s System) SimulateNetworkWithFailure(net model.Network, c SystemConfig, fa
 				"survivors": survivors, "failed": len(uniq), "tv": "overhead",
 			})
 	}
-	s.Metrics.Counter("sim.reconfigs").Inc()
 	return res, nil
 }
 

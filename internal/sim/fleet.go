@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"mptwino/internal/comm"
-)
+import "mptwino/internal/comm"
 
 // Heterogeneous-fleet cost model. The paper's timing model assumes 256
 // identical modules; this file stretches the per-phase durations when the
@@ -32,7 +28,7 @@ type fleetFactors struct {
 	dram    float64 // local streaming scales with the share alone
 	tile    float64 // intra-cluster transfer at the cluster's link speed
 	coll    float64 // ring collective at the fleet's slowest link
-	shares  []int   // integer per-cluster sample counts (telemetry/mpt)
+	shares  []int   // integer per-cluster sample counts (ShareImbalance)
 }
 
 // fleetActive reports whether the System carries capability profiles.
@@ -118,25 +114,4 @@ func (ff fleetFactors) apply(p *phase) {
 	p.dramSec *= ff.dram
 	p.tileCommSec *= ff.tile
 	p.collSec *= ff.coll
-}
-
-// recordFleetSpeeds mirrors the per-module effective speeds into gauges as
-// permille integers, named fleet.effective_speed.m<id> (compute) and
-// fleet.link_speed.m<id> (SerDes). Only derated modules get a gauge, so
-// the registry stays small on a 256-module fleet with one straggler. Set
-// is idempotent, so repeated network assemblies stay byte-identical.
-func (s *System) recordFleetSpeeds() {
-	if s.Metrics == nil {
-		return
-	}
-	for m, v := range s.ComputeSpeeds {
-		if v != 1 {
-			s.Metrics.Gauge(fmt.Sprintf("fleet.effective_speed.m%03d", m)).Set(int64(v * 1000))
-		}
-	}
-	for m, v := range s.LinkSpeeds {
-		if v != 1 {
-			s.Metrics.Gauge(fmt.Sprintf("fleet.link_speed.m%03d", m)).Set(int64(v * 1000))
-		}
-	}
 }

@@ -168,7 +168,6 @@ func (s System) SimulateLayer(l model.Layer, batch int, c SystemConfig) LayerRes
 	results := parallel.Map(s.HostWorkers(), len(sts), func(i int) LayerResult {
 		return s.SimulateLayerStrategy(l, batch, c, sts[i])
 	})
-	s.Metrics.Counter("sim.menu_cells").Add(int64(len(sts)))
 	best := results[0]
 	for _, r := range results[1:] {
 		if r.TotalSec() < best.TotalSec() {
@@ -176,7 +175,7 @@ func (s System) SimulateLayer(l model.Layer, batch int, c SystemConfig) LayerRes
 		}
 	}
 	// Record the evaluated sweep on the winner so observability layers
-	// can show WHY this (Ng, Nc) won (trace args, -metrics dumps).
+	// can show WHY this (Ng, Nc) won (the trace's menu instants).
 	best.Menu = make([]MenuCell, len(results))
 	for i, r := range results {
 		best.Menu[i] = MenuCell{Ng: r.Ng, Nc: r.Nc, TotalSec: r.TotalSec()}

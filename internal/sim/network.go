@@ -54,8 +54,8 @@ func (s System) Sweep(net model.Network, cfgs []SystemConfig) []NetworkResult {
 // sweep is the one network runner: a single fan-out over every (config,
 // layer) cell, then one in-order assembleNetwork fold per config. Without
 // a plan, SimulateLayer resolves each config's strategies; with one, layer
-// i runs plan[i]. It is one Map in all, not one per config, because the
-// telemetry digest pins parallel.calls.
+// i runs plan[i]. It is one Map in all, not one per config, so a sweep
+// pays for one fan-out.
 func (s *System) sweep(net model.Network, cfgs []SystemConfig, plan []comm.Strategy) []NetworkResult {
 	nl := len(net.Layers)
 	cells := parallel.Map(s.HostWorkers(), len(cfgs)*nl, func(i int) LayerResult {
@@ -81,13 +81,11 @@ func (s *System) assembleNetwork(net model.Network, c SystemConfig, layers []Lay
 		res.IterationSec += lr.TotalSec() * rep
 		res.Energy.Add(lr.Energy.Scale(rep))
 		res.Layers = append(res.Layers, lr)
-		s.countLayer(lr)
 	}
 	if res.IterationSec > 0 {
 		res.ImagesPerSec = float64(net.Batch) / res.IterationSec
 		res.PowerW = res.Energy.Total() / res.IterationSec
 	}
-	s.recordFleetSpeeds()
 	s.traceNetwork(net, c, res)
 	return res
 }

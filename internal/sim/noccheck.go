@@ -10,6 +10,7 @@ type NoCCheck struct {
 	Pattern string // "cell-a2a" or "cluster-ring"
 	Size    int    // cell size / ring member count
 	Bytes   int64  // payload per pair / collective message
+	Cycles  int64  // flit-level simulated cycles
 	ModelUS float64
 	SimUS   float64
 	Ratio   float64 // sim / model
@@ -36,7 +37,7 @@ func CellCheck(cfg noc.Config, d, pairBytes int) NoCCheck {
 	linkBytesPerCycle := float64(2*(side-1)) * float64(cfg.FlitBytes)
 	modelUS := float64((d-1)*pairBytes) * hops / linkBytesPerCycle / cfg.ClockHz * 1e6
 	return NoCCheck{
-		Pattern: "cell-a2a", Size: d, Bytes: int64(pairBytes),
+		Pattern: "cell-a2a", Size: d, Bytes: int64(pairBytes), Cycles: st.Cycles,
 		ModelUS: modelUS, SimUS: simUS, Ratio: simUS / modelUS,
 	}
 }
@@ -54,7 +55,7 @@ func RingCheck(cfg noc.Config, n, msg int) NoCCheck {
 	sys := DefaultSystem()
 	modelUS := sys.collectiveSeconds(int64(msg), n, topology.Full.Bandwidth()) * 1e6
 	return NoCCheck{
-		Pattern: "cluster-ring", Size: n, Bytes: int64(msg),
+		Pattern: "cluster-ring", Size: n, Bytes: int64(msg), Cycles: st.Cycles,
 		ModelUS: modelUS, SimUS: simUS, Ratio: simUS / modelUS,
 	}
 }

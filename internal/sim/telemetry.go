@@ -8,9 +8,7 @@ import (
 	"mptwino/internal/telemetry"
 )
 
-// Telemetry emission for the system simulator. Counters are bumped from
-// the parallel sweep's goroutines (atomic sums — order-independent, so
-// identical at any worker count); trace spans are emitted only from
+// Trace emission for the system simulator. Spans are emitted only from
 // assembleNetwork's index-ordered fold, the one place per-layer results
 // pass through sequentially. Timestamps are simulated cycles at
 // NDP.ClockHz, laid out as consecutive fwd/bwd spans per layer — one
@@ -32,20 +30,6 @@ import (
 // rounds independently and could drift by a cycle). Comm hidden behind
 // compute is therefore a pure interval intersection on the trace, which
 // is what lets traceview prove (or gate) overlap claims machine-checkably.
-
-// countLayer mirrors one simulated layer's traffic into the registry.
-func (s *System) countLayer(lr LayerResult) {
-	if s.Metrics == nil {
-		return
-	}
-	s.Metrics.Counter("sim.layers").Inc()
-	s.Metrics.Counter("sim.tile_bytes").Add(lr.TileBytes)
-	s.Metrics.Counter("sim.coll_bytes").Add(lr.CollBytes)
-	s.Metrics.Counter("sim.dram_bytes").Add(lr.DRAMBytes)
-	// Worst residual sharding imbalance across layers; Max folds
-	// commutatively, so the gauge is schedule-independent.
-	s.Metrics.Gauge("sim.imbalance_permille").Max(lr.ShareImbalance)
-}
 
 // phaseCycles converts one pass's breakdown to integer-cycle child
 // durations: the double-buffered compute block, the concurrent tile

@@ -9,9 +9,9 @@
 //     predictable branch when telemetry is off — no interface dispatch, no
 //     allocation, no atomic traffic.
 //
-//   - Deterministic when enabled. Counters and gauges are commutative
-//     folds (atomic adds and max-CAS), so their totals are independent of
-//     goroutine schedule; trace events are emitted only from the
+//   - Deterministic when enabled. Counters are commutative atomic adds,
+//     so their totals are independent of goroutine schedule, and gauges
+//     are set from sequential code; trace events are emitted only from the
 //     deterministic fold points of the instrumented packages (post-barrier
 //     sweeps, index-ordered result assembly) and exported in a canonical
 //     order, so the metrics snapshot and the trace byte stream are
@@ -28,9 +28,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -60,8 +58,8 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// A Gauge is an atomic last/max-value instrument. The zero value is ready;
-// a nil Gauge ignores updates.
+// A Gauge is an atomic last-value instrument. The zero value is ready; a
+// nil Gauge ignores updates.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -74,21 +72,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Max raises the gauge to v if v exceeds the stored value (no-op on nil).
-// The CAS loop makes concurrent Max calls fold commutatively, so the final
-// value is schedule-independent.
-func (g *Gauge) Max(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Load returns the stored value (zero on nil).
 func (g *Gauge) Load() int64 {
 	if g == nil {
@@ -98,7 +81,7 @@ func (g *Gauge) Load() int64 {
 }
 
 // A Registry names and owns a set of instruments. Registration locks;
-// updates through the returned handles never do. The dump methods emit
+// updates through the returned handles never do. WriteJSON emits
 // instruments in sorted-name order, so two registries fed the same updates
 // serialize byte-identically.
 //
@@ -151,54 +134,22 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// snapshotRow is one instrument's serialized state.
-type snapshotRow struct {
-	kind string // "counter" or "gauge"
-	name string
-	val  int64
-}
-
-// rows collects every instrument sorted by name (kind breaks ties).
-func (r *Registry) rows() []snapshotRow {
+// Snapshot returns every instrument's value keyed by name (a gauge wins
+// over a counter of the same name).
+func (r *Registry) Snapshot() map[string]int64 {
+	out := map[string]int64{}
 	if r == nil {
-		return nil
+		return out
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]snapshotRow, 0, len(r.ctrs)+len(r.gauges))
-	for name, c := range r.ctrs {
-		out = append(out, snapshotRow{kind: "counter", name: name, val: c.Load()})
+	for name, c := range r.ctrs { // key-slot copy: order-independent
+		out[name] = c.Load()
 	}
 	for name, g := range r.gauges {
-		out = append(out, snapshotRow{kind: "gauge", name: name, val: g.Load()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].name != out[j].name {
-			return out[i].name < out[j].name
-		}
-		return out[i].kind < out[j].kind
-	})
-	return out
-}
-
-// Snapshot returns every instrument's value keyed by name.
-func (r *Registry) Snapshot() map[string]int64 {
-	out := map[string]int64{}
-	for _, row := range r.rows() {
-		out[row.name] = row.val
+		out[name] = g.Load()
 	}
 	return out
-}
-
-// WriteText dumps the registry as aligned "name value" lines in sorted
-// order — the `-metrics` console format.
-func (r *Registry) WriteText(w io.Writer) error {
-	for _, row := range r.rows() {
-		if _, err := fmt.Fprintf(w, "%-40s %12d\n", row.name, row.val); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSON dumps the registry as one sorted JSON object of integers

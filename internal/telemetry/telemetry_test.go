@@ -19,7 +19,6 @@ func TestNilSafety(t *testing.T) {
 	c.Add(5)
 	c.Inc()
 	g.Set(3)
-	g.Max(9)
 	if c.Load() != 0 || g.Load() != 0 {
 		t.Fatalf("nil instruments must read zero")
 	}
@@ -27,8 +26,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry snapshot = %v, want empty", got)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil registry WriteText: err=%v len=%d", err, buf.Len())
+	if err := r.WriteJSON(&buf); err != nil || buf.String() != "{}\n" {
+		t.Fatalf("nil registry WriteJSON: err=%v bytes=%q", err, buf.String())
 	}
 
 	var tr *Tracer
@@ -68,15 +67,14 @@ func TestCounterGauge(t *testing.T) {
 	}
 
 	g := r.Gauge("occ")
-	g.Set(2)
-	g.Max(7)
-	g.Max(5) // lower: no effect
-	if g.Load() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Load())
+	g.Set(7)
+	g.Set(5) // last value wins
+	if g.Load() != 5 {
+		t.Fatalf("gauge = %d, want 5", g.Load())
 	}
 
 	snap := r.Snapshot()
-	want := map[string]int64{"flits": 4, "occ": 7}
+	want := map[string]int64{"flits": 4, "occ": 5}
 	for k, v := range want {
 		if snap[k] != v {
 			t.Errorf("snapshot[%q] = %d, want %d", k, snap[k], v)
@@ -93,17 +91,15 @@ func TestConcurrentUpdatesDeterministicDump(t *testing.T) {
 	dump := func(workers int) []byte {
 		r := NewRegistry()
 		c := r.Counter("n")
-		g := r.Gauge("max")
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
 				for i := 0; i < 1000; i++ {
 					c.Add(2)
-					g.Max(int64(i))
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
 		var buf bytes.Buffer
@@ -117,7 +113,6 @@ func TestConcurrentUpdatesDeterministicDump(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		r := NewRegistry()
 		c := r.Counter("n")
-		g := r.Gauge("max")
 		var wg sync.WaitGroup
 		per := 1000 / w
 		for i := 0; i < w; i++ {
@@ -126,16 +121,12 @@ func TestConcurrentUpdatesDeterministicDump(t *testing.T) {
 				defer wg.Done()
 				for j := 0; j < per; j++ {
 					c.Add(2)
-					g.Max(999)
 				}
 			}()
 		}
 		wg.Wait()
 		if c.Load() != int64(2*per*w) {
 			t.Fatalf("workers=%d: counter=%d", w, c.Load())
-		}
-		if g.Load() != 999 {
-			t.Fatalf("workers=%d: gauge=%d", w, g.Load())
 		}
 	}
 	// Identical single-goroutine runs must serialize identically.
@@ -144,28 +135,18 @@ func TestConcurrentUpdatesDeterministicDump(t *testing.T) {
 	}
 }
 
-// TestWriteTextSorted pins the exact bytes of both dump formats for a
-// fixed registry: instruments in sorted-name order whatever their kind or
-// registration order, the `-metrics` text in a 40-column name field and a
-// 12-column value field (a longer name pushes its value right), and the
-// `-metrics-json` object with two-space indent.
+// TestWriteTextSorted pins the exact bytes of the `-metrics-json` dump for
+// a fixed registry: instruments in sorted-name order whatever their kind
+// or registration order, in one object with two-space indent.
 func TestWriteTextSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zeta").Add(1)
 	r.Counter("alpha").Add(2)
 	r.Gauge("mid").Set(3)
-	r.Gauge("peak").Max(9)
-	r.Gauge("peak").Max(5)
+	r.Gauge("peak").Set(9)
 	r.Gauge("neg").Set(-42)
 	r.Counter("a.counter.name.wider.than.the.name.column").Add(1234567890123)
 
-	const wantText = `a.counter.name.wider.than.the.name.column 1234567890123
-alpha                                               2
-mid                                                 3
-neg                                               -42
-peak                                                9
-zeta                                                1
-`
 	const wantJSON = `{
   "a.counter.name.wider.than.the.name.column": 1234567890123,
   "alpha": 2,
@@ -175,15 +156,9 @@ zeta                                                1
   "zeta": 1
 }
 `
-	var text, js bytes.Buffer
-	if err := r.WriteText(&text); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
+	var js bytes.Buffer
 	if err := r.WriteJSON(&js); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
-	}
-	if got := text.String(); got != wantText {
-		t.Errorf("WriteText bytes:\n%s\nwant:\n%s", got, wantText)
 	}
 	if got := js.String(); got != wantJSON {
 		t.Errorf("WriteJSON bytes:\n%s\nwant:\n%s", got, wantJSON)

@@ -70,8 +70,7 @@ type Contributor struct {
 }
 
 // LaneReport is the full attribution of one phase lane (a lane holding
-// tv=phase root spans, i.e. a per-config sim timeline or the MPT step
-// clock).
+// tv=phase root spans, i.e. a per-config sim timeline).
 type LaneReport struct {
 	PID, TID int
 	Process  string
@@ -88,8 +87,8 @@ type LaneReport struct {
 	Contributors   []Contributor
 }
 
-// ProcessSummary compacts the lanes of one non-phase process (e.g. the
-// per-source-router NoC message rows).
+// ProcessSummary compacts the lanes of one non-phase process (e.g. sim's
+// fault-recovery row).
 type ProcessSummary struct {
 	PID        int
 	Process    string
@@ -181,7 +180,7 @@ func hasPhaseRoots(l Lane) bool {
 }
 
 // analyzeLane builds one phase lane's attribution and critical path.
-func analyzeLane(lane Lane, metrics map[string]float64, opt Options) LaneReport {
+func analyzeLane(lane Lane, metrics map[string]int64, opt Options) LaneReport {
 	lr := LaneReport{PID: lane.PID, TID: lane.TID, Process: lane.Process, Thread: lane.Thread}
 
 	// Group spans by layer key, preserving first-appearance order. Roots
@@ -277,17 +276,14 @@ func attributeGroup(layer string, roots, children []Span) LayerRow {
 
 // joinBounds merges the planner's achieved-vs-bound byte gauges for the
 // row's layer out of the metrics snapshot.
-func joinBounds(row *LayerRow, metrics map[string]float64) {
-	if metrics == nil {
-		return
-	}
+func joinBounds(row *LayerRow, metrics map[string]int64) {
 	a, okA := metrics["planner.achieved_bytes."+row.Layer]
 	b, okB := metrics["planner.bound_bytes."+row.Layer]
 	if !okA || !okB {
 		return
 	}
-	row.AchievedBytes = int64(a)
-	row.BoundBytes = int64(b)
+	row.AchievedBytes = a
+	row.BoundBytes = b
 	if row.BoundBytes > 0 {
 		row.BoundRatio = float64(row.AchievedBytes) / float64(row.BoundBytes)
 	}

@@ -17,7 +17,7 @@ type Assertions struct {
 	// MaxIdle caps Total.IdleShare in every phase lane.
 	MaxIdle float64
 	// MaxBoundRatio caps the achieved-vs-bound traffic ratio of every
-	// layer row that joined planner gauges.
+	// layer row that joined planner gauges; at least one row must join.
 	MaxBoundRatio float64
 	// MaxCriticalCycles caps every phase lane's critical-path length.
 	MaxCriticalCycles int64
@@ -35,9 +35,15 @@ func (a Assertions) Any() bool {
 
 // Check evaluates the assertions against the report, returning one
 // message per violation (empty = all pass) in deterministic lane/row
-// order.
+// order. A report with no phase lane fails, as does MaxBoundRatio when no
+// row joined planner bound bytes: an assertion with nothing to check
+// would pass vacuously.
 func Check(r *Report, a Assertions) []string {
+	if len(r.Lanes) == 0 {
+		return []string{"no phase lane to check"}
+	}
 	var fails []string
+	joined := false
 	for i := range r.Lanes {
 		l := &r.Lanes[i]
 		if a.MinOverlap >= 0 && l.Total.CommCycles > 0 && l.Total.OverlapFrac < a.MinOverlap {
@@ -58,13 +64,20 @@ func Check(r *Report, a Assertions) []string {
 		}
 		if a.MaxBoundRatio >= 0 {
 			for _, row := range l.Rows {
-				if row.BoundBytes > 0 && row.BoundRatio > a.MaxBoundRatio {
+				if row.BoundBytes == 0 {
+					continue
+				}
+				joined = true
+				if row.BoundRatio > a.MaxBoundRatio {
 					fails = append(fails, fmt.Sprintf(
 						"lane %s/%s layer %s: achieved/bound bytes %.4f > allowed %.4f",
 						l.Process, l.Thread, row.Layer, row.BoundRatio, a.MaxBoundRatio))
 				}
 			}
 		}
+	}
+	if a.MaxBoundRatio >= 0 && !joined {
+		fails = append(fails, "no layer row joined planner bound bytes (pass the run's -metrics dump)")
 	}
 	return fails
 }

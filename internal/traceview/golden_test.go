@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mptwino/internal/model"
-	"mptwino/internal/parallel"
 	"mptwino/internal/planner"
 	"mptwino/internal/sim"
 	"mptwino/internal/telemetry"
@@ -27,7 +27,6 @@ func autoplanRun(t *testing.T, net model.Network, par int) (*telemetry.Registry,
 	s := sim.DefaultSystem()
 	s.Parallel = par
 	reg := telemetry.NewRegistry()
-	parallel.Attach(reg)
 	tracer := telemetry.NewTracer()
 	s.Metrics = reg
 	s.Trace = tracer
@@ -58,7 +57,7 @@ func defaultConfig(t *testing.T) sim.SystemConfig {
 func reportText(t *testing.T, reg *telemetry.Registry, tracer *telemetry.Tracer) []byte {
 	t.Helper()
 	run := traceview.FromTrace(tracer.Export())
-	run.Metrics = traceview.FromSnapshot(reg.Snapshot())
+	run.Metrics = reg.Snapshot()
 	rep := traceview.Analyze(run, traceview.Options{})
 	var buf bytes.Buffer
 	if err := rep.WriteText(&buf); err != nil {
@@ -193,7 +192,7 @@ func TestDiffIdenticalAndChangedRuns(t *testing.T) {
 	regB, trB := autoplanRun(t, model.AlexNet(), 0)
 	analyze := func(reg *telemetry.Registry, tr *telemetry.Tracer) *traceview.Report {
 		run := traceview.FromTrace(tr.Export())
-		run.Metrics = traceview.FromSnapshot(reg.Snapshot())
+		run.Metrics = reg.Snapshot()
 		return traceview.Analyze(run, traceview.Options{})
 	}
 	repA, repB := analyze(regA, trA), analyze(regB, trB)
@@ -218,11 +217,15 @@ func TestDiffIdenticalAndChangedRuns(t *testing.T) {
 }
 
 // Assertions must read the same report the text renderer shows: an
-// impossible overlap bound fails, the observed bounds pass.
+// impossible overlap bound fails, the observed bounds pass. An assertion
+// with nothing to check fails instead of passing vacuously: on a report
+// with no phase lane, and as a bound-ratio cap on a run whose rows joined
+// no planner bound bytes.
 func TestCheckAssertions(t *testing.T) {
 	reg, tracer := autoplanRun(t, model.VGG16(), 0)
 	run := traceview.FromTrace(tracer.Export())
-	run.Metrics = traceview.FromSnapshot(reg.Snapshot())
+	unjoined := traceview.Analyze(run, traceview.Options{})
+	run.Metrics = reg.Snapshot()
 	rep := traceview.Analyze(run, traceview.Options{})
 
 	if traceview.Unset().Any() {
@@ -238,5 +241,19 @@ func TestCheckAssertions(t *testing.T) {
 	a.MinOverlap = 0.0
 	if fails := traceview.Check(rep, a); len(fails) != 0 {
 		t.Fatalf("trivial bounds must pass, got %v", fails)
+	}
+	empty := traceview.Analyze(traceview.FromTrace(telemetry.Trace{}), traceview.Options{})
+	if fails := traceview.Check(empty, a); len(fails) != 1 || !strings.Contains(fails[0], "no phase lane") {
+		t.Errorf("no phase lane: %q, want one failure naming it", fails)
+	}
+
+	a = traceview.Unset()
+	a.MaxBoundRatio = 1e9
+	if fails := traceview.Check(rep, a); len(fails) != 0 {
+		t.Errorf("bound cap on joined rows: %q, want none", fails)
+	}
+	if fails := traceview.Check(unjoined, a); len(fails) != 1 ||
+		!strings.Contains(fails[0], "no layer row joined planner bound bytes") {
+		t.Errorf("bound cap without metrics: %q, want one failure naming the missing join", fails)
 	}
 }

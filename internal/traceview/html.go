@@ -24,7 +24,6 @@ var tvColors = []struct{ tv, color string }{
 	{"compute", "#4caf7d"},
 	{"comm.tile", "#f0a030"},
 	{"comm.coll", "#d9534f"},
-	{"comm.noc", "#c08030"},
 	{"overhead", "#8888aa"},
 	{"untagged", "#bbbbbb"},
 }

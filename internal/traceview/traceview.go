@@ -27,15 +27,15 @@ import (
 // traceview metadata args (DESIGN.md §15) promoted to fields.
 type Span struct {
 	Name  string
-	Cat   string // trace_event category ("sim.phase", "sim.exec", "noc.msg", ...)
+	Cat   string // trace_event category ("sim.phase", "sim.exec", ...)
 	PID   int
 	TID   int
-	Start int64 // simulated cycles (or logical steps in the MPT lane)
+	Start int64 // simulated cycles
 	Dur   int64
 
 	// TV is the span taxonomy category: "phase" for layer-phase roots,
-	// "compute", "comm.tile", "comm.coll", "comm.noc", "overhead".
-	// Empty on spans emitted before the taxonomy existed.
+	// "compute", "comm.tile", "comm.coll", "overhead". Empty on spans
+	// emitted before the taxonomy existed.
 	TV string
 	// Parent names the causal parent span in the same lane ("" = root).
 	Parent string
@@ -68,18 +68,24 @@ type Run struct {
 	Lanes []Lane // ordered by (pid, tid)
 
 	// Metrics holds the flat snapshot (-metrics-json / Registry.Snapshot)
-	// keyed by instrument name; nil when no snapshot was attached. Values
-	// are float64 so that older dumps, whose histogram percentile entries
-	// were fractional, still load.
-	Metrics map[string]float64
+	// keyed by instrument name; nil when no snapshot was attached.
+	Metrics map[string]int64
 }
 
 // ParseTrace reads Chrome trace_event JSON (the tracer's WriteJSON output)
-// into a Run.
+// into a Run. A complete event with a negative start or duration is an
+// error: the tracer never writes one, and the interval algebra would
+// count it as negative cycles.
 func ParseTrace(r io.Reader) (*Run, error) {
 	var doc telemetry.Trace
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("traceview: parse trace: %w", err)
+	}
+	for i, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && (ev.TS < 0 || ev.Dur < 0) {
+			return nil, fmt.Errorf("traceview: parse trace: event %d (%q) has ts %d and dur %d; neither may be negative",
+				i, ev.Name, ev.TS, ev.Dur)
+		}
 	}
 	return FromTrace(doc), nil
 }
@@ -163,26 +169,13 @@ func FromTrace(doc telemetry.Trace) *Run {
 }
 
 // LoadMetrics reads a flat JSON metrics snapshot (the -metrics-json dump:
-// one object of name → number) for joining into reports.
-func LoadMetrics(r io.Reader) (map[string]float64, error) {
-	var m map[string]float64
+// one object of name → integer) for joining into reports.
+func LoadMetrics(r io.Reader) (map[string]int64, error) {
+	var m map[string]int64
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("traceview: parse metrics: %w", err)
 	}
 	return m, nil
-}
-
-// FromSnapshot converts an in-memory Registry.Snapshot to the metrics map
-// a Run carries — the in-process equivalent of LoadMetrics.
-func FromSnapshot(snap map[string]int64) map[string]float64 {
-	if snap == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(snap))
-	for name, v := range snap { // key-slot copy: order-independent
-		out[name] = float64(v)
-	}
-	return out
 }
 
 // argString extracts a string arg, tolerating absent maps and non-string
